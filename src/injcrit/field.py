@@ -6,6 +6,10 @@ module owns the modulus bookkeeping and inversion.
 
 DEFAULT_PRIME = 32003
 
+# The dense oracle multiplies two residues in int64 before reducing them,
+# so p * p must stay below 2^63; 2^31 leaves room for the subtraction.
+ORACLE_PRIME_LIMIT = 2 ** 31
+
 
 class PrimeField:
     """The field GF(p) for a prime modulus p.

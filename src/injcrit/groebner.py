@@ -90,14 +90,17 @@ class GBuilder:
             deg = mono_deg(mono_lcm(lm_new, lm_i)) + shift
             heapq.heappush(self._pairs, (deg, i, new_index))
 
-    def _install(self, v: Vec):
-        v = v.scale(self.module.ring.field.inv(v.lead(self.morder)[1]))
+    def _append(self, v: Vec) -> int:
+        """Register v, made monic, as a reducer; push no S-pairs."""
+        lead, c = v.lead(self.morder)
         idx = len(self.basis)
-        self.basis.append(v)
-        lead = v.lead(self.morder)[0]
+        self.basis.append(v.scale(self.module.ring.field.inv(c)))
         self._lead.append(lead)
         self._by_pos.setdefault(lead[0], []).append(idx)
-        self._push_pairs(idx)
+        return idx
+
+    def _install(self, v: Vec):
+        self._push_pairs(self._append(v))
 
     def add(self, v: Vec):
         nf = self.normal_form(v)
@@ -122,10 +125,20 @@ class GBuilder:
 
     # -- output ------------------------------------------------------------
     def reduced_basis(self) -> list:
-        """Reduced, deterministically sorted Groebner basis."""
+        """Reduced, deterministically sorted Groebner basis.
+
+        The tail of each element of the minimal basis (the element minus
+        its lead term) is reduced against one builder holding all of
+        them, the element itself included.  That element never fires on
+        its own tail: it is monic, every term met while reducing the tail
+        is smaller than its lead, and a term divisible by the lead at the
+        same position is at least the lead in any module term order.  The
+        other reducers keep their relative order, so each element comes
+        out exactly as if it were reduced against the others alone.
+        """
         key = self.morder.key
         # minimalize: drop elements whose lead is divisible by another lead
-        kept = []
+        tails = GBuilder(self.module, self.morder)
         for i, (pos, lm) in enumerate(self._lead):
             redundant = False
             for j, (pos2, lm2) in enumerate(self._lead):
@@ -135,20 +148,15 @@ class GBuilder:
                     redundant = True
                     break
             if not redundant:
-                kept.append(i)
-        minimal = [self.basis[i] for i in kept]
-        # tail-reduce each against the others
+                tails._append(self.basis[i])
         reduced = []
-        for i, g in enumerate(minimal):
-            others = GBuilder(self.module, self.morder)
-            for j, h in enumerate(minimal):
-                if i != j:
-                    others._install(h)
-            reduced.append(others.normal_form(g).scale(
-                self.module.ring.field.inv(g.lead(self.morder)[1])))
-        reduced = [g for g in reduced if not g.is_zero()]
-        reduced.sort(key=lambda g: (_max_degree(g), key(g.lead(self.morder)[0])))
-        return reduced
+        for g, lead in zip(tails.basis, tails._lead):
+            tail = Vec(self.module, {t: c for t, c in g.terms.items()
+                                     if t != lead})
+            rest = tails.normal_form(tail).terms
+            reduced.append((lead, Vec(self.module, {lead: 1, **rest})))
+        reduced.sort(key=lambda e: (_max_degree(e[1]), key(e[0])))
+        return [g for _, g in reduced]
 
 
 def _max_degree(v: Vec) -> int:
@@ -180,7 +188,7 @@ def normal_form(v: Vec, basis, module: Optional[FreeModule] = None,
         raise ValueError("ambient module mismatch")
     builder = GBuilder(module, morder)
     for g in basis:
-        builder._install(g)
+        builder._append(g)
     return builder.normal_form(v)
 
 

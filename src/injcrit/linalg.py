@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .field import ORACLE_PRIME_LIMIT
+
 
 def as_matrix(rows, ncols: int, p: int) -> np.ndarray:
     if len(rows) == 0:
@@ -17,6 +19,7 @@ def as_matrix(rows, ncols: int, p: int) -> np.ndarray:
 
 def rref(A: np.ndarray, p: int):
     """Reduced row echelon form; returns (R, pivot column list)."""
+    assert p < ORACLE_PRIME_LIMIT, f"modulus {p} overflows int64 products"
     R = A.copy() % p
     m, n = R.shape
     pivots = []
@@ -50,6 +53,7 @@ def rank(A: np.ndarray, p: int) -> int:
 
 def nullspace(A: np.ndarray, p: int) -> np.ndarray:
     """Columns form a basis of {x : A x = 0}."""
+    assert p < ORACLE_PRIME_LIMIT, f"modulus {p} overflows int64 products"
     m, n = A.shape
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)

@@ -66,12 +66,6 @@ class MonomialOrder:
             return (sum(m),) + tuple(-e for e in reversed(m))
         return m  # lex
 
-    def compare(self, a: Mono, b: Mono) -> int:
-        if len(a) != len(b):
-            raise ValueError("monomials with mismatched variable counts")
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
     def __repr__(self):
         return f"MonomialOrder({self.name!r})"
 
@@ -104,18 +98,6 @@ class ModuleOrder:
         w = self.weights[pos] if self.weights is not None else None
         mm = mono_mul(m, w) if w is not None else m
         return (self.ring_order.key(mm), -pos)
-
-    def compare(self, a: Term, b: Term) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
-
-
-def compare_monomials(order, a, b) -> int:
-    """Compare two monomials (or module terms) under the given order.
-
-    Returns -1, 0, or 1.  Plumbing shared by tests and the engine.
-    """
-    return order.compare(a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -287,20 +269,6 @@ class Poly:
             base = base * base
             e >>= 1
         return result
-
-    def substitute(self, images: list) -> "Poly":
-        """Ring-homomorphic substitution: variable i maps to images[i]."""
-        if len(images) != self.ring.n:
-            raise ValueError("one image required per variable")
-        target = images[0].ring if images else self.ring
-        out = target.zero()
-        for m, c in self.terms.items():
-            term = target.constant(c)
-            for i, e in enumerate(m):
-                if e:
-                    term = term * (images[i] ** e)
-            out = out + term
-        return out
 
     # -- leading data ------------------------------------------------------
     def lead_mono(self) -> Mono:
@@ -505,8 +473,3 @@ class Vec:
 def poly_multiply(f: Poly, g: Poly) -> Poly:
     """Exact product of two polynomials in the same ring."""
     return f * g
-
-
-def evaluate_substitution(f: Poly, images: list) -> Poly:
-    """Substitute images[i] for variable i throughout f."""
-    return f.substitute(images)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from . import criteria
-from .field import PrimeField
+from .field import ORACLE_PRIME_LIMIT, PrimeField
 from .invariants import (UndecidedError, find_regular_sop, invariant_report)
 from .modules import (GradedModule, ResolutionCapError, RingPresentation)
 from .parse import ParseError
@@ -93,6 +93,9 @@ def parse_session(text: str) -> Session:
 
     char = doc.get("char", 32003)
     try:
+        if char >= ORACLE_PRIME_LIMIT:
+            raise ValueError(f"{char} is not below 2^31, the dense "
+                             "oracle's int64 limit")
         PrimeField(char)
     except (ValueError, TypeError) as e:
         errors.append(f"char: {e}")

@@ -2,9 +2,10 @@
 
 from hypothesis import given, settings, strategies as st
 
-from injcrit.groebner import (MembershipTester, buchberger, normal_form,
-                              syzygies)
-from injcrit.poly import (LEX, ModuleOrder, PolyRing, Vec)
+from injcrit.groebner import (GBuilder, MembershipTester, _max_degree,
+                              buchberger, normal_form, syzygies)
+from injcrit.poly import (GREVLEX, LEX, ModuleOrder, PolyRing, Vec,
+                          mono_divides)
 
 
 def ring2(order=None):
@@ -128,3 +129,88 @@ def test_pot_order_prefers_low_positions():
     m0 = (0, (0, 0))
     m1 = (1, (3, 3))
     assert morder.key(m0) > morder.key(m1)
+
+
+def reference_reduced_basis(builder):
+    """Tail reduction one element at a time, each against a fresh builder
+    that holds every other element of the minimal basis, S-pairs and all.
+    This is the straightforward route to the same reduced basis."""
+    key = builder.morder.key
+    kept = []
+    for i, (pos, lm) in enumerate(builder._lead):
+        redundant = False
+        for j, (pos2, lm2) in enumerate(builder._lead):
+            if i == j or pos != pos2:
+                continue
+            if mono_divides(lm2, lm) and (lm2 != lm or j < i):
+                redundant = True
+                break
+        if not redundant:
+            kept.append(i)
+    minimal = [builder.basis[i] for i in kept]
+    reduced = []
+    for i, g in enumerate(minimal):
+        others = GBuilder(builder.module, builder.morder)
+        for j, h in enumerate(minimal):
+            if i != j:
+                others._install(h)
+        reduced.append(others.normal_form(g).scale(
+            builder.module.ring.field.inv(g.lead(builder.morder)[1])))
+    reduced = [g for g in reduced if not g.is_zero()]
+    reduced.sort(key=lambda g: (_max_degree(g),
+                                key(g.lead(builder.morder)[0])))
+    return reduced
+
+
+def draw_homogeneous(data, F):
+    """A random homogeneous element of F of degree above every shift."""
+    n = F.ring.n
+    d = max(F.shifts) + data.draw(st.integers(1, 3))
+    terms = {}
+    for _ in range(data.draw(st.integers(1, 4))):
+        pos = data.draw(st.integers(0, F.rank - 1))
+        exps = [0] * n
+        for v in data.draw(st.lists(st.integers(0, n - 1),
+                                    min_size=d - F.shifts[pos],
+                                    max_size=d - F.shifts[pos])):
+            exps[v] += 1
+        terms[(pos, tuple(exps))] = data.draw(st.integers(1, 6))
+    return F.vec(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_reduced_basis_matches_per_element_reference(data):
+    ring_order, kind = data.draw(st.sampled_from(
+        [(GREVLEX, "pot"), (LEX, "pot"), (GREVLEX, "schreyer")]))
+    ring = PolyRing(["x", "y", "z"], order=ring_order)
+    shifts = data.draw(st.sampled_from([(0,), (0, 0), (0, 1), (1, 0)]))
+    F = ring.free_module(shifts)
+    morder = ModuleOrder(ring_order, kind)
+    gens = [draw_homogeneous(data, F)
+            for _ in range(data.draw(st.integers(1, 3)))]
+
+    builder = GBuilder(F, morder)
+    for g in sorted((g for g in gens if not g.is_zero()), key=_max_degree):
+        nf = builder.normal_form(g)
+        if not nf.is_zero():
+            builder._install(nf)
+    builder.complete()
+    gb = buchberger(gens, F, morder)
+    assert gb == builder.reduced_basis()
+
+    # reduced: monic, and no term of one element divisible by another's lead
+    leads = [g.lead(morder) for g in gb]
+    assert all(c == 1 for _, c in leads)
+    for i, ((pos, lm), _) in enumerate(leads):
+        for j, g in enumerate(gb):
+            if i != j:
+                assert not any(q == pos and mono_divides(lm, m)
+                               for q, m in g.terms)
+    for g in gens:
+        assert normal_form(g, gb, F, morder).is_zero()
+
+    # the same elements, in the same order, with the same term order inside
+    ref = reference_reduced_basis(builder)
+    assert [list(g.terms.items()) for g in gb] == \
+        [list(g.terms.items()) for g in ref]

@@ -1,8 +1,13 @@
 """The dense linear-algebra oracle against the symbolic engine."""
 
+import random
+
+import numpy as np
 import pytest
 
+from injcrit.field import ORACLE_PRIME_LIMIT
 from injcrit.invariants import hilbert_series, length, socle_dimension
+from injcrit.linalg import nullspace, rref
 from injcrit.modules import GradedModule, ext, resolution
 from injcrit.oracle import (ModuleTable, TruncationError, matlis_dual,
                             oracle_ext_dims, oracle_hilbert, oracle_length,
@@ -100,3 +105,22 @@ def test_truncation_error_on_positive_dimension(node_ring):
         oracle_length(M, bound=6)
     with pytest.raises(TruncationError):
         matlis_dual(M, bound=6)
+
+
+def test_linalg_exact_below_and_refuses_above_the_prime_limit():
+    p = 2 ** 31 - 1
+    rng = random.Random(7)
+    A = np.array([[rng.randrange(p) for _ in range(6)] for _ in range(4)],
+                 dtype=np.int64)
+    K = nullspace(A, p)
+    assert K.shape == (6, 2)
+    rows, cols = A.tolist(), K.tolist()
+    for r in rows:
+        for k in range(K.shape[1]):
+            assert sum(a * c[k] for a, c in zip(r, cols)) % p == 0
+    big = 4294967311
+    assert big > ORACLE_PRIME_LIMIT
+    with pytest.raises(AssertionError):
+        rref(A, big)
+    with pytest.raises(AssertionError):
+        nullspace(A, big)

@@ -50,6 +50,17 @@ def test_parse_reports_all_module_and_check_errors():
     assert "unknown module 'missing'" in msg
 
 
+def test_parse_bounds_char_by_the_oracle_limit():
+    doc = json.loads(GOOD)
+    doc["char"] = 2 ** 31 - 1  # the largest prime below the limit
+    assert parse_session(json.dumps(doc)).ring.poly_ring.p == 2 ** 31 - 1
+    doc["char"] = 4294967311
+    with pytest.raises(SessionError) as info:
+        parse_session(json.dumps(doc))
+    assert info.value.errors == [
+        "char: 4294967311 is not below 2^31, the dense oracle's int64 limit"]
+
+
 def test_parse_rejects_bad_json():
     with pytest.raises(SessionError) as info:
         parse_session("{ not json")
