@@ -4,10 +4,10 @@ Each checker takes concrete graded inputs, tests the hypotheses of one
 criterion (identified by an opaque id such as "T2.4" in the report
 format), and, when all hypotheses pass, asserts the conclusion and
 re-verifies it by an independent finite computation.  Hypothesis
-failures yield "not_applicable" verdicts; capped computations yield
-"undecided"; a verified-hypotheses instance whose conclusion check
-fails is flagged "engine_bug", since the mathematics leaves no third
-option.
+failures, violated preconditions such as C = 0 included, yield
+"not_applicable" verdicts; capped computations yield "undecided"; a
+verified-hypotheses instance whose conclusion check fails is flagged
+"engine_bug", since the mathematics leaves no third option.
 
 The finiteness of injective dimension is always certified through a
 single Bass number: for C maximal Cohen-Macaulay over a Cohen-Macaulay
@@ -18,16 +18,19 @@ Ext^{d+1}(k, C) vanishes.  No injective resolution is ever built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import prod
 from typing import Optional
 
 from .invariants import (RegularSequenceCertificate, UndecidedError,
                          depth, dimension, hilbert_series, is_cohen_macaulay,
-                         length, multiplicity, rank, type_of)
-from .modules import (GradedModule, ResolutionCapError, ZeroModuleError,
-                      ext, quotient_by_sequence)
+                         is_regular_element, length, multiplicity, rank,
+                         type_of)
+from .modules import (GradedModule, ResolutionCapError, ext,
+                      quotient_by_sequence)
 
-CRITERION_IDS = ("L2.1", "L2.2", "L2.3", "T2.4", "T2.4-moreover", "Claim",
-                 "C2.6", "C2.7", "C2.8", "C2.9", "Bass")
+_FINITE_INJDIM = "C has finite injective dimension"
+_MCM_FINITE_INJDIM = ("R is Cohen-Macaulay and C is maximal Cohen-Macaulay "
+                      "with finite injective dimension")
 
 
 @dataclass
@@ -95,10 +98,30 @@ class _Run:
             return None
 
 
-def _mult_or_zero(E: GradedModule) -> int:
-    if E.is_zero():
-        return 0
-    return multiplicity(E)
+# ---------------------------------------------------------------------------
+# shared pieces of the checkers
+
+def _status(ok: Optional[bool]) -> str:
+    """Tri-state status: None is undecided."""
+    if ok is None:
+        return "undecided"
+    return "pass" if ok else "fail"
+
+
+def _verdict_status(report: CriterionReport) -> str:
+    """The verdict of a report as the status of a hypothesis resting on it."""
+    return _status(None if report.verdict == "undecided"
+                   else report.verdict == "pass")
+
+
+def _product(*factors) -> Optional[int]:
+    return None if None in factors else prod(factors)
+
+
+def _mult_or_zero(E: Optional[GradedModule]) -> Optional[int]:
+    if E is None:
+        return None
+    return 0 if E.is_zero() else multiplicity(E)
 
 
 def _ext_window(M: GradedModule, C: GradedModule, lo: int, hi: int,
@@ -118,6 +141,65 @@ def _name(M: GradedModule, default: str) -> str:
     return M.name or default
 
 
+def _at_most(name: str, lhs: Optional[int], rhs: Optional[int]) -> Hypothesis:
+    """lhs <= rhs, undecided while either side is unknown."""
+    return Hypothesis(name, _status(None if None in (lhs, rhs)
+                                    else lhs <= rhs),
+                      {"lhs": lhs, "rhs": rhs})
+
+
+def _vanishing(name: str, E: Optional[GradedModule], key: str) -> Hypothesis:
+    """E = 0, recording the length of E under key."""
+    return Hypothesis(name, _status(None if E is None else E.is_zero()),
+                      {key: None if E is None else length(E)})
+
+
+def _vanishing_window(name: str, window: Optional[dict]) -> Hypothesis:
+    """Every Ext module of a window from _ext_window vanishes."""
+    if window is None:
+        return Hypothesis(name, "undecided", {})
+    return Hypothesis(name, _status(all(v == 0 for v in window.values())),
+                      {"window": window})
+
+
+def _cohen_macaulay(run: _Run, X: GradedModule, label: str) -> Hypothesis:
+    return Hypothesis(f"{label} Cohen-Macaulay",
+                      _status(run.get(is_cohen_macaulay, X)), {})
+
+
+def _mcm_preamble(run: _Run, R: GradedModule, d: Optional[int],
+                  X: GradedModule, label: str, **extra) -> list:
+    """R Cohen-Macaulay and X maximal Cohen-Macaulay, dim X = depth X =
+    dim R = d; extra goes into the values of the second hypothesis."""
+    hyps = [_cohen_macaulay(run, R, "R")]
+    dX = run.get(dimension, X)
+    depX = run.get(depth, X)
+    mcm = None if None in (dX, depX, d) else dX == depX == d
+    hyps.append(Hypothesis(f"{label} maximal Cohen-Macaulay", _status(mcm),
+                           {"dim": dX, "depth": depX, **extra}))
+    return hyps
+
+
+def _unresolved(cid: str, inputs: dict, run: _Run) -> CriterionReport:
+    """The report of a checker stopped by a capped input computation."""
+    return CriterionReport(cid, inputs, [], "", undecided=run.undecided)
+
+
+def _certify_by_bass(report: CriterionReport, C: GradedModule, cap,
+                     method: str, ok: Optional[bool] = True,
+                     **values) -> CriterionReport:
+    """Verify an asserted finite injective dimension of C through its Bass
+    number, together with a further check ok (None: undecided)."""
+    bass = verify_finite_injdim_bass(C, cap=cap)
+    if bass.verdict == "undecided" or ok is None:
+        report.undecided = report.undecided + bass.undecided + ["bass check"]
+        return report
+    report.verification = {"status": _status(ok and bass.verdict == "pass"),
+                           "method": method, **values,
+                           "bass": bass.to_dict()}
+    return report
+
+
 # ---------------------------------------------------------------------------
 # multiplicity = length of the parameter quotient
 
@@ -129,22 +211,16 @@ def check_lemma_mult_length(M: GradedModule,
     if not cert.verified:
         raise ValueError("certificate is not verified for this module")
     run = _Run()
-    hyps = [Hypothesis("certificate verified",
-                       "pass",
+    hyps = [Hypothesis("certificate verified", "pass",
                        {"elements": [str(x) for x in cert.elements],
-                        "seed": cert.seed})]
-    cm = run.get(is_cohen_macaulay, M)
-    hyps.append(Hypothesis("M Cohen-Macaulay",
-                           "undecided" if cm is None else
-                           ("pass" if cm else "fail"), {}))
+                        "seed": cert.seed}),
+            _cohen_macaulay(run, M, "M")]
     e = run.get(multiplicity, M)
-    cut = quotient_by_sequence(M, cert.elements)
-    l = run.get(length, cut)
+    l = run.get(length, quotient_by_sequence(M, cert.elements))
     verification = {"status": "skipped", "method": "two-sided computation"}
     if e is not None and l is not None:
-        verification = {"status": "pass" if e == l else "fail",
-                        "method": "two-sided computation",
-                        "e": e, "length_of_quotient": l}
+        verification.update(status=_status(e == l), e=e,
+                            length_of_quotient=l)
     return CriterionReport(
         "L2.1",
         {"M": _name(M, "M"), "sequence_length": len(cert.elements)},
@@ -164,7 +240,6 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
     """Transfer of a regular sequence on M to Ext^{r-s}(M, C), with the
     base-change isomorphism and the vanishing one step further
     (criterion id L2.2)."""
-    from .invariants import is_regular_element
     if not cert.verified:
         raise ValueError("certificate is not verified for this module")
     run = _Run()
@@ -172,26 +247,19 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
     s = run.get(dimension, M)
     inputs = {"M": _name(M, "M"), "C": _name(C, "C"), "r": r, "s": s,
               "sequence": [str(x) for x in cert.elements]}
-    hyps = []
     if r is None or s is None:
-        return CriterionReport("L2.2", inputs, hyps, "", undecided=run.undecided)
+        return _unresolved("L2.2", inputs, run)
     if s > r:
-        hyps.append(Hypothesis("s <= r", "fail", {"r": r, "s": s}))
-        return CriterionReport("L2.2", inputs, hyps,
+        return CriterionReport("L2.2", inputs,
+                               [Hypothesis("s <= r", "fail",
+                                           {"r": r, "s": s})],
                                "transfer of the sequence to the Ext module")
-    cm = run.get(is_cohen_macaulay, M)
-    hyps.append(Hypothesis("M Cohen-Macaulay",
-                           "undecided" if cm is None else
-                           ("pass" if cm else "fail"), {}))
-    hyps.append(Hypothesis("sequence length = dim M",
-                           "pass" if len(cert.elements) == s else "fail",
-                           {"length": len(cert.elements), "s": s}))
-    window = _ext_window(M, C, r - s + 1, r + 1, run, cap)
-    hyps.append(Hypothesis(
-        "Ext^i(M,C) = 0 for r-s+1 <= i <= r+1",
-        "undecided" if window is None else
-        ("pass" if all(v == 0 for v in window.values()) else "fail"),
-        {"window": window} if window is not None else {}))
+    hyps = [_cohen_macaulay(run, M, "M"),
+            Hypothesis("sequence length = dim M",
+                       _status(len(cert.elements) == s),
+                       {"length": len(cert.elements), "s": s}),
+            _vanishing_window("Ext^i(M,C) = 0 for r-s+1 <= i <= r+1",
+                              _ext_window(M, C, r - s + 1, r + 1, run, cap))]
     report = CriterionReport(
         "L2.2", inputs, hyps,
         "the sequence transfers to Ext^{r-s}(M,C), base-changes Ext^r, "
@@ -201,7 +269,6 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
         return report
     E = run.get(ext, M, C, r - s, "R", cap)
     if E is None:
-        report.undecided = run.undecided
         return report
     checks = {}
     if s == 0:
@@ -221,7 +288,6 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
         MX = quotient_by_sequence(M, cert.elements)
         ER = run.get(ext, MX, C, r, "R", cap)
         if ER is None:
-            report.undecided = run.undecided
             return report
         delta = sum(x.degree() for x in cert.elements)
         ha = hilbert_series(ER).coefficients(degree_bound)
@@ -240,11 +306,10 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
         # (iii) vanishing one step further
         E1 = run.get(ext, MX, C, r + 1, "R", cap)
         if E1 is None:
-            report.undecided = run.undecided
             return report
         checks["next_ext_zero"] = E1.is_zero()
         ok = all(flags) and iso_ok and checks["next_ext_zero"]
-    report.verification = {"status": "pass" if ok else "fail",
+    report.verification = {"status": _status(ok),
                            "method": "kernel tests + Hilbert comparison",
                            **checks}
     return report
@@ -260,42 +325,31 @@ def check_finite_length_criterion(M: GradedModule, C: GradedModule,
     number of C to vanish (criterion id L2.3)."""
     run = _Run()
     lM = length(M)
-    if lM is None:
-        raise ValueError("M must have finite length")
-    if lM == 0:
-        raise ZeroModuleError("M must be nonzero")
+    conclusion = "Ext^{r+1}(k, C) = 0"
+    if not lM:
+        return CriterionReport(
+            "L2.3", {"M": _name(M, "M"), "C": _name(C, "C"), "length_M": lM},
+            [Hypothesis("0 < l(M) < infinity", "fail", {"length_M": lM})],
+            conclusion)
     r = run.get(depth, C)
     t = run.get(type_of, C, cap)
     inputs = {"M": _name(M, "M"), "C": _name(C, "C"), "r": r,
               "type_C": t, "length_M": lM}
-    hyps = []
     if r is None or t is None:
-        return CriterionReport("L2.3", inputs, hyps, "",
-                               undecided=run.undecided)
+        return _unresolved("L2.3", inputs, run)
     E = run.get(ext, M, C, r, "R", cap)
-    lE = length(E) if E is not None else None
-    hyps.append(Hypothesis(
-        "r(C) l(M) <= l(Ext^r(M,C))",
-        "undecided" if lE is None else
-        ("pass" if t * lM <= lE else "fail"),
-        {"lhs": t * lM, "rhs": lE}))
-    E1 = run.get(ext, M, C, r + 1, "R", cap)
-    hyps.append(Hypothesis(
-        "Ext^{r+1}(M,C) = 0",
-        "undecided" if E1 is None else
-        ("pass" if E1.is_zero() else "fail"),
-        {"length": length(E1) if E1 is not None else None}))
-    report = CriterionReport("L2.3", inputs, hyps,
-                             "Ext^{r+1}(k, C) = 0",
+    hyps = [_at_most("r(C) l(M) <= l(Ext^r(M,C))", t * lM,
+                     None if E is None else length(E)),
+            _vanishing("Ext^{r+1}(M,C) = 0",
+                       run.get(ext, M, C, r + 1, "R", cap), "length")]
+    report = CriterionReport("L2.3", inputs, hyps, conclusion,
                              undecided=run.undecided)
     if not report.asserted:
         return report
-    k = C.ring.residue_field()
-    B = run.get(ext, k, C, r + 1, "R", cap)
+    B = run.get(ext, C.ring.residue_field(), C, r + 1, "R", cap)
     if B is None:
-        report.undecided = run.undecided
         return report
-    report.verification = {"status": "pass" if B.is_zero() else "fail",
+    report.verification = {"status": _status(B.is_zero()),
                            "method": "direct Bass-number computation",
                            "bass_length": length(B)}
     return report
@@ -309,35 +363,17 @@ def verify_finite_injdim_bass(C: GradedModule,
     """Finite injective dimension via vanishing of Ext^{dim R + 1}(k, C)
     (criterion id Bass)."""
     run = _Run()
-    ring = C.ring
-    R = ring.as_module()
+    R = C.ring.as_module()
     d = run.get(dimension, R)
     inputs = {"C": _name(C, "C"), "dim_R": d}
-    hyps = []
     if d is None:
-        return CriterionReport("Bass", inputs, hyps, "",
-                               undecided=run.undecided)
-    rcm = run.get(is_cohen_macaulay, R)
-    hyps.append(Hypothesis("R Cohen-Macaulay",
-                           "undecided" if rcm is None else
-                           ("pass" if rcm else "fail"), {}))
-    dC = run.get(dimension, C)
-    depC = run.get(depth, C)
-    mcm = (None if dC is None or depC is None
-           else (dC == depC == d))
-    hyps.append(Hypothesis("C maximal Cohen-Macaulay",
-                           "undecided" if mcm is None else
-                           ("pass" if mcm else "fail"),
-                           {"dim": dC, "depth": depC, "dim_R": d}))
-    k = ring.residue_field()
-    B = run.get(ext, k, C, d + 1, "R", cap)
-    hyps.append(Hypothesis("Ext^{dim R + 1}(k, C) = 0",
-                           "undecided" if B is None else
-                           ("pass" if B.is_zero() else "fail"),
-                           {"bass_length": length(B) if B is not None
-                            else None}))
-    report = CriterionReport("Bass", inputs, hyps,
-                             "C has finite injective dimension",
+        return _unresolved("Bass", inputs, run)
+    hyps = _mcm_preamble(run, R, d, C, "C", dim_R=d)
+    hyps.append(_vanishing("Ext^{dim R + 1}(k, C) = 0",
+                           run.get(ext, C.ring.residue_field(), C, d + 1,
+                                   "R", cap),
+                           "bass_length"))
+    report = CriterionReport("Bass", inputs, hyps, _FINITE_INJDIM,
                              undecided=run.undecided)
     if report.asserted:
         report.verification = {"status": "pass",
@@ -354,7 +390,10 @@ def check_main_theorem(C: GradedModule, M: GradedModule,
     R Cohen-Macaulay and C maximal Cohen-Macaulay of finite injective
     dimension (criterion id T2.4)."""
     if C.is_zero():
-        raise ZeroModuleError("C must be nonzero")
+        return CriterionReport("T2.4",
+                               {"C": _name(C, "C"), "M": _name(M, "M")},
+                               [Hypothesis("C nonzero", "fail", {})],
+                               _MCM_FINITE_INJDIM)
     run = _Run()
     r = run.get(depth, C)
     s = run.get(dimension, M)
@@ -362,48 +401,27 @@ def check_main_theorem(C: GradedModule, M: GradedModule,
     inputs = {"C": _name(C, "C"), "M": _name(M, "M"),
               "r": r, "s": s, "type_C": t}
     if r is not None and s is not None and s > r:
-        raise ValueError(
-            f"dim M = {s} exceeds depth C = {r}: the index window "
-            f"Ext^{{r-s}}..Ext^{{r+1}} is empty of meaning; choose M with "
-            f"dim M <= depth C")
-    hyps = []
+        # the index window Ext^{r-s}..Ext^{r+1} is meaningless
+        return CriterionReport("T2.4", inputs,
+                               [Hypothesis("dim M <= depth C", "fail",
+                                           {"r": r, "s": s})],
+                               _MCM_FINITE_INJDIM)
     if r is None or s is None or t is None:
-        return CriterionReport("T2.4", inputs, hyps, "",
-                               undecided=run.undecided)
-    cm = run.get(is_cohen_macaulay, M)
-    hyps.append(Hypothesis("M Cohen-Macaulay",
-                           "undecided" if cm is None else
-                           ("pass" if cm else "fail"), {}))
+        return _unresolved("T2.4", inputs, run)
+    hyps = [_cohen_macaulay(run, M, "M")]
     eM = run.get(multiplicity, M)
     E = run.get(ext, M, C, r - s, "R", cap)
-    eE = _mult_or_zero(E) if E is not None else None
-    hyps.append(Hypothesis(
-        "r(C) e(M) <= e(Ext^{r-s}(M,C))",
-        "undecided" if eM is None or eE is None else
-        ("pass" if t * eM <= eE else "fail"),
-        {"lhs": None if eM is None else t * eM, "rhs": eE}))
-    window = _ext_window(M, C, r - s + 1, r + 1, run, cap)
-    hyps.append(Hypothesis(
+    hyps.append(_at_most("r(C) e(M) <= e(Ext^{r-s}(M,C))", _product(t, eM),
+                         _mult_or_zero(E)))
+    hyps.append(_vanishing_window(
         "Ext^i(M,C) = 0 for r-s+1 <= i <= r+1",
-        "undecided" if window is None else
-        ("pass" if all(v == 0 for v in window.values()) else "fail"),
-        {"window": window} if window is not None else {}))
-    report = CriterionReport(
-        "T2.4", inputs, hyps,
-        "R is Cohen-Macaulay and C is maximal Cohen-Macaulay "
-        "with finite injective dimension",
-        undecided=run.undecided)
+        _ext_window(M, C, r - s + 1, r + 1, run, cap)))
+    report = CriterionReport("T2.4", inputs, hyps, _MCM_FINITE_INJDIM,
+                             undecided=run.undecided)
     if not report.asserted:
         return report
-    bass = verify_finite_injdim_bass(C, cap=cap)
-    ok = bass.verdict == "pass"
-    if bass.verdict == "undecided":
-        report.undecided = report.undecided + bass.undecided + ["bass check"]
-        return report
-    report.verification = {"status": "pass" if ok else "fail",
-                           "method": "depth/dim equalities + bass number",
-                           "bass": bass.to_dict()}
-    return report
+    return _certify_by_bass(report, C, cap,
+                            "depth/dim equalities + bass number")
 
 
 def check_moreover_clause(C: GradedModule, M_verified: GradedModule,
@@ -414,15 +432,16 @@ def check_moreover_clause(C: GradedModule, M_verified: GradedModule,
     inequality sharpened to an equality (criterion id T2.4-moreover)."""
     base = check_main_theorem(C, M_verified, cap=cap)
     run = _Run()
-    r = run.get(depth, C)
-    s = run.get(dimension, M_verified)
-    t = run.get(type_of, C, cap)
+    if C.is_zero():
+        r = s = t = None
+    else:
+        r = run.get(depth, C)
+        s = run.get(dimension, M_verified)
+        t = run.get(type_of, C, cap)
     inputs = {"C": _name(C, "C"), "M": _name(M_verified, "M"),
               "r": r, "s": s, "modules": [_name(N, f"N{i}")
                                           for i, N in enumerate(others)]}
-    base_status = ("pass" if base.verdict == "pass" else
-                   "undecided" if base.verdict == "undecided" else "fail")
-    hyps = [Hypothesis("main criterion verified for M", base_status,
+    hyps = [Hypothesis("main criterion verified for M", _verdict_status(base),
                        {"verdict": base.verdict})]
     report = CriterionReport(
         "T2.4-moreover", inputs, hyps,
@@ -458,7 +477,7 @@ def check_moreover_clause(C: GradedModule, M_verified: GradedModule,
         if not (entry["equality"] and entry["window_zero"]):
             all_ok = False
     report.undecided = list(run.undecided)
-    report.verification = {"status": "pass" if all_ok else "fail",
+    report.verification = {"status": _status(all_ok),
                            "method": "per-module equality + window",
                            "modules": per_module}
     return report
@@ -470,42 +489,25 @@ def check_claim_multiplicity(C: GradedModule, M: GradedModule,
     of C: r(C) e(M) = e(Hom(M, C)) for M maximal Cohen-Macaulay over a
     Cohen-Macaulay ring (criterion id Claim)."""
     run = _Run()
-    ring = C.ring
-    R = ring.as_module()
+    R = C.ring.as_module()
     d = run.get(dimension, R)
     t = run.get(type_of, C, cap)
     inputs = {"C": _name(C, "C"), "M": _name(M, "M"), "dim_R": d,
               "type_C": t}
-    hyps = []
-    rcm = run.get(is_cohen_macaulay, R)
-    hyps.append(Hypothesis("R Cohen-Macaulay",
-                           "undecided" if rcm is None else
-                           ("pass" if rcm else "fail"), {}))
-    dM = run.get(dimension, M)
-    depM = run.get(depth, M)
-    mcm = None if dM is None or depM is None or d is None else \
-        (dM == depM == d)
-    hyps.append(Hypothesis("M maximal Cohen-Macaulay",
-                           "undecided" if mcm is None else
-                           ("pass" if mcm else "fail"),
-                           {"dim": dM, "depth": depM}))
+    hyps = _mcm_preamble(run, R, d, M, "M")
     bass = verify_finite_injdim_bass(C, cap=cap)
     hyps.append(Hypothesis("C maximal Cohen-Macaulay with finite "
-                           "injective dimension",
-                           bass.verdict if bass.verdict in
-                           ("pass", "undecided") else "fail", {}))
+                           "injective dimension", _verdict_status(bass), {}))
     report = CriterionReport("Claim", inputs, hyps,
                              "r(C) e(M) = e(Hom(M, C))",
                              undecided=run.undecided)
     if not report.asserted or t is None:
         return report
     eM = run.get(multiplicity, M)
-    H = run.get(ext, M, C, 0, "R", cap)
-    if eM is None or H is None:
-        report.undecided = run.undecided
+    eH = _mult_or_zero(run.get(ext, M, C, 0, "R", cap))
+    if eM is None or eH is None:
         return report
-    eH = _mult_or_zero(H)
-    report.verification = {"status": "pass" if t * eM == eH else "fail",
+    report.verification = {"status": _status(t * eM == eH),
                            "method": "two-sided multiplicity",
                            "lhs": t * eM, "rhs": eH}
     return report
@@ -519,45 +521,29 @@ def check_gorenstein_criterion(M: GradedModule,
     """Gorensteinness of R from a Cohen-Macaulay witness module
     (criterion id C2.6, the case C = R)."""
     run = _Run()
-    ring = M.ring
-    R = ring.as_module()
+    R = M.ring.as_module()
     r = run.get(depth, R)
     tR = run.get(type_of, R, cap)
     inputs = {"M": _name(M, "M"), "depth_R": r, "type_R": tR}
-    hyps = []
     if r is None:
-        return CriterionReport("C2.6", inputs, hyps, "",
-                               undecided=run.undecided)
-    cm = run.get(is_cohen_macaulay, M)
-    hyps.append(Hypothesis("M Cohen-Macaulay",
-                           "undecided" if cm is None else
-                           ("pass" if cm else "fail"), {}))
+        return _unresolved("C2.6", inputs, run)
+    hyps = [_cohen_macaulay(run, M, "M")]
     s = run.get(dimension, M)
     hyps.append(Hypothesis("dim M = depth R",
-                           "undecided" if s is None else
-                           ("pass" if s == r else "fail"),
+                           _status(None if s is None else s == r),
                            {"dim_M": s, "depth_R": r}))
     eM = run.get(multiplicity, M)
     H = run.get(ext, M, R, 0, "R", cap)
-    eH = _mult_or_zero(H) if H is not None else None
-    hyps.append(Hypothesis(
-        "r(R) e(M) <= e(Hom(M,R))",
-        "undecided" if None in (tR, eM, eH) else
-        ("pass" if tR * eM <= eH else "fail"),
-        {"lhs": None if None in (tR, eM) else tR * eM, "rhs": eH}))
-    window = _ext_window(M, R, 1, r + 1, run, cap)
-    hyps.append(Hypothesis(
-        "Ext^i(M,R) = 0 for 1 <= i <= depth R + 1",
-        "undecided" if window is None else
-        ("pass" if all(v == 0 for v in window.values()) else "fail"),
-        {"window": window} if window is not None else {}))
+    hyps.append(_at_most("r(R) e(M) <= e(Hom(M,R))", _product(tR, eM),
+                         _mult_or_zero(H)))
+    hyps.append(_vanishing_window("Ext^i(M,R) = 0 for 1 <= i <= depth R + 1",
+                                  _ext_window(M, R, 1, r + 1, run, cap)))
     report = CriterionReport("C2.6", inputs, hyps, "R is Gorenstein",
                              undecided=run.undecided)
     if not report.asserted:
         return report
     rcm = run.get(is_cohen_macaulay, R)
-    ok = rcm is True and tR == 1
-    report.verification = {"status": "pass" if ok else "fail",
+    report.verification = {"status": _status(rcm is True and tR == 1),
                            "method": "type(R) = 1 and R Cohen-Macaulay",
                            "type_R": tR, "R_cm": rcm}
     return report
@@ -568,44 +554,19 @@ def check_mcm_inequality(C: GradedModule,
     """Finite injective dimension of a maximal Cohen-Macaulay module from
     the inequality r(C) e(R) <= e(C) (criterion id C2.7)."""
     run = _Run()
-    ring = C.ring
-    R = ring.as_module()
+    R = C.ring.as_module()
     d = run.get(dimension, R)
     t = run.get(type_of, C, cap)
     inputs = {"C": _name(C, "C"), "dim_R": d, "type_C": t}
-    hyps = []
-    rcm = run.get(is_cohen_macaulay, R)
-    hyps.append(Hypothesis("R Cohen-Macaulay",
-                           "undecided" if rcm is None else
-                           ("pass" if rcm else "fail"), {}))
-    dC = run.get(dimension, C)
-    depC = run.get(depth, C)
-    mcm = None if None in (dC, depC, d) else (dC == depC == d)
-    hyps.append(Hypothesis("C maximal Cohen-Macaulay",
-                           "undecided" if mcm is None else
-                           ("pass" if mcm else "fail"),
-                           {"dim": dC, "depth": depC}))
+    hyps = _mcm_preamble(run, R, d, C, "C")
     eR = run.get(multiplicity, R)
     eC = run.get(multiplicity, C)
-    hyps.append(Hypothesis("r(C) e(R) <= e(C)",
-                           "undecided" if None in (t, eR, eC) else
-                           ("pass" if t * eR <= eC else "fail"),
-                           {"lhs": None if None in (t, eR) else t * eR,
-                            "rhs": eC}))
-    report = CriterionReport("C2.7", inputs, hyps,
-                             "C has finite injective dimension",
+    hyps.append(_at_most("r(C) e(R) <= e(C)", _product(t, eR), eC))
+    report = CriterionReport("C2.7", inputs, hyps, _FINITE_INJDIM,
                              undecided=run.undecided)
     if not report.asserted:
         return report
-    bass = verify_finite_injdim_bass(C, cap=cap)
-    if bass.verdict == "undecided":
-        report.undecided = report.undecided + bass.undecided + ["bass check"]
-        return report
-    report.verification = {"status": "pass" if bass.verdict == "pass"
-                           else "fail",
-                           "method": "bass number vanishing",
-                           "bass": bass.to_dict()}
-    return report
+    return _certify_by_bass(report, C, cap, "bass number vanishing")
 
 
 def check_rank_criterion(C: GradedModule,
@@ -620,47 +581,28 @@ def check_rank_criterion(C: GradedModule,
     t = run.get(type_of, C, cap)
     inputs = {"C": _name(C, "C"), "dim_R": d, "type_C": t,
               "domain_flag": ring.domain_flag}
-    hyps = []
-    rcm = run.get(is_cohen_macaulay, R)
-    hyps.append(Hypothesis("R Cohen-Macaulay",
-                           "undecided" if rcm is None else
-                           ("pass" if rcm else "fail"), {}))
-    dC = run.get(dimension, C)
-    depC = run.get(depth, C)
-    mcm = None if None in (dC, depC, d) else (dC == depC == d)
-    hyps.append(Hypothesis("C maximal Cohen-Macaulay",
-                           "undecided" if mcm is None else
-                           ("pass" if mcm else "fail"),
-                           {"dim": dC, "depth": depC}))
+    hyps = _mcm_preamble(run, R, d, C, "C")
     rk = run.get(rank, C)
+    # a missing rank is undecided only once some computation was capped
     hyps.append(Hypothesis("C has a rank (flagged domain)",
-                           "undecided" if rk is None and run.undecided else
-                           ("pass" if rk is not None else "fail"),
+                           _status(None if rk is None and run.undecided
+                                   else rk is not None),
                            {"rank": rk}))
     hyps.append(Hypothesis("r(C) <= rank(C)",
-                           "undecided" if None in (t, rk) and run.undecided
-                           else ("pass" if rk is not None and t is not None
-                                 and t <= rk else "fail"),
+                           _status(None if None in (t, rk) and run.undecided
+                                   else None not in (t, rk) and t <= rk),
                            {"type": t, "rank": rk}))
-    report = CriterionReport("C2.8", inputs, hyps,
-                             "C has finite injective dimension",
+    report = CriterionReport("C2.8", inputs, hyps, _FINITE_INJDIM,
                              undecided=run.undecided)
     if not report.asserted:
         return report
     eR = run.get(multiplicity, R)
     eC = run.get(multiplicity, C)
-    identity_ok = (eR is not None and eC is not None
-                   and eC == eR * rk)
-    bass = verify_finite_injdim_bass(C, cap=cap)
-    if bass.verdict == "undecided" or eR is None or eC is None:
-        report.undecided = report.undecided + bass.undecided + ["bass check"]
-        return report
-    ok = identity_ok and bass.verdict == "pass"
-    report.verification = {"status": "pass" if ok else "fail",
-                           "method": "multiplicity identity + bass number",
-                           "e_C": eC, "e_R_times_rank": eR * rk,
-                           "bass": bass.to_dict()}
-    return report
+    eR_rank = _product(eR, rk)
+    return _certify_by_bass(report, C, cap,
+                            "multiplicity identity + bass number",
+                            None if None in (eR, eC) else eC == eR_rank,
+                            e_C=eC, e_R_times_rank=eR_rank)
 
 
 def check_self_ext_criterion(C: GradedModule,
@@ -671,41 +613,17 @@ def check_self_ext_criterion(C: GradedModule,
     n = run.get(dimension, C)
     t = run.get(type_of, C, cap)
     inputs = {"C": _name(C, "C"), "n": n, "type_C": t}
-    hyps = []
     if n is None:
-        return CriterionReport("C2.9", inputs, hyps, "",
-                               undecided=run.undecided)
-    cm = run.get(is_cohen_macaulay, C)
-    hyps.append(Hypothesis("C Cohen-Macaulay",
-                           "undecided" if cm is None else
-                           ("pass" if cm else "fail"), {}))
+        return _unresolved("C2.9", inputs, run)
+    hyps = [_cohen_macaulay(run, C, "C")]
     eC = run.get(multiplicity, C)
     End = run.get(ext, C, C, 0, "R", cap)
-    eEnd = _mult_or_zero(End) if End is not None else None
-    hyps.append(Hypothesis(
-        "r(C) e(C) <= e(End(C))",
-        "undecided" if None in (t, eC, eEnd) else
-        ("pass" if t * eC <= eEnd else "fail"),
-        {"lhs": None if None in (t, eC) else t * eC, "rhs": eEnd}))
-    window = _ext_window(C, C, 1, n + 1, run, cap)
-    hyps.append(Hypothesis(
-        "Ext^i(C,C) = 0 for 1 <= i <= n+1",
-        "undecided" if window is None else
-        ("pass" if all(v == 0 for v in window.values()) else "fail"),
-        {"window": window} if window is not None else {}))
-    report = CriterionReport(
-        "C2.9", inputs, hyps,
-        "R is Cohen-Macaulay and C is maximal Cohen-Macaulay "
-        "with finite injective dimension",
-        undecided=run.undecided)
+    hyps.append(_at_most("r(C) e(C) <= e(End(C))", _product(t, eC),
+                         _mult_or_zero(End)))
+    hyps.append(_vanishing_window("Ext^i(C,C) = 0 for 1 <= i <= n+1",
+                                  _ext_window(C, C, 1, n + 1, run, cap)))
+    report = CriterionReport("C2.9", inputs, hyps, _MCM_FINITE_INJDIM,
+                             undecided=run.undecided)
     if not report.asserted:
         return report
-    bass = verify_finite_injdim_bass(C, cap=cap)
-    if bass.verdict == "undecided":
-        report.undecided = report.undecided + bass.undecided + ["bass check"]
-        return report
-    report.verification = {"status": "pass" if bass.verdict == "pass"
-                           else "fail",
-                           "method": "bass number vanishing",
-                           "bass": bass.to_dict()}
-    return report
+    return _certify_by_bass(report, C, cap, "bass number vanishing")

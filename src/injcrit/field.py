@@ -46,9 +46,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return (a * self.inv(b)) % self.p
-
     def __eq__(self, other):
         return isinstance(other, PrimeField) and self.p == other.p
 

@@ -224,12 +224,6 @@ def type_of(M: GradedModule, cap: Optional[int] = None) -> int:
     return l
 
 
-def type_fast_cm(M: GradedModule) -> int:
-    """Last Betti number of the minimal ambient resolution (CM fast path)."""
-    res = resolution(M, "S", steps=M.ring.poly_ring.n + 2)
-    return res.betti_numbers()[-1]
-
-
 def socle_generators(M: GradedModule) -> list:
     """Free-cover generators of {m : all variables kill m}."""
     ring = M.ring

@@ -11,12 +11,6 @@ import numpy as np
 from .field import ORACLE_PRIME_LIMIT
 
 
-def as_matrix(rows, ncols: int, p: int) -> np.ndarray:
-    if len(rows) == 0:
-        return np.zeros((0, ncols), dtype=np.int64)
-    return np.array(rows, dtype=np.int64) % p
-
-
 def rref(A: np.ndarray, p: int):
     """Reduced row echelon form; returns (R, pivot column list)."""
     assert p < ORACLE_PRIME_LIMIT, f"modulus {p} overflows int64 products"
@@ -65,10 +59,6 @@ def nullspace(A: np.ndarray, p: int) -> np.ndarray:
         for i, pc in enumerate(pivots):
             basis[pc, k] = (-int(R[i, fc])) % p
     return basis
-
-
-def mat_mul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    return (A @ B) % p
 
 
 class SpanTracker:

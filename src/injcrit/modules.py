@@ -507,12 +507,6 @@ def induced_hom_map(diff_columns, src_cover: FreeModule,
     return cols
 
 
-def _tag_ext(E: GradedModule, M, C, i, base) -> GradedModule:
-    E.provenance = {"source": M.name, "target": C.name, "index": i,
-                    "base": base}
-    return E
-
-
 def ext(M: GradedModule, C: GradedModule, i: int, base: str = "R",
         cap: Optional[int] = None) -> GradedModule:
     """Ext^i(M, C) over R (or over the ambient ring with base='S').
@@ -532,7 +526,7 @@ def ext(M: GradedModule, C: GradedModule, i: int, base: str = "R",
         return M._cache[key]
     res = resolution(M, "R", steps=i + 1, cap=cap)
     if res.complete and i > res.num_diffs:
-        E = _tag_ext(ring.zero_module(), M, C, i, base)
+        E = ring.zero_module()
         M._cache[key] = E
         return E
     F_i = res.cover(i)
@@ -547,7 +541,7 @@ def ext(M: GradedModule, C: GradedModule, i: int, base: str = "R",
         kernel = [hom_i.cover.gen(j) for j in range(hom_i.cover.rank)]
         kernel = minimal_generators(ring, kernel, hom_i.cover)
     if not kernel:
-        E = _tag_ext(ring.zero_module(), M, C, i, base)
+        E = ring.zero_module()
         M._cache[key] = E
         return E
     # image of delta^{i-1}
@@ -569,7 +563,6 @@ def ext(M: GradedModule, C: GradedModule, i: int, base: str = "R",
         if not v.is_zero():
             rel_cols.append(v)
     E = GradedModule(ring, gen_degs, rel_cols).minimal_model()
-    E = _tag_ext(E, M, C, i, base)
     M._cache[key] = E
     return E
 
@@ -607,7 +600,7 @@ def hom_module(M: GradedModule, C: GradedModule) -> GradedModule:
 
 
 # ---------------------------------------------------------------------------
-# quotients, annihilators, sums
+# quotients and sums
 
 def quotient_by_sequence(M: GradedModule, xs) -> GradedModule:
     """M/(xs)M: append x * generator columns to the relations."""
@@ -618,51 +611,6 @@ def quotient_by_sequence(M: GradedModule, xs) -> GradedModule:
         for j in range(M.cover.rank):
             rels.append(M.cover.gen(j).poly_mul(x))
     return GradedModule(M.ring, M.shifts, rels, name=M.name)
-
-
-def annihilator(M: GradedModule) -> list:
-    """Generators of ann_R(M), intersecting the per-generator colons."""
-    ring = M.ring
-    if M.is_zero():
-        return [ring.poly_ring.one()]
-    ann = None
-    for j in range(M.cover.rank):
-        block = [M.cover.gen(j)] + list(M.relations)
-        syz = syzygies_over(ring, block, M.cover)
-        colon = []
-        for s in syz:
-            a = s.component(0)
-            if not a.is_zero():
-                colon.append(a)
-        colon = _minimal_ideal_gens(ring, colon)
-        ann = colon if ann is None else intersect_ideals(ring, ann, colon)
-    return ann
-
-
-def _minimal_ideal_gens(ring: RingPresentation, polys) -> list:
-    F = ring.poly_ring.free_module((0,))
-    vecs = minimal_generators(ring, [F.from_polys([f]) for f in polys], F)
-    return [v.component(0) for v in vecs]
-
-
-def intersect_ideals(ring: RingPresentation, gens1, gens2) -> list:
-    """Generators of (gens1) meet (gens2) inside R."""
-    if not gens1 or not gens2:
-        return []
-    F = ring.poly_ring.free_module((0,))
-    cols = [F.from_polys([f]) for f in gens1] + [F.from_polys([g])
-                                                 for g in gens2]
-    syz = syzygies_over(ring, cols, F)
-    out = []
-    for s in syz:
-        f = ring.poly_ring.zero()
-        for (pos, m), c in s.terms.items():
-            if pos < len(gens1):
-                f = f + gens1[pos].mono_mul(m, c)
-        f = ring.nf_poly(f)
-        if not f.is_zero():
-            out.append(f)
-    return _minimal_ideal_gens(ring, out)
 
 
 def direct_sum(A: GradedModule, B: GradedModule) -> GradedModule:
@@ -676,21 +624,3 @@ def direct_sum(A: GradedModule, B: GradedModule) -> GradedModule:
         rels.append(Vec(cover, {(pos + off, m): c
                                 for (pos, m), c in r.terms.items()}))
     return GradedModule(A.ring, shifts, rels)
-
-
-def verify_iso_by_hilbert(A: GradedModule, B: GradedModule,
-                          D: int) -> tuple:
-    """Necessary check for A iso B: graded dimensions up to D and minimal
-    generator counts must agree.  Returns (bool, report dict)."""
-    from .invariants import hilbert_series
-    if A.ring != B.ring:
-        raise ValueError("modules over different rings")
-    ha = hilbert_series(A).coefficients(D)
-    hb = hilbert_series(B).coefficients(D)
-    ga = sorted(A.minimal_model().shifts)
-    gb = sorted(B.minimal_model().shifts)
-    ok = ha == hb and ga == gb
-    report = {"hilbert_match": ha == hb, "generator_match": ga == gb,
-              "degree_bound": D, "hilbert_left": ha, "hilbert_right": hb,
-              "generators_left": ga, "generators_right": gb}
-    return ok, report

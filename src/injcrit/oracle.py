@@ -64,7 +64,6 @@ class RingTable:
         self._mono_index = []   # degree -> {mono: column}
         self._basis = []        # degree -> standard monomial list
         self._proj = []         # degree -> (len(monos), len(basis)) matrix
-        self._var_mats = {}     # (i, d) -> matrix R_d -> R_{d+1}
 
     def _ensure(self, d: int):
         while len(self._basis) <= d:
@@ -116,26 +115,6 @@ class RingTable:
         d = mono_deg(m)
         self._ensure(d)
         return self._proj[d][self._mono_index[d][m]]
-
-    def poly_coords(self, f, d: int) -> np.ndarray:
-        out = np.zeros(self.dim(d), dtype=np.int64)
-        for m, c in f.terms.items():
-            out = (out + c * self.mono_coords(m)) % self.p
-        return out
-
-    def var_matrix(self, i: int, d: int) -> np.ndarray:
-        key = (i, d)
-        if key not in self._var_mats:
-            cols = []
-            unit = tuple(1 if j == i else 0 for j in range(self.n))
-            for b in self.basis(d):
-                cols.append(self.mono_coords(mono_mul(b, unit)))
-            if cols:
-                mat = np.stack(cols, axis=1)
-            else:
-                mat = np.zeros((self.dim(d + 1), 0), dtype=np.int64)
-            self._var_mats[key] = mat
-        return self._var_mats[key]
 
     def top_degree(self, bound: int) -> int:
         """Largest d with R_d nonzero, certified artinian within bound."""
@@ -265,18 +244,6 @@ class ModuleTable(_ActionTable):
             if v[c]:
                 v = (v - int(v[c]) * R[i]) % self.p
         return v[free]
-
-    def vec_coords(self, v: Vec, d: int) -> np.ndarray:
-        """Quotient coordinates of a degree-d element of the free cover."""
-        self._ensure(d)
-        offsets, total = self._cover_layout(d)
-        cover = np.zeros(total, dtype=np.int64)
-        for (pos, m), c in v.terms.items():
-            coords = self.rt.mono_coords(m)
-            off = offsets[pos]
-            cover[off:off + coords.shape[0]] = (
-                cover[off:off + coords.shape[0]] + c * coords) % self.p
-        return self.to_quotient(cover, d)
 
     def act(self, i: int, d: int) -> np.ndarray:
         key = (i, d)
@@ -473,15 +440,6 @@ class OracleResolution:
     def betti_numbers(self) -> list:
         return [len(F.gen_degrees) for F in self.frees]
 
-    def graded_betti(self) -> list:
-        out = []
-        for F in self.frees:
-            row = {}
-            for d in F.gen_degrees:
-                row[d] = row.get(d, 0) + 1
-            out.append(row)
-        return out
-
 
 # ---------------------------------------------------------------------------
 # headline oracle values
@@ -515,11 +473,6 @@ def oracle_socle_dimension(M: GradedModule,
         stack = np.vstack([mt.act(i, d) for i in range(mt.nvars)])
         total += nullspace(stack, mt.p).shape[1]
     return total
-
-
-def oracle_resolution(M: GradedModule, steps: int,
-                      bound: int = DEFAULT_DEGREE_BOUND) -> OracleResolution:
-    return OracleResolution(ModuleTable(M), steps, bound)
 
 
 def oracle_ext_dims(M: GradedModule, C: GradedModule, i_max: int,

@@ -204,9 +204,6 @@ class Poly:
         degs = set(map(mono_deg, self.terms))
         return len(degs) <= 1
 
-    def is_constant(self) -> bool:
-        return not self.terms or self.terms.keys() == {self.ring._zero_mono}
-
     def constant_coeff(self) -> int:
         return self.terms.get(self.ring._zero_mono, 0)
 

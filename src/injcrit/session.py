@@ -66,19 +66,150 @@ class Session:
         raise SessionError([f"unknown module name {name!r}"])
 
 
-_CHECK_ARGS = {
-    "L2.1": ("M",),
-    "L2.2": ("M", "C"),
-    "L2.3": ("M", "C"),
-    "T2.4": ("C", "M"),
-    "T2.4-moreover": ("C", "M"),
-    "Claim": ("C", "M"),
-    "C2.6": ("M",),
-    "C2.7": ("C",),
-    "C2.8": ("C",),
-    "C2.9": ("C",),
-    "Bass": ("C",),
+def _sop(session: Session, M: GradedModule):
+    return find_regular_sop(M, seed=session.flags.seed)
+
+
+# criterion id -> (argument names, runner(session, *modules)).  Every
+# argument names one module, except "N", which names a list of them and
+# defaults to every module.  Runners look their checker up in criteria
+# at call time, so a wrapper installed there (bench/tracer.py) sees it.
+CHECKS = {
+    "L2.1": (("M",), lambda s, M: criteria.check_lemma_mult_length(
+        M, _sop(s, M))),
+    "L2.2": (("M", "C"), lambda s, M, C: criteria.check_regseq_transfer(
+        M, C, _sop(s, M), degree_bound=s.flags.degree_bound,
+        cap=s.flags.res_cap)),
+    "L2.3": (("M", "C"), lambda s, M, C:
+             criteria.check_finite_length_criterion(M, C,
+                                                    cap=s.flags.res_cap)),
+    "T2.4": (("C", "M"), lambda s, C, M: criteria.check_main_theorem(
+        C, M, cap=s.flags.res_cap)),
+    "T2.4-moreover": (("C", "M", "N"), lambda s, C, M, N:
+                      criteria.check_moreover_clause(
+                          C, M, N, degree_bound=s.flags.degree_bound,
+                          cap=s.flags.res_cap)),
+    "Claim": (("C", "M"), lambda s, C, M: criteria.check_claim_multiplicity(
+        C, M, cap=s.flags.res_cap)),
+    "C2.6": (("M",), lambda s, M: criteria.check_gorenstein_criterion(
+        M, cap=s.flags.res_cap)),
+    "C2.7": (("C",), lambda s, C: criteria.check_mcm_inequality(
+        C, cap=s.flags.res_cap)),
+    "C2.8": (("C",), lambda s, C: criteria.check_rank_criterion(
+        C, cap=s.flags.res_cap)),
+    "C2.9": (("C",), lambda s, C: criteria.check_self_ext_criterion(
+        C, cap=s.flags.res_cap)),
+    "Bass": (("C",), lambda s, C: criteria.verify_finite_injdim_bass(
+        C, cap=s.flags.res_cap)),
 }
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _parse_flags(doc, errors: list) -> SessionFlags:
+    flags = SessionFlags()
+    if not isinstance(doc, dict):
+        errors.append("flags: expected an object")
+        return flags
+    for key, default in flags.to_dict().items():
+        value = doc.get(key, default)
+        if key == "domain" and not isinstance(value, bool):
+            errors.append(f"flags.domain: expected true or false, "
+                          f"got {value!r}")
+        elif key != "domain" and not (_is_int(value) or key == "res_cap"
+                                      and value is None):
+            errors.append(f"flags.{key}: expected an integer, got {value!r}")
+        else:
+            setattr(flags, key, value)
+    return flags
+
+
+def _parse_modules(doc, ring: RingPresentation, errors: list) -> dict:
+    if not isinstance(doc, dict):
+        errors.append("modules: expected an object")
+        return {}
+    poly_ring = ring.poly_ring
+    modules = {}
+    for name, spec in doc.items():
+        where = f"modules.{name}"
+        if name in BUILTIN_MODULES:
+            errors.append(f"{where}: name is reserved")
+            continue
+        if not isinstance(spec, dict):
+            errors.append(f"{where}: expected an object")
+            continue
+        degrees = spec.get("degrees", [])
+        if not isinstance(degrees, list) or not all(map(_is_int, degrees)):
+            errors.append(f"{where}: degrees must be a list of integers")
+            continue
+        relations = spec.get("relations", [])
+        if not isinstance(relations, list) or not all(
+                isinstance(col, list) and all(isinstance(e, str)
+                                              for e in col)
+                for col in relations):
+            errors.append(f"{where}.relations: expected a list of lists "
+                          "of strings")
+            continue
+        cover = poly_ring.free_module(tuple(degrees))
+        columns = []
+        bad = False
+        for ci, col in enumerate(relations):
+            entries = []
+            for ei in range(len(degrees)):
+                s = col[ei] if ei < len(col) else "0"
+                try:
+                    entries.append(poly_ring.from_string(s))
+                except ParseError as e:
+                    errors.append(f"{where}.relations[{ci}][{ei}]: {e}")
+                    bad = True
+            if not bad:
+                columns.append(cover.from_polys(entries))
+        if bad:
+            continue
+        try:
+            modules[name] = GradedModule(ring, tuple(degrees), columns,
+                                         name=name)
+        except ValueError as e:
+            errors.append(f"{where}: {e}")
+    return modules
+
+
+def _parse_checks(doc, modules: dict, errors: list) -> list:
+    if not isinstance(doc, list):
+        errors.append("checks: expected a list")
+        return []
+    known = set(BUILTIN_MODULES) | set(modules)
+    checks = []
+    for ci, chk in enumerate(doc):
+        where = f"checks[{ci}]"
+        if not isinstance(chk, dict):
+            errors.append(f"{where}: expected an object")
+            continue
+        cid = chk.get("id")
+        if not isinstance(cid, str) or cid not in CHECKS:
+            errors.append(f"{where}: unknown criterion id {cid!r}")
+            continue
+        entry = {"id": cid}
+        for arg in CHECKS[cid][0]:
+            many = arg == "N"
+            val = chk.get(arg, sorted(modules) + ["R"] if many else None)
+            names = val if many else [val]
+            if not (isinstance(names, list)
+                    and all(isinstance(nm, str) for nm in names)):
+                errors.append(f"{where}: missing argument {arg!r}"
+                              if val is None else
+                              f"{where}: argument {arg!r} must be a "
+                              + ("list of module names" if many
+                                 else "module name"))
+                continue
+            for nm in names:
+                if nm not in known:
+                    errors.append(f"{where}: unknown module {nm!r}")
+            entry[arg] = val
+        checks.append(entry)
+    return checks
 
 
 def parse_session(text: str) -> Session:
@@ -110,17 +241,17 @@ def parse_session(text: str) -> Session:
         errors.append("vars: duplicate variable names")
         raise SessionError(errors)
 
-    flags_doc = doc.get("flags", {})
-    flags = SessionFlags(
-        domain=bool(flags_doc.get("domain", False)),
-        degree_bound=int(flags_doc.get("degree_bound", 10)),
-        res_cap=(int(flags_doc["res_cap"])
-                 if flags_doc.get("res_cap") is not None else None),
-        seed=int(flags_doc.get("seed", 1)))
-
+    flags = _parse_flags(doc.get("flags", {}), errors)
     poly_ring = PolyRing(variables, p=char)
     ideal = []
-    for idx, s in enumerate(doc.get("ideal", [])):
+    ideal_doc = doc.get("ideal", [])
+    if not isinstance(ideal_doc, list):
+        errors.append("ideal: expected a list of strings")
+        ideal_doc = []
+    for idx, s in enumerate(ideal_doc):
+        if not isinstance(s, str):
+            errors.append(f"ideal[{idx}]: expected a string, got {s!r}")
+            continue
         try:
             f = poly_ring.from_string(s)
             if not f.is_zero() and not f.is_homogeneous():
@@ -129,123 +260,27 @@ def parse_session(text: str) -> Session:
                 ideal.append(f)
         except ParseError as e:
             errors.append(f"ideal[{idx}]: {e}")
-    if errors:
-        raise SessionError(errors)
+    # modules and checks are still parsed, over the valid generators only,
+    # so that one SessionError lists every error of the document
     ring = RingPresentation(poly_ring, ideal, domain_flag=flags.domain)
-
-    modules = {}
-    for name, spec in doc.get("modules", {}).items():
-        if name in BUILTIN_MODULES:
-            errors.append(f"modules.{name}: name is reserved")
-            continue
-        degrees = spec.get("degrees", [])
-        if not all(isinstance(d, int) for d in degrees):
-            errors.append(f"modules.{name}: degrees must be integers")
-            continue
-        cover = poly_ring.free_module(tuple(degrees))
-        columns = []
-        bad = False
-        for ci, col in enumerate(spec.get("relations", [])):
-            entries = []
-            for ei in range(len(degrees)):
-                s = col[ei] if ei < len(col) else "0"
-                try:
-                    entries.append(poly_ring.from_string(s))
-                except ParseError as e:
-                    errors.append(f"modules.{name}.relations[{ci}][{ei}]: {e}")
-                    bad = True
-            if not bad:
-                columns.append(cover.from_polys(entries))
-        if bad:
-            continue
-        try:
-            modules[name] = GradedModule(ring, tuple(degrees), columns,
-                                         name=name)
-        except ValueError as e:
-            errors.append(f"modules.{name}: {e}")
-
-    checks = []
-    for ci, chk in enumerate(doc.get("checks", [])):
-        cid = chk.get("id")
-        if cid not in _CHECK_ARGS:
-            errors.append(f"checks[{ci}]: unknown criterion id {cid!r}")
-            continue
-        entry = {"id": cid}
-        for arg in _CHECK_ARGS[cid]:
-            val = chk.get(arg)
-            if not isinstance(val, str):
-                errors.append(f"checks[{ci}]: missing argument {arg!r}")
-                continue
-            if val not in BUILTIN_MODULES and val not in modules:
-                errors.append(f"checks[{ci}]: unknown module {val!r}")
-                continue
-            entry[arg] = val
-        if cid == "T2.4-moreover":
-            entry["N"] = list(chk.get("N", sorted(modules) + ["R"]))
-            for nm in entry["N"]:
-                if nm not in BUILTIN_MODULES and nm not in modules:
-                    errors.append(f"checks[{ci}]: unknown module {nm!r}")
-        if len(entry) >= 1 + len(_CHECK_ARGS[cid]):
-            checks.append(entry)
+    modules = _parse_modules(doc.get("modules", {}), ring, errors)
+    checks = _parse_checks(doc.get("checks", []), modules, errors)
     if errors:
         raise SessionError(errors)
     return Session(ring, modules, flags, checks)
 
 
-def _undecided_report(cid: str, inputs: dict, reason: str):
-    return criteria.CriterionReport(cid, inputs, [], "",
-                                    undecided=[reason])
-
-
 def run_check(session: Session, chk: dict) -> criteria.CriterionReport:
     cid = chk["id"]
-    flags = session.flags
-    cap = flags.res_cap
+    arg_names, runner = CHECKS[cid]
     try:
-        if cid in ("L2.1", "L2.2"):
-            M = session.resolve(chk["M"])
-            cert = find_regular_sop(M, seed=flags.seed)
-            if cid == "L2.1":
-                return criteria.check_lemma_mult_length(M, cert)
-            return criteria.check_regseq_transfer(
-                M, session.resolve(chk["C"]), cert,
-                degree_bound=flags.degree_bound, cap=cap)
-        if cid == "L2.3":
-            return criteria.check_finite_length_criterion(
-                session.resolve(chk["M"]), session.resolve(chk["C"]),
-                cap=cap)
-        if cid == "T2.4":
-            return criteria.check_main_theorem(
-                session.resolve(chk["C"]), session.resolve(chk["M"]),
-                cap=cap)
-        if cid == "T2.4-moreover":
-            others = [session.resolve(n) for n in chk["N"]]
-            return criteria.check_moreover_clause(
-                session.resolve(chk["C"]), session.resolve(chk["M"]),
-                others, degree_bound=flags.degree_bound, cap=cap)
-        if cid == "Claim":
-            return criteria.check_claim_multiplicity(
-                session.resolve(chk["C"]), session.resolve(chk["M"]),
-                cap=cap)
-        if cid == "C2.6":
-            return criteria.check_gorenstein_criterion(
-                session.resolve(chk["M"]), cap=cap)
-        if cid == "C2.7":
-            return criteria.check_mcm_inequality(session.resolve(chk["C"]),
-                                                 cap=cap)
-        if cid == "C2.8":
-            return criteria.check_rank_criterion(session.resolve(chk["C"]),
-                                                 cap=cap)
-        if cid == "C2.9":
-            return criteria.check_self_ext_criterion(
-                session.resolve(chk["C"]), cap=cap)
-        if cid == "Bass":
-            return criteria.verify_finite_injdim_bass(
-                session.resolve(chk["C"]), cap=cap)
+        return runner(session, *(
+            [session.resolve(nm) for nm in chk[a]] if a == "N"
+            else session.resolve(chk[a]) for a in arg_names))
     except (UndecidedError, ResolutionCapError) as e:
-        return _undecided_report(cid, {k: v for k, v in chk.items()
-                                       if k != "id"}, str(e))
-    raise SessionError([f"unhandled criterion id {cid!r}"])
+        inputs = {k: v for k, v in chk.items() if k != "id"}
+        return criteria.CriterionReport(cid, inputs, [], "",
+                                        undecided=[str(e)])
 
 
 def run_session(session: Session, with_oracle: bool = False) -> dict:

@@ -3,7 +3,7 @@
 import pytest
 
 from injcrit import criteria
-from injcrit.criteria import (CRITERION_IDS, check_claim_multiplicity,
+from injcrit.criteria import (check_claim_multiplicity,
                               check_finite_length_criterion,
                               check_gorenstein_criterion,
                               check_lemma_mult_length, check_main_theorem,
@@ -13,12 +13,17 @@ from injcrit.criteria import (CRITERION_IDS, check_claim_multiplicity,
                               verify_finite_injdim_bass)
 from injcrit.invariants import (RegularSequenceCertificate, find_regular_sop,
                                 multiplicity)
+from injcrit.session import CHECKS
 
 
 def test_criterion_id_registry():
-    assert set(CRITERION_IDS) == {"L2.1", "L2.2", "L2.3", "T2.4",
-                                  "T2.4-moreover", "Claim", "C2.6", "C2.7",
-                                  "C2.8", "C2.9", "Bass"}
+    """Each criterion id is listed once, with the modules it takes."""
+    assert {cid: args for cid, (args, _) in CHECKS.items()} == {
+        "L2.1": ("M",), "L2.2": ("M", "C"), "L2.3": ("M", "C"),
+        "T2.4": ("C", "M"), "T2.4-moreover": ("C", "M", "N"),
+        "Claim": ("C", "M"), "C2.6": ("M",), "C2.7": ("C",),
+        "C2.8": ("C",), "C2.9": ("C",), "Bass": ("C",)}
+    assert all(callable(run) for _, run in CHECKS.values())
 
 
 def test_lemma_mult_length_pass(corpus):
@@ -88,7 +93,7 @@ def test_main_theorem_pass_and_fail(corpus):
 
 
 def test_main_theorem_rejects_large_test_module(corpus):
-    """dim M must not exceed depth C; the checker refuses the pair."""
+    """dim M must not exceed depth C; the pair is not applicable."""
     session = corpus["quadric_cone"]
     C = session.resolve("C")
     k = session.resolve("k")
@@ -96,8 +101,28 @@ def test_main_theorem_rejects_large_test_module(corpus):
     check_main_theorem(C, k)
     # a 1-dimensional test module against a depth-0 target is rejected
     noncm = corpus["noncm_plane"]
-    with pytest.raises(ValueError, match="exceed"):
-        check_main_theorem(noncm.resolve("R"), noncm.resolve("R"))
+    rep = check_main_theorem(noncm.resolve("R"), noncm.resolve("R"))
+    assert rep.verdict == "not_applicable"
+    assert [h.to_dict() for h in rep.hypotheses] == [
+        {"name": "dim M <= depth C", "status": "fail",
+         "values": {"r": 0, "s": 1}}]
+
+
+def test_preconditions_are_not_applicable(node_ring):
+    """A zero C, or an M of infinite length or zero, fails one hypothesis
+    instead of raising."""
+    R = node_ring.as_module()
+    zero = node_ring.zero_module()
+    for rep in (check_main_theorem(zero, R),
+                check_moreover_clause(zero, R, [R])):
+        assert rep.verdict == "not_applicable"
+    assert check_main_theorem(zero, R).hypotheses[0].name == "C nonzero"
+    for M, lM in ((R, None), (zero, 0)):
+        rep = check_finite_length_criterion(M, R)
+        assert rep.verdict == "not_applicable"
+        assert [h.to_dict() for h in rep.hypotheses] == [
+            {"name": "0 < l(M) < infinity", "status": "fail",
+             "values": {"length_M": lM}}]
 
 
 def test_moreover_clause(corpus):

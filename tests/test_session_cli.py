@@ -61,6 +61,48 @@ def test_parse_bounds_char_by_the_oracle_limit():
         "char: 4294967311 is not below 2^31, the dense oracle's int64 limit"]
 
 
+@pytest.mark.parametrize("patch,message", [
+    ({"modules": {"A": "oops"}}, "modules.A: expected an object"),
+    ({"modules": []}, "modules: expected an object"),
+    ({"modules": {"A": {"degrees": [0], "relations": "xy"}}},
+     "modules.A.relations: expected a list of lists of strings"),
+    ({"modules": {"A": {"degrees": 0}}},
+     "modules.A: degrees must be a list of integers"),
+    ({"checks": ["Bass"]}, "checks[0]: expected an object"),
+    ({"checks": {"id": "Bass"}}, "checks: expected a list"),
+    ({"checks": [{"id": ["Bass"]}]}, "checks[0]: unknown criterion id"),
+    ({"checks": [{"id": "T2.4-moreover", "C": "R", "M": "R", "N": "AR"}]},
+     "checks[0]: argument 'N' must be a list of module names"),
+    ({"checks": [{"id": "Bass", "C": 3}]},
+     "checks[0]: argument 'C' must be a module name"),
+    ({"flags": [1]}, "flags: expected an object"),
+    ({"flags": {"degree_bound": "ten"}},
+     "flags.degree_bound: expected an integer, got 'ten'"),
+    ({"flags": {"domain": "false"}},
+     "flags.domain: expected true or false, got 'false'"),
+    ({"ideal": "xy"}, "ideal: expected a list of strings"),
+    ({"ideal": [7]}, "ideal[0]: expected a string, got 7"),
+])
+def test_parse_rejects_mistyped_fields(patch, message, tmp_path, capsys):
+    doc = dict(json.loads(GOOD), **patch)
+    with pytest.raises(SessionError) as info:
+        parse_session(json.dumps(doc))
+    assert any(e.startswith(message) for e in info.value.errors)
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    assert main(["check", str(f)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_parse_reports_type_errors_together():
+    doc = dict(json.loads(GOOD), ideal="xy", flags=[1], modules=[],
+               checks=["Bass"])
+    with pytest.raises(SessionError) as info:
+        parse_session(json.dumps(doc))
+    assert [e.split(":")[0] for e in info.value.errors] == [
+        "flags", "ideal", "modules", "checks[0]"]
+
+
 def test_parse_rejects_bad_json():
     with pytest.raises(SessionError) as info:
         parse_session("{ not json")
@@ -130,6 +172,27 @@ def test_cli_undecided_exit_code(tmp_path, capsys):
         assert code == 2
     else:
         assert code == 0
+
+
+def test_precondition_failure_is_one_checks_verdict(tmp_path, capsys):
+    """dim R = 1 > depth k = 0 and l(R) infinite are reported as not
+    applicable, next to a passing check, instead of aborting the run."""
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps({
+        "vars": ["x", "y"],
+        "ideal": ["x*y"],
+        "checks": [{"id": "T2.4", "C": "k", "M": "R"},
+                   {"id": "Bass", "C": "R"},
+                   {"id": "L2.3", "M": "R", "C": "R"}],
+    }))
+    assert main(["--json", "check", str(f)]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [(c["criterion"], c["verdict"]) for c in checks] == [
+        ("T2.4", "not_applicable"), ("Bass", "pass"),
+        ("L2.3", "not_applicable")]
+    assert checks[0]["hypotheses"] == [
+        {"name": "dim M <= depth C", "status": "fail",
+         "values": {"r": 0, "s": 1}}]
 
 
 def test_cli_error_exit_code(tmp_path, capsys):
