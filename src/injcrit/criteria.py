@@ -454,9 +454,8 @@ def check_moreover_clause(C: GradedModule, M_verified: GradedModule,
     all_ok = True
     for i, N in enumerate(others):
         entry = {"module": _name(N, f"N{i}")}
-        sN = run.get(dimension, N)
-        cmN = run.get(is_cohen_macaulay, N)
-        if sN != s or not cmN:
+        # a zero N has dimension -1, never s, and no CM property
+        if run.get(dimension, N) != s or not run.get(is_cohen_macaulay, N):
             entry["skipped"] = f"not CM of dimension {s}"
             per_module.append(entry)
             continue

@@ -5,9 +5,18 @@ modules (a polynomial ideal is the rank-1 case).  Quotient rings are
 handled upstream by augmenting generator lists with ideal multiples of the
 basis vectors.
 
+Every basis is grown in a GBuilder.  MembershipTester is the one place
+that seeds a builder from generators (lowest degree first, each reduced
+before it is installed) and completes it; buchberger returns that
+builder's reduced basis, and the tester itself answers normal-form and
+membership queries and takes further elements.
+
 Syzygies come from a single tagged Groebner basis run: each input column
 gets a fresh tag position dominated by the ambient positions, so basis
 elements supported only on tags are exactly the syzygies of the input.
+A tag position takes the degree of its column, so every column must be
+nonzero; columns that vanish are the caller's to handle
+(modules.syzygies_over does so for columns that vanish modulo an ideal).
 """
 
 from __future__ import annotations
@@ -163,6 +172,23 @@ def _max_degree(v: Vec) -> int:
     return max(mono_deg(m) + v.module.shifts[pos] for pos, m in v.terms)
 
 
+class MembershipTester(GBuilder):
+    """A builder seeded from generators, lowest degree first, and completed."""
+
+    def __init__(self, gens, module: FreeModule,
+                 morder: Optional[ModuleOrder] = None):
+        super().__init__(module, morder)
+        for g in sorted((g for g in gens if not g.is_zero()),
+                        key=_max_degree):
+            nf = self.normal_form(g)
+            if not nf.is_zero():
+                self._install(nf)
+        self.complete()
+
+    def contains(self, v: Vec) -> bool:
+        return self.normal_form(v).is_zero()
+
+
 def buchberger(gens, module: FreeModule,
                morder: Optional[ModuleOrder] = None) -> list:
     """Reduced Groebner basis of the submodule generated by gens.
@@ -170,14 +196,7 @@ def buchberger(gens, module: FreeModule,
     Graded callers pass homogeneous generators (and get graded bases); the
     routine itself is order-generic, which the lex cross-checks rely on.
     """
-    builder = GBuilder(module, morder)
-    for g in sorted((g for g in gens if not g.is_zero()),
-                    key=_max_degree):
-        nf = builder.normal_form(g)
-        if not nf.is_zero():
-            builder._install(nf)
-    builder.complete()
-    return builder.reduced_basis()
+    return MembershipTester(gens, module, morder).reduced_basis()
 
 
 def normal_form(v: Vec, basis, module: Optional[FreeModule] = None,
@@ -192,80 +211,22 @@ def normal_form(v: Vec, basis, module: Optional[FreeModule] = None,
     return builder.normal_form(v)
 
 
-class MembershipTester:
-    """Reusable normal-form oracle for a fixed generating set."""
+def syzygies(columns, target: FreeModule) -> list:
+    """Generators of the kernel of the map target <- F defined by columns.
 
-    def __init__(self, gens, module: FreeModule,
-                 morder: Optional[ModuleOrder] = None):
-        self.module = module
-        self.builder = GBuilder(module, morder)
-        for g in sorted((g for g in gens if not g.is_zero()),
-                        key=_max_degree):
-            nf = self.builder.normal_form(g)
-            if not nf.is_zero():
-                self.builder._install(nf)
-        self.builder.complete()
-
-    def normal_form(self, v: Vec) -> Vec:
-        return self.builder.normal_form(v)
-
-    def contains(self, v: Vec) -> bool:
-        return self.builder.normal_form(v).is_zero()
-
-    def add(self, v: Vec):
-        self.builder.add(v)
-
-    def basis(self) -> list:
-        return self.builder.reduced_basis()
-
-
-def gb_and_syzygies(columns, target: FreeModule):
-    """Groebner basis of the column span plus syzygies of the columns.
-
-    Returns (gb, syz) where gb is a reduced basis of the submodule of
-    `target` generated by the columns, and syz is a list of elements of a
-    free module with one generator per input column, spanning the kernel
-    of the map defined by the columns.
+    F has one generator per column, in the degree of that column, so
+    every column must be nonzero.  The syzygies are the elements of a
+    tagged Groebner basis supported on the tag positions alone.
     """
     _check_homogeneous(columns)
+    if any(c.is_zero() for c in columns):
+        raise ValueError("zero column has no degree; filter before calling")
     ring = target.ring
-    coldegs = []
-    for c in columns:
-        if c.is_zero():
-            raise ValueError("zero column has no degree; filter before calling")
-        coldegs.append(c.degree())
-    ext = FreeModule(ring, target.shifts + tuple(coldegs))
-    tagged = []
-    for j, c in enumerate(columns):
-        terms = dict(c.terms)
-        terms[(target.rank + j, ring._zero_mono)] = 1
-        tagged.append(Vec(ext, terms))
-    gb_ext = buchberger(tagged, ext)
-    tag_module = FreeModule(ring, tuple(coldegs))
-    tag_positions = list(range(target.rank, ext.rank))
-    gb, syz = [], []
-    for g in gb_ext:
-        top = g.restrict(range(target.rank), target)
-        if top.is_zero():
-            syz.append(g.restrict(tag_positions, tag_module))
-        else:
-            gb.append(top)
-    return gb, syz
-
-
-def syzygies(columns, target: FreeModule) -> list:
-    """Generators of the kernel of the map target^m <- defined by columns."""
-    cols = [c for c in columns if not c.is_zero()]
-    if len(cols) != len(columns):
-        # zero columns contribute unit syzygies; handle by reinserting
-        keep = [j for j, c in enumerate(columns) if not c.is_zero()]
-        sub = syzygies(cols, target)
-        full = FreeModule(target.ring,
-                          tuple(c.degree() if not c.is_zero() else 0
-                                for c in columns))
-        out = [full.gen(j) for j, c in enumerate(columns) if c.is_zero()]
-        for s in sub:
-            out.append(Vec(full, {(keep[pos], m): c
-                                  for (pos, m), c in s.terms.items()}))
-        return out
-    return gb_and_syzygies(columns, target)[1]
+    tags = FreeModule(ring, tuple(c.degree() for c in columns))
+    ext = FreeModule(ring, target.shifts + tags.shifts)
+    r = target.rank
+    tagged = [Vec(ext, {**c.terms, (r + j, ring._zero_mono): 1})
+              for j, c in enumerate(columns)]
+    return [Vec(tags, {(pos - r, m): c for (pos, m), c in g.terms.items()})
+            for g in buchberger(tagged, ext)
+            if all(pos >= r for pos, _ in g.terms)]

@@ -15,11 +15,11 @@ from math import comb
 from typing import Optional
 
 from .groebner import buchberger
-from .modules import (GradedModule, RingPresentation, ResolutionCapError,
-                      ZeroModuleError, build_module, default_res_cap,
+from .modules import (GradedModule, RingPresentation, ZeroModuleError,
                       direct_sum, ext, kernel_of_cokernel_map,
                       quotient_by_sequence, resolution)
-from .poly import Poly, Vec, mono_deg, mono_div, mono_divides, mono_lcm
+from .poly import (ModuleOrder, Poly, Vec, mono_deg, mono_div,
+                   mono_divides, mono_lcm, monomials_of_degree)
 
 
 class UndecidedError(RuntimeError):
@@ -163,7 +163,6 @@ def hilbert_series(M: GradedModule) -> HilbertSeries:
         return M._cache["hilbert"]
     work = M.over_ambient()
     gb = buchberger(list(work.relations), work.cover)
-    from .poly import ModuleOrder
     morder = ModuleOrder(work.cover.ring.order, "pot")
     by_pos = {}
     for g in gb:
@@ -193,22 +192,17 @@ def length(M: GradedModule) -> Optional[int]:
     return hilbert_series(M).length
 
 
-def depth(M: GradedModule) -> int:
-    """n - pd over the ambient ring (Auslander-Buchsbaum)."""
-    if M.is_zero():
-        raise ZeroModuleError("depth of the zero module")
-    n = M.ring.poly_ring.n
-    res = resolution(M, "S", steps=n + 2)
-    if not res.complete:
-        raise RuntimeError("ambient resolution did not terminate")  # pragma: no cover
-    return n - res.length
-
-
 def projective_dimension_ambient(M: GradedModule) -> int:
+    """Length of the minimal free resolution over the polynomial ring,
+    which ends after at most n steps (Hilbert's syzygy theorem)."""
     if M.is_zero():
         raise ZeroModuleError("pd of the zero module")
-    n = M.ring.poly_ring.n
-    return resolution(M, "S", steps=n + 2).length
+    return resolution(M, "S", steps=M.ring.poly_ring.n + 2).length
+
+
+def depth(M: GradedModule) -> int:
+    """n - pd over the ambient ring (Auslander-Buchsbaum)."""
+    return M.ring.poly_ring.n - projective_dimension_ambient(M)
 
 
 def type_of(M: GradedModule, cap: Optional[int] = None) -> int:
@@ -282,7 +276,7 @@ def domain_necessary_check(ring: RingPresentation, degree_bound: int = 3) -> boo
     polyring = ring.poly_ring
     leads = [g.lead_mono() for g in ring.ideal_gb]
     monos = [m for d in range(1, degree_bound + 1)
-             for m in _monomials_of_degree(polyring.n, d)
+             for m in monomials_of_degree(polyring.n, d)
              if not any(mono_divides(l, m) for l in leads)]
     for i, a in enumerate(monos):
         for b in monos[i:]:
@@ -290,15 +284,6 @@ def domain_necessary_check(ring: RingPresentation, degree_bound: int = 3) -> boo
             if ring.nf_poly(prod).is_zero():
                 return False
     return True
-
-
-def _monomials_of_degree(n: int, d: int):
-    if n == 1:
-        yield (d,)
-        return
-    for e in range(d + 1):
-        for rest in _monomials_of_degree(n - 1, d - e):
-            yield (e,) + rest
 
 
 def rank(M: GradedModule, minor_cap: int = 3000) -> Optional[int]:

@@ -39,12 +39,6 @@ def rref(A: np.ndarray, p: int):
     return R[:r], pivots
 
 
-def rank(A: np.ndarray, p: int) -> int:
-    if A.size == 0:
-        return 0
-    return len(rref(A, p)[1])
-
-
 def nullspace(A: np.ndarray, p: int) -> np.ndarray:
     """Columns form a basis of {x : A x = 0}."""
     assert p < ORACLE_PRIME_LIMIT, f"modulus {p} overflows int64 products"
@@ -64,8 +58,7 @@ def nullspace(A: np.ndarray, p: int) -> np.ndarray:
 class SpanTracker:
     """Incremental row-space membership: echelonized rows by pivot column."""
 
-    def __init__(self, dim: int, p: int):
-        self.dim = dim
+    def __init__(self, p: int):
         self.p = p
         self.rows = {}  # pivot column -> normalized row
 
@@ -93,10 +86,3 @@ class SpanTracker:
         inv = pow(int(v[c]), self.p - 2, self.p)
         self.rows[c] = v * inv % self.p
         return True
-
-    def contains(self, v: np.ndarray) -> bool:
-        return not np.any(self.reduce(v))
-
-    @property
-    def rank(self) -> int:
-        return len(self.rows)

@@ -100,8 +100,8 @@ class RingPresentation:
         """Normal form of a polynomial modulo the ideal."""
         if self.is_ambient:
             return f
-        F = self._ideal_tester().module
-        return self._ideal_tester().normal_form(F.from_polys([f])).component(0)
+        mt = self._ideal_tester()
+        return mt.normal_form(mt.module.from_polys([f])).component(0)
 
     def nf_vec(self, v: Vec) -> Vec:
         if self.is_ambient:
@@ -115,11 +115,6 @@ class RingPresentation:
             for g in self.ideal_gens:
                 cols.append(module.gen(j).poly_mul(g))
         return cols
-
-    def membership(self, gens, module: FreeModule) -> MembershipTester:
-        """Membership oracle for <gens> + I*F inside F."""
-        return MembershipTester(list(gens) + self.ideal_columns(module),
-                                module)
 
     # -- canonical modules -------------------------------------------------
     def as_module(self) -> "GradedModule":
@@ -186,8 +181,9 @@ class GradedModule:
     @property
     def rel_tester(self) -> MembershipTester:
         if "rel_mt" not in self._cache:
-            self._cache["rel_mt"] = self.ring.membership(
-                self.relations, self.cover)
+            self._cache["rel_mt"] = MembershipTester(
+                list(self.relations) + self.ring.ideal_columns(self.cover),
+                self.cover)
         return self._cache["rel_mt"]
 
     def nf(self, v: Vec) -> Vec:
@@ -255,9 +251,10 @@ def syzygies_over(ring: RingPresentation, columns, target: FreeModule,
     """Generators of the kernel of target^m <- R^n over R = S/I.
 
     Computes syzygies over S of the block [columns | I * basis vectors],
-    projects onto the column coordinates, and reduces mod I.
-    column_degrees supplies degrees for columns that vanish mod I (their
-    unit syzygies still need a well-defined degree).
+    projects onto the column coordinates, and reduces mod I.  This is the
+    one place that handles columns vanishing mod I (groebner.syzygies
+    refuses zero columns): each gets its unit syzygy, in the degree that
+    column_degrees supplies, or 0.
     """
     cols = [ring.nf_vec(c) for c in columns]
     keep = [j for j, c in enumerate(cols) if not c.is_zero()]
@@ -548,8 +545,6 @@ def ext(M: GradedModule, C: GradedModule, i: int, base: str = "R",
     psi = []
     if i >= 1:
         psi = induced_hom_map(res.diffs[i - 1], res.cover(i - 1), F_i, C)
-        psi = [ring.nf_vec(c) for c in psi]
-        psi = [c for c in psi if not c.is_zero()]
     # relations of the subquotient: coefficients c with K c in <psi> + <P>
     block = list(kernel) + psi + list(hom_i.relations)
     syz = syzygies_over(ring, block, hom_i.cover)

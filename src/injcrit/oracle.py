@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import SpanTracker, nullspace, rref
 from .modules import GradedModule, RingPresentation
-from .poly import GREVLEX, Vec, mono_deg, mono_mul
+from .poly import GREVLEX, Vec, mono_deg, mono_mul, monomials_of_degree
 
 DEFAULT_DEGREE_BOUND = 24
 
@@ -33,17 +33,10 @@ class TruncationError(RuntimeError):
         self.bound = bound
 
 
-def _monomials_of_degree(n: int, d: int):
-    if n == 0:
-        if d == 0:
-            yield ()
-        return
-    if n == 1:
-        yield (d,)
-        return
-    for e in range(d, -1, -1):
-        for rest in _monomials_of_degree(n - 1, d - e):
-            yield (e,) + rest
+def _columns(cols, rows: int) -> np.ndarray:
+    """The matrix with the given columns; rows sets its height when empty."""
+    return (np.stack(cols, axis=1) if cols
+            else np.zeros((rows, 0), dtype=np.int64))
 
 
 class RingTable:
@@ -71,7 +64,7 @@ class RingTable:
 
     def _build(self, d: int):
         p = self.p
-        monos = sorted(_monomials_of_degree(self.n, d),
+        monos = sorted(monomials_of_degree(self.n, d),
                        key=GREVLEX.key, reverse=True)
         index = {m: c for c, m in enumerate(monos)}
         rows = []
@@ -79,7 +72,7 @@ class RingTable:
             e = g.degree()
             if e is None or e > d:
                 continue
-            for u in _monomials_of_degree(self.n, d - e):
+            for u in monomials_of_degree(self.n, d - e):
                 row = np.zeros(len(monos), dtype=np.int64)
                 for m, c in g.terms.items():
                     row[index[mono_mul(u, m)]] = c
@@ -133,7 +126,11 @@ def ring_table(ring: RingPresentation) -> RingTable:
 
 
 class _ActionTable:
-    """Shared monomial-action plumbing for graded coordinate tables."""
+    """Shared monomial-action plumbing for graded coordinate tables.
+
+    act(i, d), the matrix of x_i from degree d to degree d + 1, is built
+    once from the columns _act_columns(i, d) and kept in self._act.
+    """
 
     p: int
     nvars: int
@@ -141,8 +138,19 @@ class _ActionTable:
     def dims(self, d: int) -> int:
         raise NotImplementedError
 
-    def act(self, i: int, d: int) -> np.ndarray:
+    def _act_columns(self, i: int, d: int) -> list:
         raise NotImplementedError
+
+    def act(self, i: int, d: int) -> np.ndarray:
+        key = (i, d)
+        if key not in self._act:
+            self._act[key] = _columns(self._act_columns(i, d),
+                                      self.dims(d + 1))
+        return self._act[key]
+
+    def _unit(self, i: int) -> tuple:
+        """The exponent tuple of x_i."""
+        return tuple(1 if j == i else 0 for j in range(self.nvars))
 
     def apply_mono(self, vec: np.ndarray, m, d: int) -> np.ndarray:
         cur, deg = vec, d
@@ -152,31 +160,63 @@ class _ActionTable:
                 deg += 1
         return cur
 
-    def support_top(self, floor: int, bound: int) -> int:
-        """Largest degree with a nonzero piece, certified within bound.
 
-        floor must be at least the largest generator degree: above it a
-        vanishing piece forces all higher pieces to vanish.
-        """
-        top, d = floor - 1, floor
-        lo = getattr(self, "min_degree", 0)
-        for d0 in range(lo, floor):
-            if self.dims(d0):
-                top = max(top, d0)
-        d = floor
-        while d <= bound:
-            if self.dims(d) == 0:
-                return top
-            top = d
-            d += 1
-        raise TruncationError("module piece does not vanish", bound)
+class FreeTable(_ActionTable):
+    """A free module over R with prescribed generator degrees.
+
+    Its degree-d coordinates run through the generators in order, one
+    block of ring basis monomials of degree d - gen_degrees[g] each.
+    """
+
+    def __init__(self, rt: RingTable, gen_degrees):
+        self.rt = rt
+        self.p = rt.p
+        self.nvars = rt.n
+        self.gen_degrees = list(gen_degrees)
+        self.min_degree = min(self.gen_degrees) if self.gen_degrees else 0
+        self._layout = {}
+        self._act = {}
+
+    def layout(self, d: int):
+        """(offsets, total): where each generator's block starts in
+        degree d, and the dimension of the degree-d piece."""
+        if d not in self._layout:
+            offsets, total = [], 0
+            for a in self.gen_degrees:
+                offsets.append(total)
+                total += self.rt.dim(d - a)
+            self._layout[d] = (offsets, total)
+        return self._layout[d]
+
+    def dims(self, d: int) -> int:
+        return self.layout(d)[1]
+
+    def basis(self, d: int) -> list:
+        """(generator, ring basis monomial) pairs indexing the coordinates."""
+        out = []
+        for g, a in enumerate(self.gen_degrees):
+            for b in self.rt.basis(d - a) if d - a >= 0 else ():
+                out.append((g, b))
+        return out
+
+    def coords(self, g: int, m) -> np.ndarray:
+        """Coordinates of m * e_g, for any monomial m of S."""
+        offsets, total = self.layout(mono_deg(m) + self.gen_degrees[g])
+        vec = np.zeros(total, dtype=np.int64)
+        ring_coords = self.rt.mono_coords(m)
+        vec[offsets[g]:offsets[g] + ring_coords.shape[0]] = ring_coords
+        return vec
+
+    def _act_columns(self, i: int, d: int) -> list:
+        unit = self._unit(i)
+        return [self.coords(g, mono_mul(b, unit)) for g, b in self.basis(d)]
 
 
 class ModuleTable(_ActionTable):
     """Graded pieces of a cokernel presentation, with variable actions.
 
-    The degree-d piece is the cover coordinate space (one block of ring
-    basis elements per generator) modulo the row space of all standard
+    The degree-d piece is that of the free cover (a FreeTable with the
+    generator degrees of M) modulo the row space of all standard
     monomial multiples of the relation columns.
     """
 
@@ -186,32 +226,22 @@ class ModuleTable(_ActionTable):
         self.p = self.rt.p
         self.nvars = self.rt.n
         self.shifts = M.shifts
-        self.min_degree = min(self.shifts) if self.shifts else 0
+        self.cover = FreeTable(self.rt, self.shifts)
+        self.min_degree = self.cover.min_degree
         self.rels = [(r.degree(), r) for r in M.relations]
-        self._piece = {}     # d -> (offsets, rref rows, pivots, free idx)
+        self._piece = {}     # d -> (rref rows, pivots, free idx)
         self._act = {}
-
-    def _cover_layout(self, d: int):
-        offsets, total = [], 0
-        for a in self.shifts:
-            offsets.append(total)
-            total += self.rt.dim(d - a)
-        return offsets, total
 
     def _ensure(self, d: int):
         if d in self._piece:
             return
-        p = self.p
-        offsets, total = self._cover_layout(d)
+        p, cover, total = self.p, self.cover, self.cover.dims(d)
         rows = []
         for bl, rel in self.rels:
             for b in self.rt.basis(d - bl) if d - bl >= 0 else ():
                 row = np.zeros(total, dtype=np.int64)
                 for (pos, m), c in rel.terms.items():
-                    coords = self.rt.mono_coords(mono_mul(b, m))
-                    off = offsets[pos]
-                    row[off:off + coords.shape[0]] = (
-                        row[off:off + coords.shape[0]] + c * coords) % p
+                    row = (row + c * cover.coords(pos, mono_mul(b, m))) % p
                 rows.append(row)
         if rows:
             R, pivots = rref(np.array(rows, dtype=np.int64), p)
@@ -219,108 +249,45 @@ class ModuleTable(_ActionTable):
             R, pivots = np.zeros((0, total), dtype=np.int64), []
         pivot_set = set(pivots)
         free = [c for c in range(total) if c not in pivot_set]
-        self._piece[d] = (offsets, R, list(pivots), free)
+        self._piece[d] = (R, list(pivots), free)
 
     def dims(self, d: int) -> int:
         if d < self.min_degree:
             return 0
         self._ensure(d)
-        return len(self._piece[d][3])
-
-    def cover_basis(self, d: int) -> list:
-        """(generator, ring basis monomial) pairs indexing cover coords."""
-        self._ensure(d)
-        out = []
-        for j, a in enumerate(self.shifts):
-            for b in self.rt.basis(d - a) if d - a >= 0 else ():
-                out.append((j, b))
-        return out
+        return len(self._piece[d][2])
 
     def to_quotient(self, covervec: np.ndarray, d: int) -> np.ndarray:
         self._ensure(d)
-        _, R, pivots, free = self._piece[d]
+        R, pivots, free = self._piece[d]
         v = covervec % self.p
         for i, c in enumerate(pivots):
             if v[c]:
                 v = (v - int(v[c]) * R[i]) % self.p
         return v[free]
 
-    def act(self, i: int, d: int) -> np.ndarray:
-        key = (i, d)
-        if key in self._act:
-            return self._act[key]
+    def _act_columns(self, i: int, d: int) -> list:
+        """x_i on each free coordinate of degree d, through the cover."""
         self._ensure(d)
-        self._ensure(d + 1)
-        offsets_hi, total_hi = self._cover_layout(d + 1)
-        unit = tuple(1 if j == i else 0 for j in range(self.nvars))
+        unit = self._unit(i)
+        basis = self.cover.basis(d)
         cols = []
-        _, _, _, free = self._piece[d]
-        basis = self.cover_basis(d)
-        for idx in free:
-            j, b = basis[idx]
-            cover = np.zeros(total_hi, dtype=np.int64)
-            coords = self.rt.mono_coords(mono_mul(b, unit))
-            off = offsets_hi[j]
-            cover[off:off + coords.shape[0]] = coords
-            cols.append(self.to_quotient(cover, d + 1))
-        if cols:
-            mat = np.stack(cols, axis=1)
-        else:
-            mat = np.zeros((self.dims(d + 1), 0), dtype=np.int64)
-        self._act[key] = mat
-        return mat
+        for idx in self._piece[d][2]:
+            g, b = basis[idx]
+            cols.append(self.to_quotient(
+                self.cover.coords(g, mono_mul(b, unit)), d + 1))
+        return cols
 
     def certified_top(self, bound: int) -> int:
-        floor = max(self.shifts) if self.shifts else 0
-        return self.support_top(floor, bound)
-
-
-class FreeTable(_ActionTable):
-    """A free module over R with prescribed generator degrees."""
-
-    def __init__(self, rt: RingTable, gen_degrees):
-        self.rt = rt
-        self.p = rt.p
-        self.nvars = rt.n
-        self.gen_degrees = list(gen_degrees)
-        self.min_degree = min(self.gen_degrees) if self.gen_degrees else 0
-        self._act = {}
-
-    def dims(self, d: int) -> int:
-        return sum(self.rt.dim(d - a) for a in self.gen_degrees)
-
-    def basis(self, d: int) -> list:
-        out = []
-        for g, a in enumerate(self.gen_degrees):
-            for b in self.rt.basis(d - a) if d - a >= 0 else ():
-                out.append((g, b))
-        return out
-
-    def _offsets(self, d: int) -> list:
-        offsets, total = [], 0
-        for a in self.gen_degrees:
-            offsets.append(total)
-            total += self.rt.dim(d - a)
-        return offsets
-
-    def act(self, i: int, d: int) -> np.ndarray:
-        key = (i, d)
-        if key in self._act:
-            return self._act[key]
-        offsets_hi = self._offsets(d + 1)
-        hi = self.dims(d + 1)
-        cols = []
-        for g, b in self.basis(d):
-            col = np.zeros(hi, dtype=np.int64)
-            unit = tuple(1 if j == i else 0 for j in range(self.nvars))
-            coords = self.rt.mono_coords(mono_mul(b, unit))
-            off = offsets_hi[g]
-            col[off:off + coords.shape[0]] = coords
-            cols.append(col)
-        mat = (np.stack(cols, axis=1) if cols
-               else np.zeros((hi, 0), dtype=np.int64))
-        self._act[key] = mat
-        return mat
+        """A degree at or above the largest one with a nonzero piece,
+        certified within bound: above the largest generator degree, a
+        vanishing piece forces all higher pieces to vanish."""
+        top = max(self.shifts, default=0) - 1
+        while top < bound:
+            if self.dims(top + 1) == 0:
+                return top
+            top += 1
+        raise TruncationError("module piece does not vanish", bound)
 
 
 class OracleMap:
@@ -333,16 +300,13 @@ class OracleMap:
         self._mats = {}
 
     def matrix(self, d: int) -> np.ndarray:
-        if d in self._mats:
-            return self._mats[d]
-        cols = []
-        for g, b in self.source.basis(d):
-            a = self.source.gen_degrees[g]
-            cols.append(self.target.apply_mono(self.images[g], b, a))
-        mat = (np.stack(cols, axis=1) if cols
-               else np.zeros((self.target.dims(d), 0), dtype=np.int64))
-        self._mats[d] = mat
-        return mat
+        if d not in self._mats:
+            self._mats[d] = _columns(
+                [self.target.apply_mono(self.images[g], b,
+                                        self.source.gen_degrees[g])
+                 for g, b in self.source.basis(d)],
+                self.target.dims(d))
+        return self._mats[d]
 
 
 def _minimal_generators_degreewise(table: _ActionTable, lo: int, top: int,
@@ -357,8 +321,7 @@ def _minimal_generators_degreewise(table: _ActionTable, lo: int, top: int,
     gens = []
     prev = None  # spanning columns of the previous degree, as a matrix
     for d in range(lo, top + 1):
-        dim = table.dims(d)
-        tracker = SpanTracker(dim, p)
+        tracker = SpanTracker(p)
         if prev is not None and prev.shape[1]:
             for i in range(table.nvars):
                 pushed = table.act(i, d - 1) @ prev % p
@@ -369,9 +332,39 @@ def _minimal_generators_degreewise(table: _ActionTable, lo: int, top: int,
             if tracker.add(v):
                 gens.append((d, v))
             here.append(v)
-        prev = (np.stack(here, axis=1) if here
-                else np.zeros((dim, 0), dtype=np.int64))
+        prev = _columns(here, table.dims(d))
     return gens
+
+
+def _piece_generators(table: _ActionTable, lo: int, top: int) -> list:
+    """Minimal generators of a table known to live in degrees lo..top,
+    sieved from the unit vectors of each piece."""
+    return _minimal_generators_degreewise(
+        table, lo, top, lambda d: np.eye(table.dims(d), dtype=np.int64))
+
+
+def _covering_map(rt: RingTable, target: _ActionTable, gens) -> OracleMap:
+    """The map onto target from a free module with one generator per
+    (degree, vector) pair of gens, sent to that vector."""
+    return OracleMap(FreeTable(rt, [d for d, _ in gens]), target,
+                     [v for _, v in gens])
+
+
+def _kernel_generators(phi: OracleMap, ring_top: int) -> list:
+    """Minimal generators of the kernel of phi.  The free source vanishes
+    above its largest generator degree plus ring_top, the top degree of
+    the ring, and so does the kernel.
+
+    Every kernel is computed before the sieve caches any action matrix,
+    so that row-reduction temporaries do not fragment the heap between
+    long-lived matrices; computing them lazily raised the peak RSS.
+    """
+    F = phi.source
+    if not F.gen_degrees:
+        return []
+    lo, top = min(F.gen_degrees), max(F.gen_degrees) + ring_top
+    kernels = {d: nullspace(phi.matrix(d), F.p) for d in range(lo, top + 1)}
+    return _minimal_generators_degreewise(F, lo, top, lambda d: kernels[d].T)
 
 
 class OracleResolution:
@@ -382,63 +375,25 @@ class OracleResolution:
     """
 
     def __init__(self, mtable: ModuleTable, steps: int, bound: int):
-        self.mtable = mtable
         rt = mtable.rt
         ring_top = rt.top_degree(bound)
         top = mtable.certified_top(bound)
-        lo = mtable.min_degree
-        self.frees = []
-        self.maps = []
-        self.complete = False
-
-        def module_candidates(d):
-            dim = mtable.dims(d)
-            for k in range(dim):
-                e = np.zeros(dim, dtype=np.int64)
-                e[k] = 1
-                yield e
-
-        gens = _minimal_generators_degreewise(mtable, lo, top,
-                                              module_candidates)
-        self._append(rt, mtable, gens)
+        phi = _covering_map(rt, mtable, _piece_generators(
+            mtable, mtable.min_degree, top))
+        self.maps = [phi]
+        self.complete = not phi.images
         while not self.complete and len(self.maps) < steps:
-            self._extend(rt, ring_top, bound)
-
-    def _append(self, rt, target, gens):
-        if not gens:
-            self.complete = True
-            if not self.frees:
-                self.frees.append(FreeTable(rt, []))
-                self.maps.append(OracleMap(self.frees[0], target, []))
-            return
-        F = FreeTable(rt, [d for d, _ in gens])
-        self.frees.append(F)
-        self.maps.append(OracleMap(F, target, [v for _, v in gens]))
-
-    def _extend(self, rt, ring_top, bound):
-        phi = self.maps[-1]
-        F = self.frees[-1]
-        if not F.gen_degrees:
-            self.complete = True
-            return
-        lo = min(F.gen_degrees)
-        top = max(F.gen_degrees) + ring_top
-        if top > bound + ring_top:
-            raise TruncationError("resolution generators exceed window",
-                                  bound)
-        kernels = {d: nullspace(phi.matrix(d), rt.p)
-                   for d in range(lo, top + 1)}
-
-        def kernel_candidates(d):
-            Z = kernels[d]
-            for c in range(Z.shape[1]):
-                yield Z[:, c]
-
-        gens = _minimal_generators_degreewise(F, lo, top, kernel_candidates)
-        self._append(rt, F, gens)
+            if max(phi.source.gen_degrees) > bound:
+                raise TruncationError("resolution generators exceed window",
+                                      bound)
+            gens = _kernel_generators(phi, ring_top)
+            self.complete = not gens
+            if gens:
+                phi = _covering_map(rt, phi.source, gens)
+                self.maps.append(phi)
 
     def betti_numbers(self) -> list:
-        return [len(F.gen_degrees) for F in self.frees]
+        return [len(phi.images) for phi in self.maps]
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +448,8 @@ def oracle_ext_dims(M: GradedModule, C: GradedModule, i_max: int,
     clo = ct.min_degree
 
     def gen_degrees(i):
-        if i < len(res.frees):
-            return res.frees[i].gen_degrees
+        if i < len(res.maps):
+            return res.maps[i].source.gen_degrees
         return []
 
     def images(i):
@@ -519,7 +474,7 @@ def oracle_ext_dims(M: GradedModule, C: GradedModule, i_max: int,
         if dim_i == 0 or dim_n == 0:
             return mat
         img = images(i + 1)
-        F_i = res.frees[i]
+        F_i = res.maps[i].source
         for l, a_l in enumerate(gd_n):
             basis_l = F_i.basis(a_l)
             vec_l = img[l]
@@ -597,42 +552,14 @@ def present_truncated(table: _ActionTable, rt: RingTable, ring,
     Finds minimal generators degree by degree, covers by a free module,
     and reads relations off the kernel of the covering map.
     """
-    p = rt.p
     ring_top = rt.top_degree(bound)
-
-    def piece_candidates(d):
-        dim = table.dims(d)
-        for k in range(dim):
-            e = np.zeros(dim, dtype=np.int64)
-            e[k] = 1
-            yield e
-
-    gens = _minimal_generators_degreewise(table, lo, top, piece_candidates)
-    if not gens:
-        return GradedModule(ring, (), (), name=name)
-    F = FreeTable(rt, [d for d, _ in gens])
-    phi = OracleMap(F, table, [v for _, v in gens])
-    klo = min(F.gen_degrees)
-    ktop = max(F.gen_degrees) + ring_top
-    kernels = {d: nullspace(phi.matrix(d), p) for d in range(klo, ktop + 1)}
-
-    def kernel_candidates(d):
-        Z = kernels[d]
-        for c in range(Z.shape[1]):
-            yield Z[:, c]
-
-    rel_gens = _minimal_generators_degreewise(F, klo, ktop, kernel_candidates)
-    shifts = tuple(F.gen_degrees)
-    cover = ring.poly_ring.free_module(shifts)
-    rels = []
-    for d, z in rel_gens:
-        terms = {}
-        for idx, (g, b) in enumerate(F.basis(d)):
-            c = int(z[idx])
-            if c:
-                terms[(g, b)] = c
-        rels.append(Vec(cover, terms))
-    return GradedModule(ring, shifts, rels, name=name)
+    phi = _covering_map(rt, table, _piece_generators(table, lo, top))
+    F = phi.source
+    cover = ring.poly_ring.free_module(F.gen_degrees)
+    rels = [Vec(cover, {(g, b): int(c)
+                        for (g, b), c in zip(F.basis(d), z) if c})
+            for d, z in _kernel_generators(phi, ring_top)]
+    return GradedModule(ring, cover.shifts, rels, name=name)
 
 
 def matlis_dual(M: GradedModule,

@@ -45,6 +45,17 @@ def mono_coprime(a: Mono, b: Mono) -> bool:
     return all(x == 0 or y == 0 for x, y in zip(a, b))
 
 
+def monomials_of_degree(n: int, d: int):
+    """Every exponent tuple of n variables and total degree d >= 0."""
+    if n <= 1:
+        if n == 1 or d == 0:
+            yield (d,) * n
+        return
+    for e in range(d, -1, -1):
+        for rest in monomials_of_degree(n - 1, d - e):
+            yield (e,) + rest
+
+
 # ---------------------------------------------------------------------------
 # monomial orders
 
@@ -271,14 +282,6 @@ class Poly:
     def lead_mono(self) -> Mono:
         return max(self.terms, key=self.ring.order.key)
 
-    def lead_coeff(self) -> int:
-        return self.terms[self.lead_mono()]
-
-    def monic(self) -> "Poly":
-        if self.is_zero():
-            return self
-        return self.scale(self.ring.field.inv(self.lead_coeff()))
-
     # -- misc --------------------------------------------------------------
     def sorted_terms(self):
         return sorted(self.terms.items(),
@@ -445,13 +448,6 @@ class Vec:
         for (pos, m), c in self.terms.items():
             entries[pos][m] = c
         return [Poly(self.module.ring, e) for e in entries]
-
-    def restrict(self, positions, target: FreeModule) -> "Vec":
-        """Project onto a block of positions, renumbered from 0."""
-        index = {p: i for i, p in enumerate(positions)}
-        return Vec(target,
-                   {(index[pos], m): c for (pos, m), c in self.terms.items()
-                    if pos in index})
 
     def __eq__(self, other):
         return (isinstance(other, Vec) and self.module == other.module

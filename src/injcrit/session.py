@@ -18,7 +18,8 @@ from typing import Optional
 from . import criteria
 from .field import ORACLE_PRIME_LIMIT, PrimeField
 from .invariants import (UndecidedError, find_regular_sop, invariant_report)
-from .modules import (GradedModule, ResolutionCapError, RingPresentation)
+from .modules import (GradedModule, ResolutionCapError, RingPresentation,
+                      ZeroModuleError)
 from .parse import ParseError
 from .poly import PolyRing
 
@@ -273,14 +274,23 @@ def parse_session(text: str) -> Session:
 def run_check(session: Session, chk: dict) -> criteria.CriterionReport:
     cid = chk["id"]
     arg_names, runner = CHECKS[cid]
+    inputs = {k: v for k, v in chk.items() if k != "id"}
     try:
         return runner(session, *(
             [session.resolve(nm) for nm in chk[a]] if a == "N"
             else session.resolve(chk[a]) for a in arg_names))
     except (UndecidedError, ResolutionCapError) as e:
-        inputs = {k: v for k, v in chk.items() if k != "id"}
         return criteria.CriterionReport(cid, inputs, [], "",
                                         undecided=[str(e)])
+    except ZeroModuleError:
+        # the zero module has no depth, type or parameter system: the
+        # first zero argument fails its precondition
+        for a in arg_names:
+            if a != "N" and session.resolve(chk[a]).is_zero():
+                return criteria.CriterionReport(
+                    cid, inputs, [criteria.Hypothesis(f"{a} nonzero", "fail")],
+                    "")
+        raise
 
 
 def run_session(session: Session, with_oracle: bool = False) -> dict:

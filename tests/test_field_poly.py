@@ -1,11 +1,14 @@
 """Field axioms, monomial orders, and polynomial arithmetic."""
 
+from math import comb
+
 import pytest
 from hypothesis import given, strategies as st
 
 from injcrit.field import DEFAULT_PRIME, PrimeField
 from injcrit.poly import (GREVLEX, LEX, PolyRing, mono_deg, mono_div,
-                          mono_divides, mono_lcm, mono_mul, poly_multiply)
+                          mono_divides, mono_lcm, mono_mul,
+                          monomials_of_degree, poly_multiply)
 
 F = PrimeField(DEFAULT_PRIME)
 elements = st.integers(min_value=0, max_value=DEFAULT_PRIME - 1)
@@ -86,6 +89,17 @@ def test_ring_axioms_for_polys(data):
     assert (f * g) * h == f * (g * h)
     assert f * (g + h) == f * g + f * h
     assert f - f == ring.zero()
+
+
+def test_monomials_of_degree_counts_and_the_empty_ring():
+    assert list(monomials_of_degree(0, 0)) == [()]
+    assert list(monomials_of_degree(0, 2)) == []
+    assert list(monomials_of_degree(1, 3)) == [(3,)]
+    for n in range(1, 5):
+        for d in range(4):
+            monos = list(monomials_of_degree(n, d))
+            assert len(set(monos)) == len(monos) == comb(n - 1 + d, d)
+            assert all(len(m) == n and mono_deg(m) == d for m in monos)
 
 
 def test_degree_and_homogeneity():

@@ -1,9 +1,11 @@
 """Groebner bases, normal forms, and syzygies."""
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from injcrit.groebner import (GBuilder, MembershipTester, _max_degree,
                               buchberger, normal_form, syzygies)
+from injcrit.modules import RingPresentation, syzygies_over
 from injcrit.poly import (GREVLEX, LEX, ModuleOrder, PolyRing, Vec,
                           mono_divides)
 
@@ -90,14 +92,24 @@ def test_syzygies_of_square_monomials():
 
 
 def test_zero_columns_get_unit_syzygies():
+    """Over the ambient ring, syzygies_over gives a zero column its unit
+    syzygy; the tagged Groebner run never sees that column."""
     ring = ring2()
     x, _ = ring.gens()
     F = ring.free_module((0,))
     cols = [F.from_polys([x]), F.zero(), F.from_polys([x * x])]
-    syz = syzygies(cols, F)
+    syz = syzygies_over(RingPresentation(ring), cols, F)
     assert any(set(pos for (pos, _m) in s.terms) == {1} for s in syz)
     for s in syz:
         assert apply_syzygy(cols, s).is_zero()
+
+
+def test_syzygies_reject_zero_columns():
+    ring = ring2()
+    x, _ = ring.gens()
+    F = ring.free_module((0,))
+    with pytest.raises(ValueError, match="zero column"):
+        syzygies([F.from_polys([x]), F.zero()], F)
 
 
 @settings(max_examples=25, deadline=None)
@@ -190,12 +202,7 @@ def test_reduced_basis_matches_per_element_reference(data):
     gens = [draw_homogeneous(data, F)
             for _ in range(data.draw(st.integers(1, 3)))]
 
-    builder = GBuilder(F, morder)
-    for g in sorted((g for g in gens if not g.is_zero()), key=_max_degree):
-        nf = builder.normal_form(g)
-        if not nf.is_zero():
-            builder._install(nf)
-    builder.complete()
+    builder = MembershipTester(gens, F, morder)
     gb = buchberger(gens, F, morder)
     assert gb == builder.reduced_basis()
 

@@ -8,10 +8,11 @@ import pytest
 from injcrit.field import ORACLE_PRIME_LIMIT
 from injcrit.invariants import hilbert_series, length, socle_dimension
 from injcrit.linalg import nullspace, rref
-from injcrit.modules import GradedModule, ext, resolution
+from injcrit.modules import GradedModule, RingPresentation, ext, resolution
 from injcrit.oracle import (ModuleTable, TruncationError, matlis_dual,
                             oracle_ext_dims, oracle_hilbert, oracle_length,
                             oracle_socle_dimension, ring_table)
+from injcrit.poly import PolyRing
 
 from conftest import named_modules
 
@@ -97,6 +98,20 @@ def test_dual_of_type2_is_injective(type2_ring):
     assert not ext(k, E, 0).is_zero()
     assert ext(k, E, 1).is_zero()
     assert ext(k, E, 2).is_zero()
+
+
+def test_matlis_dual_of_a_module_below_the_degree_bound():
+    """Only the resolution refuses generators above the bound; the dual
+    of a module generated in degree -30 is presented at bound 24."""
+    S = PolyRing(["x", "y"])
+    x, y = S.gens()
+    ring = RingPresentation(S, [x * x, y * y])
+    F = S.free_module((-30,))
+    D = matlis_dual(GradedModule(ring, (-30,), [F.from_polys([x])]),
+                    bound=24)
+    assert D.shifts == (29,)
+    assert oracle_hilbert(D, bound=40) == {29: 1, 30: 1}
+    assert hilbert_series(D).coefficients(40) == {29: 1, 30: 1}
 
 
 def test_truncation_error_on_positive_dimension(node_ring):

@@ -195,6 +195,55 @@ def test_precondition_failure_is_one_checks_verdict(tmp_path, capsys):
          "values": {"r": 0, "s": 1}}]
 
 
+ZERO = json.dumps({
+    "vars": ["x", "y"],
+    "ideal": ["x*y"],
+    "modules": {"A": {"degrees": [0], "relations": [["x"]]},
+                "Z": {"degrees": [0], "relations": [["1"]]}},
+    "checks": [{"id": "Bass", "C": "Z"}, {"id": "C2.6", "M": "Z"},
+               {"id": "C2.7", "C": "Z"}, {"id": "C2.8", "C": "Z"},
+               {"id": "C2.9", "C": "Z"}, {"id": "Claim", "C": "R", "M": "Z"},
+               {"id": "L2.1", "M": "Z"}, {"id": "L2.2", "M": "Z", "C": "R"},
+               {"id": "T2.4", "C": "R", "M": "Z"},
+               {"id": "L2.3", "M": "k", "C": "Z"},
+               {"id": "T2.4", "C": "Z", "M": "A"},
+               {"id": "L2.3", "M": "Z", "C": "R"},
+               {"id": "T2.4-moreover", "C": "R", "M": "A"},
+               {"id": "Bass", "C": "R"}],
+})
+
+
+def test_zero_module_argument_is_one_checks_verdict(tmp_path, capsys):
+    """A zero module argument makes its own check not applicable, through
+    one failing "<argument> nonzero" hypothesis, instead of aborting the
+    run; T2.4-moreover skips a zero N by its dimension."""
+    nonzero = [("Bass", "C"), ("C2.6", "M"), ("C2.7", "C"), ("C2.8", "C"),
+               ("C2.9", "C"), ("Claim", "M"), ("L2.1", "M"), ("L2.2", "M"),
+               ("T2.4", "M"), ("L2.3", "C"), ("T2.4", "C")]
+    in_process = json.loads(emit_json(run_session(parse_session(ZERO))))
+    f = tmp_path / "zero.json"
+    f.write_text(ZERO)
+    assert main(["--json", "check", str(f)]) == 0
+    out = capsys.readouterr()
+    assert out.err == ""
+    checks = json.loads(out.out)["checks"]
+    assert checks == in_process["checks"]
+    for chk, (cid, arg) in zip(checks, nonzero):
+        assert (chk["criterion"], chk["verdict"]) == (cid, "not_applicable")
+        assert chk["hypotheses"] == [
+            {"name": f"{arg} nonzero", "status": "fail", "values": {}}]
+    length_check, moreover, bass = checks[len(nonzero):]
+    assert length_check["verdict"] == "not_applicable"
+    assert length_check["hypotheses"] == [
+        {"name": "0 < l(M) < infinity", "status": "fail",
+         "values": {"length_M": 0}}]
+    assert moreover["verdict"] == "pass"
+    assert moreover["inputs"]["modules"] == ["A", "Z", "R"]
+    assert moreover["verification"]["modules"][1] == {
+        "module": "Z", "skipped": "not CM of dimension 1"}
+    assert bass["verdict"] == "pass"
+
+
 def test_cli_error_exit_code(tmp_path, capsys):
     f = tmp_path / "bad.json"
     f.write_text("{")
