@@ -11,6 +11,13 @@ before it is installed) and completes it; buchberger returns that
 builder's reduced basis, and the tester itself answers normal-form and
 membership queries and takes further elements.
 
+Pairs are processed lowest degree first, and two criteria skip pairs
+whose S-vector is known to reduce to zero: the product criterion (coprime
+leads, rank 1 only) and Buchberger's chain criterion (a third element at
+the same position whose lead divides the pair's lcm, with neither of its
+pairs with the two still queued).  A reduced basis is unique for its
+order, so the criteria change no result.
+
 Syzygies come from a single tagged Groebner basis run: each input column
 gets a fresh tag position dominated by the ambient positions, so basis
 elements supported only on tags are exactly the syzygies of the input.
@@ -51,7 +58,8 @@ class GBuilder:
         self.basis = []          # monic Vecs
         self._lead = []          # (pos, mono) per basis element
         self._by_pos = {}        # pos -> list of basis indices
-        self._pairs = []         # heap of (degree, i, j)
+        self._pairs = []         # heap of (degree, i, j), i < j
+        self._queued = set()     # the (i, j) still in the heap
 
     # -- reduction ---------------------------------------------------------
     def normal_form(self, v: Vec) -> Vec:
@@ -98,6 +106,7 @@ class GBuilder:
                 continue  # product criterion, valid in the ideal case
             deg = mono_deg(mono_lcm(lm_new, lm_i)) + shift
             heapq.heappush(self._pairs, (deg, i, new_index))
+            self._queued.add((i, new_index))
 
     def _append(self, v: Vec) -> int:
         """Register v, made monic, as a reducer; push no S-pairs."""
@@ -120,10 +129,27 @@ class GBuilder:
     def complete(self):
         while self._pairs:
             _, i, j = heapq.heappop(self._pairs)
+            self._queued.remove((i, j))
+            if self._chain_covers(i, j):
+                continue
             s = self._spair(i, j)
             nf = self.normal_form(s)
             if not nf.is_zero():
                 self._install(nf)
+
+    def _chain_covers(self, i: int, j: int) -> bool:
+        """Buchberger's chain criterion: some k at the same position has a
+        lead dividing lcm(i, j), and neither (i, k) nor (j, k) is queued.
+        """
+        (pos, lm_i), (_, lm_j) = self._lead[i], self._lead[j]
+        lcm = mono_lcm(lm_i, lm_j)
+        queued = self._queued
+        for k in self._by_pos[pos]:
+            if (k != i and k != j and mono_divides(self._lead[k][1], lcm)
+                    and (min(i, k), max(i, k)) not in queued
+                    and (min(j, k), max(j, k)) not in queued):
+                return True
+        return False
 
     def _spair(self, i: int, j: int) -> Vec:
         (pos, lm_i), (_, lm_j) = self._lead[i], self._lead[j]
