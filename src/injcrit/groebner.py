@@ -15,8 +15,12 @@ Pairs are processed lowest degree first, and two criteria skip pairs
 whose S-vector is known to reduce to zero: the product criterion (coprime
 leads, rank 1 only) and Buchberger's chain criterion (a third element at
 the same position whose lead divides the pair's lcm, with neither of its
-pairs with the two still queued).  A reduced basis is unique for its
-order, so the criteria change no result.
+pairs with the two still queued).  On homogeneous input, complete(d)
+processes only the pairs of degree <= d; the basis is then complete up to
+degree d, which decides membership of every element of degree <= d.  The
+sieve in modules.minimal_generators completes that far, one candidate
+degree at a time.  A reduced basis is unique for its order, so neither
+the criteria nor the truncation change any result.
 
 Syzygies come from a single tagged Groebner basis run: each input column
 gets a fresh tag position dominated by the ambient positions, so basis
@@ -48,8 +52,9 @@ def _check_homogeneous(vecs):
 class GBuilder:
     """Incremental Groebner basis of a homogeneous submodule.
 
-    Elements can be added after initial completion; the pair queue is kept
-    and re-completed on demand, which makes minimal-generator sieves cheap.
+    Elements can be installed after completion; the pair queue is kept and
+    re-completed on demand, up to a degree if asked, which makes
+    minimal-generator sieves cheap.
     """
 
     def __init__(self, module: FreeModule, morder: Optional[ModuleOrder] = None):
@@ -117,25 +122,25 @@ class GBuilder:
         self._by_pos.setdefault(lead[0], []).append(idx)
         return idx
 
-    def _install(self, v: Vec):
+    def install(self, v: Vec):
+        """Register v, made monic, and queue its S-pairs.
+
+        v must be nonzero; it should be in normal form against the basis.
+        """
         self._push_pairs(self._append(v))
 
-    def add(self, v: Vec):
-        nf = self.normal_form(v)
-        if not nf.is_zero():
-            self._install(nf)
-        self.complete()
-
-    def complete(self):
-        while self._pairs:
-            _, i, j = heapq.heappop(self._pairs)
+    def complete(self, degree: Optional[int] = None):
+        """Process the queued pairs, or only those of degree <= degree."""
+        pairs = self._pairs
+        while pairs and (degree is None or pairs[0][0] <= degree):
+            _, i, j = heapq.heappop(pairs)
             self._queued.remove((i, j))
             if self._chain_covers(i, j):
                 continue
             s = self._spair(i, j)
             nf = self.normal_form(s)
             if not nf.is_zero():
-                self._install(nf)
+                self.install(nf)
 
     def _chain_covers(self, i: int, j: int) -> bool:
         """Buchberger's chain criterion: some k at the same position has a
@@ -208,7 +213,7 @@ class MembershipTester(GBuilder):
                         key=_max_degree):
             nf = self.normal_form(g)
             if not nf.is_zero():
-                self._install(nf)
+                self.install(nf)
         self.complete()
 
     def contains(self, v: Vec) -> bool:

@@ -288,15 +288,20 @@ def minimal_generators(ring: RingPresentation, vecs,
     """A minimal homogeneous generating set of the submodule <vecs> + I*F.
 
     By graded Nakayama, greedily keeping generators that are not in the
-    span of lower-or-equal-degree kept ones yields a minimal set.
+    span of lower-or-equal-degree kept ones yields a minimal set.  Deciding
+    that for a candidate of degree d needs the tester's basis only up to
+    degree d, so the tester is completed no further.
     """
     mt = MembershipTester(ring.ideal_columns(module), module)
     kept = []
     for v in sorted((ring.nf_vec(v) for v in vecs), key=_vec_sort_key):
+        if v.is_zero():
+            continue
+        mt.complete(v.degree())
         nf = mt.normal_form(v)
         if not nf.is_zero():
             kept.append(v)
-            mt.add(nf)
+            mt.install(nf)
     return kept
 
 

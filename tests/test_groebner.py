@@ -165,7 +165,7 @@ def reference_reduced_basis(builder):
         others = GBuilder(builder.module, builder.morder)
         for j, h in enumerate(minimal):
             if i != j:
-                others._install(h)
+                others.install(h)
         reduced.append(others.normal_form(g).scale(
             builder.module.ring.field.inv(g.lead(builder.morder)[1])))
     reduced = [g for g in reduced if not g.is_zero()]
