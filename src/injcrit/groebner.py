@@ -71,11 +71,11 @@ class GBuilder:
         """Fully reduced remainder of v against the current basis."""
         ring = self.module.ring
         p = ring.p
-        key = self.morder.key
+        largest = self.morder.largest
         work = dict(v.terms)
         rem = {}
         while work:
-            t = max(work, key=key)
+            t = largest(work)
             c = work[t]
             pos, m = t
             reducer = None
