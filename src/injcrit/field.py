@@ -14,8 +14,9 @@ ORACLE_PRIME_LIMIT = 2 ** 31
 class PrimeField:
     """The field GF(p) for a prime modulus p.
 
-    Elements are represented by their canonical representatives in [0, p);
-    the class only carries the modulus and the arithmetic helpers.
+    Elements are represented by their canonical representatives in [0, p),
+    and callers do their own arithmetic with % p; the class carries the
+    modulus and inversion.
     """
 
     __slots__ = ("p",)
@@ -24,21 +25,6 @@ class PrimeField:
         if p < 2 or not _is_prime(p):
             raise ValueError(f"modulus {p} is not prime")
         self.p = p
-
-    def reduce(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def inv(self, a: int) -> int:
         a %= self.p

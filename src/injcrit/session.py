@@ -109,6 +109,11 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+# A negative bound would leave the degree window or the resolution empty,
+# and a check over an empty window passes vacuously.
+NONNEGATIVE_FLAGS = ("degree_bound", "res_cap")
+
+
 def _parse_flags(doc, errors: list) -> SessionFlags:
     flags = SessionFlags()
     if not isinstance(doc, dict):
@@ -122,6 +127,9 @@ def _parse_flags(doc, errors: list) -> SessionFlags:
         elif key != "domain" and not (_is_int(value) or key == "res_cap"
                                       and value is None):
             errors.append(f"flags.{key}: expected an integer, got {value!r}")
+        elif key in NONNEGATIVE_FLAGS and value is not None and value < 0:
+            errors.append(f"flags.{key}: expected a non-negative integer, "
+                          f"got {value}")
         else:
             setattr(flags, key, value)
     return flags

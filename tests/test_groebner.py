@@ -1,13 +1,17 @@
 """Groebner bases, normal forms, and syzygies."""
 
+from importlib import resources
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from injcrit.groebner import (GBuilder, MembershipTester, _max_degree,
                               buchberger, normal_form, syzygies)
-from injcrit.modules import RingPresentation, syzygies_over
+from injcrit.modules import (RingPresentation, _vec_sort_key,
+                             minimal_generators, syzygies_over)
 from injcrit.poly import (GREVLEX, LEX, ModuleOrder, PolyRing, Vec,
-                          mono_divides)
+                          mono_div, mono_divides, mono_lcm)
+from injcrit.session import parse_session, run_session
 
 
 def ring2(order=None):
@@ -174,10 +178,12 @@ def reference_reduced_basis(builder):
     return reduced
 
 
-def draw_homogeneous(data, F):
-    """A random homogeneous element of F of degree above every shift."""
+def draw_homogeneous(data, F, d=None):
+    """A random homogeneous element of F, of degree d or of a random
+    degree above every shift."""
     n = F.ring.n
-    d = max(F.shifts) + data.draw(st.integers(1, 3))
+    if d is None:
+        d = max(F.shifts) + data.draw(st.integers(1, 3))
     terms = {}
     for _ in range(data.draw(st.integers(1, 4))):
         pos = data.draw(st.integers(0, F.rank - 1))
@@ -221,3 +227,198 @@ def test_reduced_basis_matches_per_element_reference(data):
     ref = reference_reduced_basis(builder)
     assert [list(g.terms.items()) for g in gb] == \
         [list(g.terms.items()) for g in ref]
+
+
+# -- the pair criteria, the truncated completion and the lead pick ----------
+
+def reference_lead(v, morder):
+    t = max(v.terms, key=morder.key)
+    return t, v.terms[t]
+
+
+def reference_normal_form(v, basis, morder):
+    """Division by monic elements, given as (lead, element), the largest
+    term taken by key()."""
+    rem = v.module.zero()
+    while not v.is_zero():
+        (pos, m), c = reference_lead(v, morder)
+        for (gpos, glm), g in basis:
+            if gpos == pos and mono_divides(glm, m):
+                v = v - g.mono_mul(mono_div(m, glm), c)
+                break
+        else:
+            lt = Vec(v.module, {(pos, m): c})
+            rem, v = rem + lt, v - lt
+    return rem
+
+
+def reference_buchberger(gens, F, morder):
+    """Reduced basis by Buchberger's algorithm with no pair criterion: every
+    pair at a common position is reduced, lowest degree first, and the
+    basis is completed fully."""
+    inv = F.ring.field.inv
+    basis, pairs = [], []
+
+    def add(h):
+        lead, c = reference_lead(h, morder)
+        pairs.extend((sum(mono_lcm(lm, lead[1])), i, len(basis))
+                     for i, ((pos, lm), _) in enumerate(basis)
+                     if pos == lead[0])
+        basis.append((lead, h.scale(inv(c))))
+
+    for g in gens:
+        h = reference_normal_form(g, basis, morder)
+        if not h.is_zero():
+            add(h)
+    while pairs:
+        pairs.sort()
+        _, i, j = pairs.pop(0)
+        ((_, li), gi), ((_, lj), gj) = basis[i], basis[j]
+        lcm = mono_lcm(li, lj)
+        s = gi.mono_mul(mono_div(lcm, li)) - gj.mono_mul(mono_div(lcm, lj))
+        h = reference_normal_form(s, basis, morder)
+        if not h.is_zero():
+            add(h)
+    minimal = [(lead, g) for i, (lead, g) in enumerate(basis)
+               if not any(j != i and q == lead[0] and mono_divides(lm, lead[1])
+                          for j, ((q, lm), _) in enumerate(basis))]
+    reduced = []
+    for lead, g in minimal:
+        others = [e for e in minimal if e[1] is not g]
+        tail = Vec(F, {t: c for t, c in g.terms.items() if t != lead})
+        reduced.append((lead, Vec(F, {lead: 1}) +
+                        reference_normal_form(tail, others, morder)))
+    reduced.sort(key=lambda e: (_max_degree(e[1]), morder.key(e[0])))
+    return [g for _, g in reduced]
+
+
+def draw_module_order(data, ring_order, rank):
+    kind = data.draw(st.sampled_from(["pot", "schreyer"]))
+    if kind == "pot":
+        return ModuleOrder(ring_order, "pot")
+    weights = [tuple(data.draw(st.integers(0, 2)) for _ in range(3))
+               for _ in range(rank)]
+    return ModuleOrder(ring_order, "schreyer", weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_criteria_drop_no_basis_element(data):
+    ring_order = data.draw(st.sampled_from([GREVLEX, LEX]))
+    ring = PolyRing(["x", "y", "z"], order=ring_order)
+    shifts = data.draw(st.sampled_from(
+        [(0,), (0, 0), (0, 1), (1, 0), (0, 0, 0), (0, 1, 1), (2, 0, 1)]))
+    F = ring.free_module(shifts)
+    morder = draw_module_order(data, ring_order, F.rank)
+    gens = [draw_homogeneous(data, F)
+            for _ in range(data.draw(st.integers(1, 4)))]
+    gb = buchberger(gens, F, morder)
+    ref = reference_buchberger(gens, F, morder)
+    assert [g.terms for g in gb] == [g.terms for g in ref]
+
+
+def draw_homogeneous_poly(data, ring, d):
+    """A random form of degree d, possibly zero."""
+    terms = {}
+    for _ in range(data.draw(st.integers(0, 3))):
+        exps = [0] * ring.n
+        for v in data.draw(st.lists(st.integers(0, ring.n - 1),
+                                    min_size=d, max_size=d)):
+            exps[v] += 1
+        terms[tuple(exps)] = data.draw(st.integers(1, 6))
+    return ring.poly(terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_truncated_completion_decides_low_degrees(data):
+    ring = PolyRing(["x", "y", "z"])
+    shifts = data.draw(st.sampled_from([(0,), (0, 0), (0, 1), (1, 0, 2)]))
+    F = ring.free_module(shifts)
+    gens = [draw_homogeneous(data, F)
+            for _ in range(data.draw(st.integers(1, 4)))]
+    d = data.draw(st.integers(min(shifts), max(shifts) + 5))
+    truncated = MembershipTester([], F)
+    for g in sorted(gens, key=_max_degree):
+        nf = truncated.normal_form(g)
+        if not nf.is_zero():
+            truncated.install(nf)
+    truncated.complete(d)
+    full = MembershipTester(gens, F)
+    for _ in range(4):
+        # an element of the submodule of degree e <= d, plus maybe noise
+        e = data.draw(st.integers(min(shifts), d))
+        v = F.zero()
+        for g in gens:
+            if g.degree() <= e:
+                mult = draw_homogeneous_poly(data, ring, e - g.degree())
+                v = v + g.poly_mul(mult)
+        if data.draw(st.booleans()) and e > max(shifts):
+            v = v + draw_homogeneous(data, F, e)
+        assert truncated.contains(v) == full.contains(v)
+        assert truncated.normal_form(v) == full.normal_form(v)
+
+
+def full_completion_sieve(ring, vecs, module):
+    """minimal_generators with a tester completed afresh, in full, for
+    every candidate."""
+    kept = []
+    for v in sorted((ring.nf_vec(v) for v in vecs), key=_vec_sort_key):
+        tester = MembershipTester(ring.ideal_columns(module) + kept, module)
+        if not tester.contains(v):
+            kept.append(v)
+    return kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_minimal_generators_match_a_fully_completed_sieve(data):
+    S = PolyRing(["x", "y", "z"])
+    x, y, z = S.gens()
+    ideal = data.draw(st.sampled_from(
+        [[], [x * y], [x * x, y * z], [x * y - z * z, x ** 3]]))
+    ring = RingPresentation(S, ideal)
+    F = S.free_module(data.draw(st.sampled_from([(0,), (0, 1), (1, 0, 0)])))
+    vecs = [draw_homogeneous(data, F)
+            for _ in range(data.draw(st.integers(1, 6)))]
+    vecs += [v.poly_mul(x) for v in vecs[:data.draw(st.integers(0, 2))]]
+    assert minimal_generators(ring, vecs, F) == \
+        full_completion_sieve(ring, vecs, F)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_largest_term_is_the_max_by_key(data):
+    ring_order = data.draw(st.sampled_from([GREVLEX, LEX]))
+    rank = data.draw(st.integers(1, 3))
+    morder = data.draw(st.sampled_from([
+        ModuleOrder(ring_order, "pot"),
+        ModuleOrder(ring_order, "schreyer"),
+        ModuleOrder(ring_order, "schreyer",
+                    [(p, 0, 2 - p) for p in range(rank)])]))
+    terms = data.draw(st.sets(
+        st.tuples(st.integers(0, rank - 1),
+                  st.tuples(*[st.integers(0, 4)] * 3)), min_size=1))
+    assert morder.largest(terms) == max(terms, key=morder.key)
+
+
+def test_spair_count_over_the_corpus(monkeypatch):
+    """A work guard: the S-pairs reduced over the ten corpus sessions.
+
+    The chain criterion and the degree-truncated generator sieve brought
+    this from 1070 to 534.  A higher count means a criterion stopped
+    firing; a lower one should come with a reason, and a new pin.
+    """
+    count = [0]
+    spair = GBuilder._spair
+
+    def counted(self, i, j):
+        count[0] += 1
+        return spair(self, i, j)
+
+    monkeypatch.setattr(GBuilder, "_spair", counted)
+    root = resources.files("injcrit") / "corpus"
+    for entry in sorted(root.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".json"):
+            run_session(parse_session(entry.read_text()))
+    assert count[0] == 534

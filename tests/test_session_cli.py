@@ -1,6 +1,7 @@
 """Session files, JSON reports, and the command-line entry point."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -92,6 +93,34 @@ def test_parse_rejects_mistyped_fields(patch, message, tmp_path, capsys):
     f.write_text(json.dumps(doc))
     assert main(["check", str(f)]) == 1
     assert f"error: {message}" in capsys.readouterr().err
+
+
+REGULAR_PLANE = (resources.files("injcrit") / "corpus"
+                 / "regular_plane.json").read_text()
+
+
+@pytest.mark.parametrize("key", ["degree_bound", "res_cap"])
+def test_parse_rejects_negative_bounds(key):
+    """With degree_bound -50, L2.2 on regular_plane used to compare
+    Hilbert functions over an empty window and report a match."""
+    doc = json.loads(REGULAR_PLANE)
+    doc["flags"][key] = -50
+    with pytest.raises(SessionError) as info:
+        parse_session(json.dumps(doc))
+    assert info.value.errors == [
+        f"flags.{key}: expected a non-negative integer, got -50"]
+
+
+@pytest.mark.parametrize("flag", ["--degree-bound", "--res-cap"])
+def test_cli_rejects_negative_bound_overrides(flag, tmp_path, capsys):
+    f = tmp_path / "regular_plane.json"
+    f.write_text(REGULAR_PLANE)
+    assert main(["--json", flag, "-50", "check", str(f)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == \
+        f"error: {flag}: expected a non-negative integer, got -50\n"
+    assert main(["--json", flag, "0", "check", str(f)]) in (0, 2)
 
 
 def test_parse_reports_type_errors_together():
