@@ -7,9 +7,10 @@ basis vectors.
 
 Every basis is grown in a GBuilder.  MembershipTester is the one place
 that seeds a builder from generators (lowest degree first, each reduced
-before it is installed) and completes it; buchberger returns that
-builder's reduced basis, and the tester itself answers normal-form and
-membership queries and takes further elements.
+before it is installed), optionally on top of a known Groebner basis
+whose pairs need no processing, and completes it; buchberger returns
+that builder's reduced basis, and the tester itself answers normal-form
+and membership queries and takes further elements.
 
 Pairs are processed lowest degree first, and two criteria skip pairs
 whose S-vector is known to reduce to zero: the product criterion (coprime
@@ -25,7 +26,11 @@ the criteria nor the truncation change any result.
 Syzygies come from a single tagged Groebner basis run: each input column
 gets a fresh tag position dominated by the ambient positions, so basis
 elements supported only on tags are exactly the syzygies of the input.
-A tag position takes the degree of its column, so every column must be
+Under pot those are the elements whose lead sits on a tag, and reducing
+their tails only ever meets reducers of the same kind, so
+reduced_basis(from_pos) tail-reduces the tag block alone and returns
+the same syzygies as filtering the full reduced basis would.  A tag
+position takes the degree of its column, so every column must be
 nonzero; columns that vanish are the caller's to handle
 (modules.syzygies_over does so for columns that vanish modulo an ideal).
 """
@@ -117,7 +122,8 @@ class GBuilder:
         """Register v, made monic, as a reducer; push no S-pairs."""
         lead, c = v.lead(self.morder)
         idx = len(self.basis)
-        self.basis.append(v.scale(self.module.ring.field.inv(c)))
+        self.basis.append(v if c == 1 else
+                          v.scale(self.module.ring.field.inv(c)))
         self._lead.append(lead)
         self._by_pos.setdefault(lead[0], []).append(idx)
         return idx
@@ -164,8 +170,13 @@ class GBuilder:
         return vi - vj
 
     # -- output ------------------------------------------------------------
-    def reduced_basis(self) -> list:
+    def reduced_basis(self, from_pos: int = 0) -> list:
         """Reduced, deterministically sorted Groebner basis.
+
+        Only the elements whose lead sits at a position >= from_pos are
+        built and returned.  Under pot such an element, and every reducer
+        its tail meets, lives on positions >= from_pos alone, so the
+        result is the matching sublist of the full reduced basis.
 
         The tail of each element of the minimal basis (the element minus
         its lead term) is reduced against one builder holding all of
@@ -180,6 +191,8 @@ class GBuilder:
         # minimalize: drop elements whose lead is divisible by another lead
         tails = GBuilder(self.module, self.morder)
         for i, (pos, lm) in enumerate(self._lead):
+            if pos < from_pos:
+                continue
             redundant = False
             for j, (pos2, lm2) in enumerate(self._lead):
                 if i == j or pos != pos2:
@@ -204,11 +217,18 @@ def _max_degree(v: Vec) -> int:
 
 
 class MembershipTester(GBuilder):
-    """A builder seeded from generators, lowest degree first, and completed."""
+    """A builder seeded from generators, lowest degree first, and completed.
+
+    basis, if given, must already be a Groebner basis of the submodule it
+    spans; its elements are registered as reducers before the generators
+    are reduced, and no pairs among them are queued.
+    """
 
     def __init__(self, gens, module: FreeModule,
-                 morder: Optional[ModuleOrder] = None):
+                 morder: Optional[ModuleOrder] = None, basis=()):
         super().__init__(module, morder)
+        for g in basis:
+            self._append(g)
         for g in sorted((g for g in gens if not g.is_zero()),
                         key=_max_degree):
             nf = self.normal_form(g)
@@ -247,7 +267,8 @@ def syzygies(columns, target: FreeModule) -> list:
 
     F has one generator per column, in the degree of that column, so
     every column must be nonzero.  The syzygies are the elements of a
-    tagged Groebner basis supported on the tag positions alone.
+    tagged Groebner basis supported on the tag positions alone, that is,
+    under pot, those whose lead sits on a tag; only they are reduced.
     """
     _check_homogeneous(columns)
     if any(c.is_zero() for c in columns):
@@ -259,5 +280,4 @@ def syzygies(columns, target: FreeModule) -> list:
     tagged = [Vec(ext, {**c.terms, (r + j, ring._zero_mono): 1})
               for j, c in enumerate(columns)]
     return [Vec(tags, {(pos - r, m): c for (pos, m), c in g.terms.items()})
-            for g in buchberger(tagged, ext)
-            if all(pos >= r for pos, _ in g.terms)]
+            for g in MembershipTester(tagged, ext).reduced_basis(from_pos=r)]

@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .groebner import MembershipTester, buchberger, syzygies
+# buchberger is re-exported: bench/tracer.py wraps it under this name too.
+from .groebner import MembershipTester, buchberger, syzygies  # noqa: F401
 from .poly import (FreeModule, Poly, PolyRing, Vec, mono_deg)
 
 
@@ -82,11 +83,14 @@ class RingPresentation:
 
     @property
     def ideal_gb(self) -> list:
-        """Reduced Groebner basis of the ideal, as polynomials."""
+        """Reduced Groebner basis of the ideal, as polynomials.
+
+        Read off the cached ideal tester, so the ideal is completed once
+        per ring.
+        """
         if "ideal_gb" not in self._cache:
-            F = self.poly_ring.free_module((0,))
-            gb = buchberger([F.from_polys([g]) for g in self.ideal_gens], F)
-            self._cache["ideal_gb"] = [v.component(0) for v in gb]
+            self._cache["ideal_gb"] = [
+                v.component(0) for v in self._ideal_tester().reduced_basis()]
         return self._cache["ideal_gb"]
 
     def _ideal_tester(self) -> MembershipTester:
@@ -96,17 +100,36 @@ class RingPresentation:
                 [F.from_polys([g]) for g in self.ideal_gens], F)
         return self._cache["ideal_mt"]
 
+    def _nf_terms(self, terms: dict) -> dict:
+        """Normal form mod the ideal of one component, as monomial terms."""
+        mt = self._ideal_tester()
+        rem = mt.normal_form(Vec(mt.module, {(0, m): c
+                                             for m, c in terms.items()}))
+        return {m: c for (_, m), c in rem.terms.items()}
+
     def nf_poly(self, f: Poly) -> Poly:
         """Normal form of a polynomial modulo the ideal."""
         if self.is_ambient:
             return f
-        mt = self._ideal_tester()
-        return mt.normal_form(mt.module.from_polys([f])).component(0)
+        return Poly(f.ring, self._nf_terms(f.terms))
 
     def nf_vec(self, v: Vec) -> Vec:
+        """Normal form of a vector modulo I * F, component by component.
+
+        Only the positions that carry terms are reduced; the result lists
+        them in increasing position order, each with its terms in the
+        order the reduction emits them.
+        """
         if self.is_ambient:
             return v
-        return v.module.from_polys([self.nf_poly(f) for f in v.to_polys()])
+        blocks = {}
+        for (pos, m), c in v.terms.items():
+            blocks.setdefault(pos, {})[m] = c
+        terms = {}
+        for pos in sorted(blocks):
+            for m, c in self._nf_terms(blocks[pos]).items():
+                terms[(pos, m)] = c
+        return Vec(v.module, terms)
 
     def ideal_columns(self, module: FreeModule) -> list:
         """The vectors g * e_j spanning I * F inside a free module F."""
@@ -290,9 +313,14 @@ def minimal_generators(ring: RingPresentation, vecs,
     By graded Nakayama, greedily keeping generators that are not in the
     span of lower-or-equal-degree kept ones yields a minimal set.  Deciding
     that for a candidate of degree d needs the tester's basis only up to
-    degree d, so the tester is completed no further.
+    degree d, so the tester is completed no further.  The tester starts
+    from ideal_gb * e_j, which under pot is already a Groebner basis of
+    I*F; membership does not depend on the basis, so neither does the
+    result.
     """
-    mt = MembershipTester(ring.ideal_columns(module), module)
+    basis = [module.gen(j).poly_mul(g)
+             for j in range(module.rank) for g in ring.ideal_gb]
+    mt = MembershipTester((), module, basis=basis)
     kept = []
     for v in sorted((ring.nf_vec(v) for v in vecs), key=_vec_sort_key):
         if v.is_zero():

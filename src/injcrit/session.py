@@ -165,6 +165,11 @@ def _parse_modules(doc, ring: RingPresentation, errors: list) -> dict:
         columns = []
         bad = False
         for ci, col in enumerate(relations):
+            if len(col) > len(degrees):
+                errors.append(f"{where}.relations[{ci}]: {len(col)} entries "
+                              f"for {len(degrees)} generators")
+                bad = True
+                continue
             entries = []
             for ei in range(len(degrees)):
                 s = col[ei] if ei < len(col) else "0"

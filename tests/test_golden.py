@@ -6,8 +6,10 @@ and of the two heavier sessions in ``bench/sessions``, as captured by
 output-neutral, such as a speed-up or a refactor, must leave it
 unchanged.  The same sessions run with a small resolution cap exercise
 the ``undecided`` paths that the uncapped output never reaches; those
-outputs are pinned by their sha256.  Files under ``bench`` are only
-read here.
+outputs are pinned by their sha256, and so is the ``--json oracle``
+output of the corpus sessions, whose dense cross-check values reach the
+engine only through the Matlis dual's presentation.  Files under
+``bench`` are only read here.
 """
 
 import hashlib
@@ -103,6 +105,30 @@ CAPPED = {
         "fd7a016b5793c4c94544c430aee089490e3cbf1694f0cddb5be835d18839c543"),
 }
 
+# session: (exit code, sha256 of ``--json oracle``), corpus sessions only
+ORACLE = {
+    "gorenstein_node": (2,
+        "0b44c94c9fbc0afbaa5e01a2d4995aae14063feb5f7187083f393d610980d6b1"),
+    "hypersurface_cubic": (0,
+        "0f56005b5ba48a3a8ac99ea2bf986352cfd96d297d8a2ee935eaeafceaf45b4e"),
+    "hypersurface_dim0": (0,
+        "f2e32e03e41f198297f8d3156517ed37f977cf571a734516ac662364695f2c87"),
+    "hypersurface_domain": (2,
+        "413b8264be928caf3c6705a0c2a5a72e7dc0ceacb857a85d6d0a0221c9bd9dd8"),
+    "noncm_plane": (2,
+        "f98a9af0b03b7cdaa6db20d457b61595e4f6e1b15f069b59a2e33dfe2dd1b6ee"),
+    "quadric_cone": (2,
+        "0dcc73c47cbe7c5517a401c407460703e1ced2f597cac87fef9576655320c197"),
+    "regular_line": (2,
+        "948d840906f7680a364bae85578551eb013780d5ca81cf56c6407f78b7d8667d"),
+    "regular_plane": (2,
+        "a8cb8bea83d47254ab4ea5a190c5e3822a4a24a84fefe0f4e8c999365bb95a08"),
+    "three_lines": (2,
+        "d0fbf8ee021a3b09456a6e68c66a01e670ed2eac150310ae28333ef166fdec4e"),
+    "type2_artinian": (0,
+        "e9432991fdb35feaf84f21a6c73ddd8c0fc9749e6ae6736e13c659bc0e91eb09"),
+}
+
 
 def _check_json(path, *flags):
     return main(["--json", *flags, "check", str(path)])
@@ -128,3 +154,10 @@ def test_capped_check_json_matches_digest(name, cap, capsys):
     code = _check_json(SESSIONS[name], "--res-cap", str(cap))
     out = capsys.readouterr().out.encode("utf-8")
     assert (code, hashlib.sha256(out).hexdigest()) == CAPPED[name, cap]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE))
+def test_oracle_json_matches_digest(name, capsys):
+    code = main(["--json", "oracle", str(SESSIONS[name])])
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (code, hashlib.sha256(out).hexdigest()) == ORACLE[name]

@@ -83,6 +83,8 @@ def test_parse_bounds_char_by_the_oracle_limit():
      "flags.domain: expected true or false, got 'false'"),
     ({"ideal": "xy"}, "ideal: expected a list of strings"),
     ({"ideal": [7]}, "ideal[0]: expected a string, got 7"),
+    ({"modules": {"A": {"degrees": [0], "relations": [["x", "y"]]}}},
+     "modules.A.relations[0]: 2 entries for 1 generators"),
 ])
 def test_parse_rejects_mistyped_fields(patch, message, tmp_path, capsys):
     doc = dict(json.loads(GOOD), **patch)
