@@ -1,7 +1,10 @@
 """Dense exact linear algebra over GF(p), numpy int64 backed.
 
-Deliberately independent of the Groebner machinery: plain row reduction
-only, so agreement between the two paths is meaningful evidence.
+Deliberately independent of the Groebner machinery: row reduction, the
+null spaces it yields, and matrix products reduced mod p, so agreement
+between the two paths is meaningful evidence.  Entries are canonical
+residues in [0, p); every product is kept below 2^63, so int64 never
+wraps.
 """
 
 from __future__ import annotations
@@ -10,11 +13,26 @@ import numpy as np
 
 from .field import ORACLE_PRIME_LIMIT
 
+# Right factors split into 16-bit halves when a plain product could wrap.
+_HALF = 16
+
+
+def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p, exact for residues A, B and any p below the limit."""
+    assert p < ORACLE_PRIME_LIMIT, f"modulus {p} overflows int64 products"
+    inner = A.shape[1]
+    if inner * (p - 1) ** 2 < 2 ** 63:
+        return A @ B % p
+    assert inner < 2 ** (63 - 31 - _HALF), "inner dimension too large"
+    lo = A @ (B & ((1 << _HALF) - 1)) % p
+    hi = A @ (B >> _HALF) % p
+    return ((hi << _HALF) + lo) % p
+
 
 def rref(A: np.ndarray, p: int):
     """Reduced row echelon form; returns (R, pivot column list)."""
     assert p < ORACLE_PRIME_LIMIT, f"modulus {p} overflows int64 products"
-    R = A.copy() % p
+    R = A % p
     m, n = R.shape
     pivots = []
     r = 0
@@ -28,12 +46,16 @@ def rref(A: np.ndarray, p: int):
         if pr != r:
             R[[r, pr]] = R[[pr, r]]
         inv = pow(int(R[r, c]), p - 2, p)
-        R[r] = R[r] * inv % p
+        R[r, c:] = R[r, c:] * inv % p
         col = R[:, c].copy()
         col[r] = 0
         mask = np.nonzero(col)[0]
         if mask.size:
-            R[mask] = (R[mask] - np.outer(col[mask], R[r])) % p
+            # columns left of c are zero in the pivot row
+            block = R[mask, c:]
+            block -= np.outer(col[mask], R[r, c:])
+            block %= p
+            R[mask, c:] = block
         pivots.append(c)
         r += 1
     return R[:r], pivots
@@ -46,43 +68,9 @@ def nullspace(A: np.ndarray, p: int) -> np.ndarray:
     if n == 0:
         return np.zeros((0, 0), dtype=np.int64)
     R, pivots = rref(A, p)
-    free = [c for c in range(n) if c not in set(pivots)]
+    pivot_set = set(pivots)
+    free = [c for c in range(n) if c not in pivot_set]
     basis = np.zeros((n, len(free)), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[fc, k] = 1
-        for i, pc in enumerate(pivots):
-            basis[pc, k] = (-int(R[i, fc])) % p
+    basis[free, range(len(free))] = 1
+    basis[pivots] = -R[:, free] % p
     return basis
-
-
-class SpanTracker:
-    """Incremental row-space membership: echelonized rows by pivot column."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.rows = {}  # pivot column -> normalized row
-
-    def reduce(self, v: np.ndarray) -> np.ndarray:
-        p = self.p
-        v = v.astype(np.int64) % p
-        while True:
-            nz = np.nonzero(v)[0]
-            if nz.size == 0:
-                return v
-            c = int(nz[0])
-            row = self.rows.get(c)
-            if row is None:
-                return v
-            v = (v - int(v[c]) * row) % p
-        # unreachable
-
-    def add(self, v: np.ndarray) -> bool:
-        """Add v to the span; True iff it was independent."""
-        v = self.reduce(v)
-        nz = np.nonzero(v)[0]
-        if nz.size == 0:
-            return False
-        c = int(nz[0])
-        inv = pow(int(v[c]), self.p - 2, self.p)
-        self.rows[c] = v * inv % self.p
-        return True

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import SpanTracker, nullspace, rref
+from .linalg import matmul, nullspace, rref
 from .modules import GradedModule, RingPresentation
 from .poly import GREVLEX, Vec, mono_deg, mono_mul, monomials_of_degree
 
@@ -156,7 +156,7 @@ class _ActionTable:
         cur, deg = vec, d
         for i, e in enumerate(m):
             for _ in range(e):
-                cur = self.act(i, deg) @ cur % self.p
+                cur = matmul(self.act(i, deg), cur, self.p)
                 deg += 1
         return cur
 
@@ -313,26 +313,38 @@ def _minimal_generators_degreewise(table: _ActionTable, lo: int, top: int,
                                    candidates):
     """(degree, vector) minimal generators, by graded Nakayama.
 
-    candidates(d) yields spanning vectors of the degree-d space of
-    interest (the whole piece, or a kernel); vectors already in the span
-    of one degree lower, pushed up by the variables, are discarded.
+    candidates(d) is a matrix whose rows span the degree-d space of
+    interest (the whole piece, or a kernel).  A candidate is kept iff it
+    is independent of the span of one degree lower, pushed up by the
+    variables, plus the candidates before it: the greedy choice.
+
+    Each degree takes one row reduction of [E^T | candidates^T], where
+    the rows of E are an echelon basis of the pushed span, folded in one
+    variable at a time so that no matrix is wider than the piece plus
+    the candidates.  The pivot columns of a reduced matrix are exactly
+    the columns independent of those to their left, so E's k columns
+    are all pivots and candidate j is kept iff column k + j is one.  A
+    degree without candidates, or whose pushed span fills the piece,
+    keeps none and needs no reduction.
     """
     p = table.p
     gens = []
-    prev = None  # spanning columns of the previous degree, as a matrix
+    prev = None  # the previous degree's candidates, as columns
     for d in range(lo, top + 1):
-        tracker = SpanTracker(p)
-        if prev is not None and prev.shape[1]:
+        cands = candidates(d)
+        dim = cands.shape[1]
+        E = np.zeros((0, dim), dtype=np.int64)
+        if prev is not None and prev.shape[1] and cands.shape[0]:
             for i in range(table.nvars):
-                pushed = table.act(i, d - 1) @ prev % p
-                for c in range(pushed.shape[1]):
-                    tracker.add(pushed[:, c])
-        here = []
-        for v in candidates(d):
-            if tracker.add(v):
-                gens.append((d, v))
-            here.append(v)
-        prev = _columns(here, table.dims(d))
+                if E.shape[0] == dim:
+                    break
+                pushed = matmul(table.act(i, d - 1), prev, p)
+                E = rref(np.vstack([E, pushed.T]), p)[0]
+        k = E.shape[0]
+        if k < dim and cands.shape[0]:
+            pivots = rref(np.hstack([E.T, cands.T]), p)[1]
+            gens.extend((d, cands[c - k]) for c in pivots[k:])
+        prev = cands.T
     return gens
 
 
@@ -476,24 +488,26 @@ def oracle_ext_dims(M: GradedModule, C: GradedModule, i_max: int,
         img = images(i + 1)
         F_i = res.maps[i].source
         for l, a_l in enumerate(gd_n):
-            basis_l = F_i.basis(a_l)
-            vec_l = img[l]
-            for idx, (g, b) in enumerate(basis_l):
-                coeff = int(vec_l[idx])
-                if coeff == 0:
+            for idx, (g, b) in enumerate(F_i.basis(a_l)):
+                coeff = int(img[l][idx])
+                nc = ct.dims(gd_i[g] + t) if coeff else 0
+                if nc == 0:
                     continue
-                a_g = gd_i[g]
-                nc = ct.dims(a_g + t)
-                for w in range(nc):
-                    unit = np.zeros(nc, dtype=np.int64)
-                    unit[w] = 1
-                    moved = ct.apply_mono(unit, b, a_g + t)
-                    col = off_i[g] + w
-                    row0 = off_n[l]
-                    mat[row0:row0 + moved.shape[0], col] = (
-                        mat[row0:row0 + moved.shape[0], col]
-                        + coeff * moved) % p
+                block = ct.apply_mono(np.eye(nc, dtype=np.int64), b,
+                                      gd_i[g] + t)
+                rows = slice(off_n[l], off_n[l] + block.shape[0])
+                cols = slice(off_i[g], off_i[g] + nc)
+                mat[rows, cols] = (mat[rows, cols] + coeff * block) % p
         return mat
+
+    ranks = {}
+
+    def rank(i, t):
+        # rank of delta_matrix(i, t), which steps i and i + 1 both need
+        if (i, t) not in ranks:
+            mat = delta_matrix(i, t)
+            ranks[i, t] = len(rref(mat, p)[1]) if mat.size else 0
+        return ranks[i, t]
 
     out = []
     for i in range(i_max + 1):
@@ -506,13 +520,7 @@ def oracle_ext_dims(M: GradedModule, C: GradedModule, i_max: int,
                 _, dim_i = hom_layout(gd, t)
                 if dim_i == 0:
                     continue
-                d_out = delta_matrix(i, t)
-                rank_out = len(rref(d_out, p)[1]) if d_out.size else 0
-                rank_in = 0
-                if i >= 1:
-                    d_in = delta_matrix(i - 1, t)
-                    rank_in = len(rref(d_in, p)[1]) if d_in.size else 0
-                val = dim_i - rank_out - rank_in
+                val = dim_i - rank(i, t) - (rank(i - 1, t) if i else 0)
                 if val:
                     dims[t] = val
         out.append(dims)

@@ -1,17 +1,21 @@
 """The dense linear-algebra oracle against the symbolic engine."""
 
 import random
+from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from injcrit import oracle
 from injcrit.field import ORACLE_PRIME_LIMIT
 from injcrit.invariants import hilbert_series, length, socle_dimension
-from injcrit.linalg import nullspace, rref
+from injcrit.linalg import matmul, nullspace, rref
 from injcrit.modules import GradedModule, RingPresentation, ext, resolution
-from injcrit.oracle import (ModuleTable, TruncationError, matlis_dual,
-                            oracle_ext_dims, oracle_hilbert, oracle_length,
-                            oracle_socle_dimension, ring_table)
+from injcrit.oracle import (DualTable, ModuleTable, TruncationError,
+                            matlis_dual, oracle_ext_dims, oracle_hilbert,
+                            oracle_length, oracle_socle_dimension, ring_table)
 from injcrit.poly import PolyRing
 
 from conftest import named_modules
@@ -139,3 +143,214 @@ def test_linalg_exact_below_and_refuses_above_the_prime_limit():
         rref(A, big)
     with pytest.raises(AssertionError):
         nullspace(A, big)
+    with pytest.raises(AssertionError):
+        matmul(A, K, big)
+
+
+def test_matmul_is_exact_at_the_largest_oracle_prime():
+    """Sums of (p - 1)^2-sized products wrap int64 unless split."""
+    p = 2 ** 31 - 1
+    rng = random.Random(11)
+    for inner in (1, 2, 3, 17, 40):
+        for fill in (lambda: p - 1, lambda: rng.randrange(p)):
+            A = [[fill() for _ in range(inner)] for _ in range(3)]
+            B = [[fill() for _ in range(4)] for _ in range(inner)]
+            want = [[sum(a * B[j][c] for j, a in enumerate(row)) % p
+                     for c in range(4)] for row in A]
+            got = matmul(np.array(A, dtype=np.int64),
+                         np.array(B, dtype=np.int64), p)
+            assert got.tolist() == want
+
+
+def test_ext_over_a_gorenstein_ring_at_the_largest_oracle_prime():
+    """Ext^i(k, R) of an artinian complete intersection is k in degree
+    0 only; products of residues near 2^31 must not wrap."""
+    S = PolyRing(["x", "y", "z"], p=2 ** 31 - 1)
+    forms = [[1614084956, 772882623, 372430589],
+             [2040321814, 2057143012, 359904749],
+             [21514542, 1047782641, 839010829]]
+    ring = RingPresentation(S, [S.linear_form(row) ** 3 for row in forms])
+    dims = oracle_ext_dims(ring.residue_field(), ring.as_module(), 2)
+    assert [sum(e.values()) for e in dims] == [1, 0, 0]
+
+
+def _nullspace_by_loops(A, p):
+    """The column-at-a-time construction nullspace replaced."""
+    n = A.shape[1]
+    R, pivots = rref(A, p)
+    free = [c for c in range(n) if c not in pivots]
+    basis = np.zeros((n, len(free)), dtype=np.int64)
+    for k, fc in enumerate(free):
+        basis[fc, k] = 1
+        for i, pc in enumerate(pivots):
+            basis[pc, k] = (-int(R[i, fc])) % p
+    return basis
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([2, 3, 32003]))
+def test_nullspace_matches_the_loop_construction(rng, p):
+    m, n = rng.randrange(0, 5), rng.randrange(1, 7)
+    A = np.array([rng.choice((0, rng.randrange(p))) for _ in range(m * n)],
+                 dtype=np.int64).reshape(m, n)
+    assert np.array_equal(nullspace(A, p), _nullspace_by_loops(A, p))
+
+
+def _greedy_sieve(table, lo, top, candidates):
+    """The vector-at-a-time sieve the batched one replaced: each pushed
+    vector, then each candidate, reduced against the rows kept so far."""
+    p = table.p
+    gens = []
+    prev = None
+    for d in range(lo, top + 1):
+        rows = {}  # pivot column -> normalized row
+
+        def add(v):
+            v = v % p
+            while True:
+                nz = np.nonzero(v)[0]
+                if nz.size == 0:
+                    return False
+                c = int(nz[0])
+                if c not in rows:
+                    rows[c] = v * pow(int(v[c]), p - 2, p) % p
+                    return True
+                v = (v - int(v[c]) * rows[c]) % p
+
+        if prev is not None and prev.shape[1]:
+            for i in range(table.nvars):
+                pushed = table.act(i, d - 1) @ prev % p
+                for c in range(pushed.shape[1]):
+                    add(pushed[:, c])
+        here = []
+        for v in candidates(d):
+            if add(v):
+                gens.append((d, v))
+            here.append(v)
+        prev = (np.stack(here, axis=1) if here
+                else np.zeros((table.dims(d), 0), dtype=np.int64))
+    return gens
+
+
+def _assert_same_generators(got, want):
+    assert [d for d, _ in got] == [d for d, _ in want]
+    for (_, v), (_, w) in zip(got, want):
+        assert np.array_equal(v, w)
+
+
+class _RandomTable:
+    """Random variable actions between pieces of prescribed dimensions."""
+
+    def __init__(self, rng, p, nvars, dims):
+        self.p, self.nvars, self._dims = p, nvars, dims
+        self._acts = {}
+        for i in range(nvars):
+            for d in list(dims)[:-1]:
+                rows, cols = dims[d + 1], dims[d]
+                self._acts[i, d] = np.array(
+                    [rng.choice((0, rng.randrange(p)))
+                     for _ in range(rows * cols)],
+                    dtype=np.int64).reshape(rows, cols)
+
+    def dims(self, d):
+        return self._dims[d]
+
+    def act(self, i, d):
+        return self._acts[i, d]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False), st.sampled_from([2, 3, 5, 32003]))
+def test_sieve_matches_the_greedy_one(rng, p):
+    """Zero, duplicate and already-pushed candidates and empty pieces."""
+    lo = rng.randrange(-2, 2)
+    top = lo + rng.randrange(0, 4)
+    dims = {d: rng.choice((0, 0, 1, 2, 3, 4)) for d in range(lo, top + 1)}
+    table = _RandomTable(rng, p, rng.randrange(0, 3), dims)
+    cands = {}
+    for d in range(lo, top + 1):
+        pushed = []
+        if d > lo:
+            for i in range(table.nvars):
+                pushed += list((table.act(i, d - 1) @ cands[d - 1].T % p).T)
+        rows = []
+        for _ in range(rng.randrange(0, 6)):
+            kind = rng.choice(("random", "zero", "duplicate", "pushed"))
+            v = np.array([rng.randrange(p) for _ in range(dims[d])],
+                         dtype=np.int64)
+            if kind == "zero":
+                v[:] = 0
+            elif kind == "duplicate" and rows:
+                v = rng.choice(rows).copy()
+            elif kind == "pushed" and pushed:
+                v = sum(rng.randrange(p) * w for w in pushed) % p
+            rows.append(v)
+        cands[d] = np.array(rows, dtype=np.int64).reshape(len(rows), dims[d])
+    _assert_same_generators(
+        oracle._minimal_generators_degreewise(table, lo, top, cands.get),
+        _greedy_sieve(table, lo, top, cands.get))
+
+
+def test_sieve_matches_the_greedy_one_on_oracle_tables(type2_ring,
+                                                       dual_numbers):
+    """Piece generators of module and dual tables, and kernel generators
+    of their covering maps."""
+    bound = 12
+    kernels = []
+    for ring in (type2_ring, dual_numbers):
+        for M in (ring.as_module(), ring.residue_field()):
+            mt = ModuleTable(M)
+            dual = DualTable(mt, bound)
+            ring_top = mt.rt.top_degree(bound)
+            for table, lo, top in ((mt, mt.min_degree, dual.top),
+                                   (dual, dual.min_degree, -dual.lo)):
+                gens = oracle._piece_generators(table, lo, top)
+                phi = oracle._covering_map(mt.rt, table, gens)
+                kernel = oracle._kernel_generators(phi, ring_top)
+                with mock.patch.object(
+                        oracle, "_minimal_generators_degreewise",
+                        _greedy_sieve):
+                    _assert_same_generators(
+                        gens, oracle._piece_generators(table, lo, top))
+                    _assert_same_generators(
+                        kernel, oracle._kernel_generators(phi, ring_top))
+                assert gens
+                kernels += kernel
+    assert kernels
+
+
+def _ci_hilbert_function(degrees):
+    """{degree: dim}: the product of 1 + t + ... + t^(d - 1)."""
+    coeffs = [1]
+    for e in degrees:
+        out = [0] * (len(coeffs) + e - 1)
+        for i, c in enumerate(coeffs):
+            for j in range(e):
+                out[i + j] += c
+        coeffs = out
+    return {i: c for i, c in enumerate(coeffs) if c}
+
+
+@pytest.mark.parametrize("degrees, forms", [
+    ((2, 2, 2), [[1, 5, 7], [0, 1, 3], [2, 0, 1]]),
+    ((3, 2, 3), [[4, 1, 0], [1, 9, 2], [0, 3, 1]]),
+    ((2, 3, 2, 2), [[1, 2, 3, 4], [0, 1, 5, 6], [7, 0, 1, 8], [0, 0, 9, 1]]),
+])
+def test_closed_forms_of_complete_intersections(degrees, forms):
+    """R = k[x_1..x_n]/(l_1^d_1, ..., l_n^d_n) with independent linear
+    forms l_i is an artinian complete intersection, hence Gorenstein."""
+    n = len(degrees)
+    S = PolyRing([f"x{i}" for i in range(n)], p=32003)
+    ring = RingPresentation(
+        S, [S.linear_form(row) ** e for row, e in zip(forms, degrees)])
+    R, k = ring.as_module(), ring.residue_field()
+    hilbert = _ci_hilbert_function(degrees)
+    assert oracle_hilbert(R) == hilbert
+    assert oracle_socle_dimension(R) == 1
+    # Poincare series of k over a complete intersection of forms of
+    # degree >= 2: (1 + t)^n / (1 - t^2)^n = 1 / (1 - t)^n
+    assert [sum(e.values()) for e in oracle_ext_dims(k, k, 2)] == \
+        [comb(n + i - 1, i) for i in range(3)]
+    assert [sum(e.values()) for e in oracle_ext_dims(k, R, 2)] == [1, 0, 0]
+    assert oracle_hilbert(matlis_dual(R)) == \
+        {-d: c for d, c in hilbert.items()}
