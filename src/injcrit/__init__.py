@@ -5,8 +5,8 @@ dense-linear-algebra oracle."""
 __version__ = "0.1.0"
 
 from .field import DEFAULT_PRIME, PrimeField
-from .modules import GradedModule, RingPresentation, build_module
+from .modules import GradedModule, RingPresentation
 from .poly import PolyRing
 
 __all__ = ["DEFAULT_PRIME", "PrimeField", "PolyRing", "RingPresentation",
-           "GradedModule", "build_module", "__version__"]
+           "GradedModule", "__version__"]

@@ -130,7 +130,7 @@ def _ext_window(M: GradedModule, C: GradedModule, lo: int, hi: int,
     any computation was capped."""
     out = {}
     for i in range(lo, hi + 1):
-        E = run.get(ext, M, C, i, "R", cap)
+        E = run.get(ext, M, C, i, cap)
         if E is None:
             return None
         out[i] = 0 if E.is_zero() else (length(E) or -1)
@@ -267,7 +267,7 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
         undecided=run.undecided)
     if not report.asserted:
         return report
-    E = run.get(ext, M, C, r - s, "R", cap)
+    E = run.get(ext, M, C, r - s, cap)
     if E is None:
         return report
     checks = {}
@@ -286,7 +286,7 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
         # grading shift contributed by the connecting maps (one per
         # element, by its degree)
         MX = quotient_by_sequence(M, cert.elements)
-        ER = run.get(ext, MX, C, r, "R", cap)
+        ER = run.get(ext, MX, C, r, cap)
         if ER is None:
             return report
         delta = sum(x.degree() for x in cert.elements)
@@ -304,7 +304,7 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
                                 "generator_match": ga == gb,
                                 "shift": -delta}
         # (iii) vanishing one step further
-        E1 = run.get(ext, MX, C, r + 1, "R", cap)
+        E1 = run.get(ext, MX, C, r + 1, cap)
         if E1 is None:
             return report
         checks["next_ext_zero"] = E1.is_zero()
@@ -337,16 +337,16 @@ def check_finite_length_criterion(M: GradedModule, C: GradedModule,
               "type_C": t, "length_M": lM}
     if r is None or t is None:
         return _unresolved("L2.3", inputs, run)
-    E = run.get(ext, M, C, r, "R", cap)
+    E = run.get(ext, M, C, r, cap)
     hyps = [_at_most("r(C) l(M) <= l(Ext^r(M,C))", t * lM,
                      None if E is None else length(E)),
             _vanishing("Ext^{r+1}(M,C) = 0",
-                       run.get(ext, M, C, r + 1, "R", cap), "length")]
+                       run.get(ext, M, C, r + 1, cap), "length")]
     report = CriterionReport("L2.3", inputs, hyps, conclusion,
                              undecided=run.undecided)
     if not report.asserted:
         return report
-    B = run.get(ext, C.ring.residue_field(), C, r + 1, "R", cap)
+    B = run.get(ext, C.ring.residue_field(), C, r + 1, cap)
     if B is None:
         return report
     report.verification = {"status": _status(B.is_zero()),
@@ -370,8 +370,7 @@ def verify_finite_injdim_bass(C: GradedModule,
         return _unresolved("Bass", inputs, run)
     hyps = _mcm_preamble(run, R, d, C, "C", dim_R=d)
     hyps.append(_vanishing("Ext^{dim R + 1}(k, C) = 0",
-                           run.get(ext, C.ring.residue_field(), C, d + 1,
-                                   "R", cap),
+                           run.get(ext, C.ring.residue_field(), C, d + 1, cap),
                            "bass_length"))
     report = CriterionReport("Bass", inputs, hyps, _FINITE_INJDIM,
                              undecided=run.undecided)
@@ -410,7 +409,7 @@ def check_main_theorem(C: GradedModule, M: GradedModule,
         return _unresolved("T2.4", inputs, run)
     hyps = [_cohen_macaulay(run, M, "M")]
     eM = run.get(multiplicity, M)
-    E = run.get(ext, M, C, r - s, "R", cap)
+    E = run.get(ext, M, C, r - s, cap)
     hyps.append(_at_most("r(C) e(M) <= e(Ext^{r-s}(M,C))", _product(t, eM),
                          _mult_or_zero(E)))
     hyps.append(_vanishing_window(
@@ -460,7 +459,7 @@ def check_moreover_clause(C: GradedModule, M_verified: GradedModule,
             per_module.append(entry)
             continue
         eN = run.get(multiplicity, N)
-        E = run.get(ext, N, C, r - s, "R", cap)
+        E = run.get(ext, N, C, r - s, cap)
         window = _ext_window(N, C, r - s + 1, r + 1, run, cap)
         if eN is None or E is None or window is None:
             entry["undecided"] = True
@@ -503,7 +502,7 @@ def check_claim_multiplicity(C: GradedModule, M: GradedModule,
     if not report.asserted or t is None:
         return report
     eM = run.get(multiplicity, M)
-    eH = _mult_or_zero(run.get(ext, M, C, 0, "R", cap))
+    eH = _mult_or_zero(run.get(ext, M, C, 0, cap))
     if eM is None or eH is None:
         return report
     report.verification = {"status": _status(t * eM == eH),
@@ -532,7 +531,7 @@ def check_gorenstein_criterion(M: GradedModule,
                            _status(None if s is None else s == r),
                            {"dim_M": s, "depth_R": r}))
     eM = run.get(multiplicity, M)
-    H = run.get(ext, M, R, 0, "R", cap)
+    H = run.get(ext, M, R, 0, cap)
     hyps.append(_at_most("r(R) e(M) <= e(Hom(M,R))", _product(tR, eM),
                          _mult_or_zero(H)))
     hyps.append(_vanishing_window("Ext^i(M,R) = 0 for 1 <= i <= depth R + 1",
@@ -616,7 +615,7 @@ def check_self_ext_criterion(C: GradedModule,
         return _unresolved("C2.9", inputs, run)
     hyps = [_cohen_macaulay(run, C, "C")]
     eC = run.get(multiplicity, C)
-    End = run.get(ext, C, C, 0, "R", cap)
+    End = run.get(ext, C, C, 0, cap)
     hyps.append(_at_most("r(C) e(C) <= e(End(C))", _product(t, eC),
                          _mult_or_zero(End)))
     hyps.append(_vanishing_window("Ext^i(C,C) = 0 for 1 <= i <= n+1",

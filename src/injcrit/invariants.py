@@ -223,10 +223,7 @@ def socle_generators(M: GradedModule) -> list:
     ring = M.ring
     n = ring.poly_ring.n
     g = M.cover.rank
-    shifted = GradedModule(ring, tuple(a + 1 for a in M.shifts),
-                           [Vec(ring.poly_ring.free_module(
-                               tuple(a + 1 for a in M.shifts)),
-                               dict(r.terms)) for r in M.relations])
+    shifted = ring.poly_ring.free_module(tuple(a + 1 for a in M.shifts))
     stacked = direct_sum_copies(M, n)
     cols = []
     for j in range(g):
@@ -236,7 +233,7 @@ def socle_generators(M: GradedModule) -> list:
             mono[i] = 1
             terms[(i * g + j, tuple(mono))] = 1
         cols.append(Vec(stacked.cover, terms))
-    return kernel_of_cokernel_map(cols, shifted, stacked, validate=False)
+    return kernel_of_cokernel_map(cols, shifted, stacked)
 
 
 def direct_sum_copies(M: GradedModule, copies: int) -> GradedModule:
@@ -352,13 +349,11 @@ class RegularSequenceCertificate:
 def is_regular_element(M: GradedModule, x: Poly) -> bool:
     """True iff multiplication by x on coker(M) has zero kernel."""
     ring = M.ring
-    shifted_cover = ring.poly_ring.free_module(
-        tuple(a + (x.degree() or 0) for a in M.shifts))
-    shifted = GradedModule(ring, shifted_cover.shifts,
-                           [Vec(shifted_cover, dict(r.terms))
-                            for r in M.relations])
+    # GradedModule moves the relations into the shifted cover
+    shifted = GradedModule(
+        ring, tuple(a + (x.degree() or 0) for a in M.shifts), M.relations)
     cols = [M.cover.gen(j).poly_mul(x) for j in range(M.cover.rank)]
-    K = kernel_of_cokernel_map(cols, shifted, M, validate=False)
+    K = kernel_of_cokernel_map(cols, shifted.cover, M)
     return all(shifted.contains(k) for k in K)
 
 

@@ -1,7 +1,7 @@
 """Dense exact linear algebra over GF(p), numpy int64 backed.
 
 Deliberately independent of the Groebner machinery: row reduction, the
-null spaces it yields, and matrix products reduced mod p, so agreement
+null spaces and quotients it yields, and matrix products mod p, so agreement
 between the two paths is meaningful evidence.  Entries are canonical
 residues in [0, p); every product is kept below 2^63, so int64 never
 wraps.
@@ -61,16 +61,24 @@ def rref(A: np.ndarray, p: int):
     return R[:r], pivots
 
 
-def nullspace(A: np.ndarray, p: int) -> np.ndarray:
-    """Columns form a basis of {x : A x = 0}."""
-    assert p < ORACLE_PRIME_LIMIT, f"modulus {p} overflows int64 products"
-    m, n = A.shape
-    if n == 0:
-        return np.zeros((0, 0), dtype=np.int64)
+def complement(A: np.ndarray, p: int):
+    """(free, Q) from the reduced row echelon form R of A.
+
+    free lists the non-pivot columns.  Q has Q[free] the identity and
+    Q[pivots] = -R[:, free], so its columns form a basis of
+    {x : A x = 0}, and Q.T maps a vector to its class modulo the row
+    space of A, in the coordinates that free indexes.
+    """
+    n = A.shape[1]
     R, pivots = rref(A, p)
     pivot_set = set(pivots)
     free = [c for c in range(n) if c not in pivot_set]
-    basis = np.zeros((n, len(free)), dtype=np.int64)
-    basis[free, range(len(free))] = 1
-    basis[pivots] = -R[:, free] % p
-    return basis
+    Q = np.zeros((n, len(free)), dtype=np.int64)
+    Q[free, range(len(free))] = 1
+    Q[pivots] = -R[:, free] % p
+    return free, Q
+
+
+def nullspace(A: np.ndarray, p: int) -> np.ndarray:
+    """Columns form a basis of {x : A x = 0}."""
+    return complement(A, p)[1]

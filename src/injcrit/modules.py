@@ -27,10 +27,6 @@ class ZeroModuleError(ValueError):
     """An invariant of the zero module was requested."""
 
 
-class IllDefinedMapError(ValueError):
-    """A matrix does not induce a map between the given cokernels."""
-
-
 class ResolutionCapError(RuntimeError):
     """A resolution would need more steps than the configured cap."""
 
@@ -178,7 +174,7 @@ class GradedModule:
     """A cokernel presentation of a graded module over a RingPresentation."""
 
     def __init__(self, ring: RingPresentation, shifts, relations=(),
-                 name: Optional[str] = None, validate: bool = True):
+                 name: Optional[str] = None):
         self.ring = ring
         self.shifts = tuple(shifts)
         self.cover = ring.poly_ring.free_module(self.shifts)
@@ -190,7 +186,7 @@ class GradedModule:
             col = ring.nf_vec(col)
             if col.is_zero():
                 continue
-            if validate and not col.is_homogeneous():
+            if not col.is_homogeneous():
                 degs = sorted({mono_deg(m) + self.shifts[pos]
                                for pos, m in col.terms})
                 raise ValueError(
@@ -247,12 +243,6 @@ class GradedModule:
         label = self.name or "module"
         return (f"GradedModule({label}: {len(self.shifts)} gens, "
                 f"{len(self.relations)} relations over {self.ring})")
-
-
-def build_module(ring: RingPresentation, shifts, relation_columns,
-                 name: Optional[str] = None) -> GradedModule:
-    """Validated cokernel presentation; relations taken mod the ring ideal."""
-    return GradedModule(ring, shifts, relation_columns, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -333,40 +323,35 @@ def minimal_generators(ring: RingPresentation, vecs,
     return kept
 
 
-def kernel_of_cokernel_map(phi_columns, source: GradedModule,
-                           target: GradedModule, validate: bool = True) -> list:
-    """Generators of {e in source cover : phi(e) in im(target relations)}.
+def kernel_of_cokernel_map(phi_columns, source: FreeModule,
+                           target: GradedModule) -> list:
+    """Minimal generators of {e in source : phi(e) in im(target relations)}.
 
     phi_columns[j] is the image in the target free cover of the j-th
-    source cover generator.  The result generates the full preimage of the
-    kernel of coker(source) -> coker(target), including source relations.
+    generator of the free module source.  The result generates the
+    preimage of zero under source -> coker(target); that phi is a map of
+    cokernels, when source is a cover, is the caller's to know.
     """
-    ring = source.ring
-    if len(phi_columns) != source.cover.rank:
-        raise IllDefinedMapError("one column required per source generator")
-    if validate and phi_columns:
-        for rel in source.relations:
-            img = apply_columns(phi_columns, rel)
-            if not target.contains(img):
-                raise IllDefinedMapError(
-                    "matrix does not map source relations into target relations")
+    ring = target.ring
+    if len(phi_columns) != source.rank:
+        raise ValueError("one column required per source generator")
     if not phi_columns:
         return []
     block = list(phi_columns) + list(target.relations)
-    degs = list(source.cover.shifts) + [r.degree() for r in target.relations]
+    degs = list(source.shifts) + [r.degree() for r in target.relations]
     syz = syzygies_over(ring, block, target.cover, column_degrees=degs)
     nphi = len(phi_columns)
     out = []
     seen = set()
     for s in syz:
         terms = {(pos, m): c for (pos, m), c in s.terms.items() if pos < nphi}
-        v = Vec(source.cover, terms)
+        v = Vec(source, terms)
         if not v.is_zero():
             key = frozenset(v.terms.items())
             if key not in seen:
                 seen.add(key)
                 out.append(v)
-    return minimal_generators(ring, out, source.cover)
+    return minimal_generators(ring, out, source)
 
 
 def minimalize_presentation(M: GradedModule) -> GradedModule:
@@ -440,9 +425,6 @@ class FreeResolution:
 
     def betti_numbers(self) -> list:
         return [c.rank for c in self.covers]
-
-    def cover(self, i: int) -> FreeModule:
-        return self.covers[i]
 
     def extend_to(self, steps: int, cap: Optional[int] = None):
         cap = cap if cap is not None else default_res_cap(self.ring)
@@ -537,21 +519,20 @@ def induced_hom_map(diff_columns, src_cover: FreeModule,
     return cols
 
 
-def ext(M: GradedModule, C: GradedModule, i: int, base: str = "R",
+def ext(M: GradedModule, C: GradedModule, i: int,
         cap: Optional[int] = None) -> GradedModule:
-    """Ext^i(M, C) over R (or over the ambient ring with base='S').
+    """Ext^i(M, C) over the ring R that M and C share.
 
-    Presented as ker/im of the dualized minimal free resolution of M,
-    re-minimalized so that the zero module has no generators.
+    Presented as ker/im of the dualized minimal free resolution of M over
+    R, resolved to i + 1 steps under the cap and re-minimalized so that
+    the zero module has no generators; cached on M per (C, i).
     """
     if i < 0:
         raise ValueError("cohomological index must be nonnegative")
-    if base == "S":
-        M, C = M.over_ambient(), C.over_ambient()
     if M.ring != C.ring:
         raise ValueError("modules live over different rings")
     ring = M.ring
-    key = ("ext", C.cache_key(), i, base)
+    key = ("ext", C.cache_key(), i)
     if key in M._cache:
         return M._cache[key]
     res = resolution(M, "R", steps=i + 1, cap=cap)
@@ -559,14 +540,14 @@ def ext(M: GradedModule, C: GradedModule, i: int, base: str = "R",
         E = ring.zero_module()
         M._cache[key] = E
         return E
-    F_i = res.cover(i)
+    F_i = res.covers[i]
     hom_i = hom_cover_into(F_i, C)
     # kernel of delta^i
     if i < res.num_diffs:
-        F_ip1 = res.cover(i + 1)
+        F_ip1 = res.covers[i + 1]
         delta = induced_hom_map(res.diffs[i], F_i, F_ip1, C)
         hom_ip1 = hom_cover_into(F_ip1, C)
-        kernel = kernel_of_cokernel_map(delta, hom_i, hom_ip1, validate=False)
+        kernel = kernel_of_cokernel_map(delta, hom_i.cover, hom_ip1)
     else:
         kernel = [hom_i.cover.gen(j) for j in range(hom_i.cover.rank)]
         kernel = minimal_generators(ring, kernel, hom_i.cover)
@@ -577,7 +558,7 @@ def ext(M: GradedModule, C: GradedModule, i: int, base: str = "R",
     # image of delta^{i-1}
     psi = []
     if i >= 1:
-        psi = induced_hom_map(res.diffs[i - 1], res.cover(i - 1), F_i, C)
+        psi = induced_hom_map(res.diffs[i - 1], res.covers[i - 1], F_i, C)
     # relations of the subquotient: coefficients c with K c in <psi> + <P>
     block = list(kernel) + psi + list(hom_i.relations)
     syz = syzygies_over(ring, block, hom_i.cover)
@@ -610,7 +591,7 @@ def hom_module(M: GradedModule, C: GradedModule) -> GradedModule:
         tuple(r.degree() for r in M.relations))
     delta = induced_hom_map(list(M.relations), M.cover, rel_cover, C)
     hom1 = hom_cover_into(rel_cover, C)
-    kernel = kernel_of_cokernel_map(delta, hom0, hom1, validate=False)
+    kernel = kernel_of_cokernel_map(delta, hom0.cover, hom1)
     if not kernel:
         return ring.zero_module()
     block = list(kernel) + list(hom0.relations)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import matmul, nullspace, rref
+from .linalg import complement, matmul, nullspace, rref
 from .modules import GradedModule, RingPresentation
 from .poly import GREVLEX, Vec, mono_deg, mono_mul, monomials_of_degree
 
@@ -53,17 +53,15 @@ class RingTable:
         self.ring = ring
         self.p = ring.poly_ring.p
         self.n = ring.poly_ring.n
-        self._monos = []        # degree -> ordered monomial list of S_d
-        self._mono_index = []   # degree -> {mono: column}
+        self._mono_index = []   # degree -> {mono of S_d: row of proj}
         self._basis = []        # degree -> standard monomial list
-        self._proj = []         # degree -> (len(monos), len(basis)) matrix
+        self._proj = []         # degree -> (dim S_d, len(basis)) matrix
 
     def _ensure(self, d: int):
         while len(self._basis) <= d:
             self._build(len(self._basis))
 
     def _build(self, d: int):
-        p = self.p
         monos = sorted(monomials_of_degree(self.n, d),
                        key=GREVLEX.key, reverse=True)
         index = {m: c for c, m in enumerate(monos)}
@@ -77,21 +75,11 @@ class RingTable:
                 for m, c in g.terms.items():
                     row[index[mono_mul(u, m)]] = c
                 rows.append(row)
-        if rows:
-            R, pivots = rref(np.array(rows, dtype=np.int64), p)
-        else:
-            R, pivots = np.zeros((0, len(monos)), dtype=np.int64), []
-        pivot_set = set(pivots)
-        free = [c for c in range(len(monos)) if c not in pivot_set]
-        basis = [monos[c] for c in free]
-        proj = np.zeros((len(monos), len(free)), dtype=np.int64)
-        for k, c in enumerate(free):
-            proj[c, k] = 1
-        for i, c in enumerate(pivots):
-            proj[c] = (-R[i, [f for f in free]]) % p if free else 0
-        self._monos.append(monos)
+        free, proj = complement(
+            np.array(rows, dtype=np.int64).reshape(len(rows), len(monos)),
+            self.p)
         self._mono_index.append(index)
-        self._basis.append(basis)
+        self._basis.append([monos[c] for c in free])
         self._proj.append(proj)
 
     def dim(self, d: int) -> int:
@@ -126,10 +114,10 @@ def ring_table(ring: RingPresentation) -> RingTable:
 
 
 class _ActionTable:
-    """Shared monomial-action plumbing for graded coordinate tables.
+    """A graded coordinate table with variable actions.
 
-    act(i, d), the matrix of x_i from degree d to degree d + 1, is built
-    once from the columns _act_columns(i, d) and kept in self._act.
+    act(i, d) is the matrix of x_i from degree d to degree d + 1;
+    subclasses build it once and keep it in self._act.
     """
 
     p: int
@@ -138,19 +126,8 @@ class _ActionTable:
     def dims(self, d: int) -> int:
         raise NotImplementedError
 
-    def _act_columns(self, i: int, d: int) -> list:
-        raise NotImplementedError
-
     def act(self, i: int, d: int) -> np.ndarray:
-        key = (i, d)
-        if key not in self._act:
-            self._act[key] = _columns(self._act_columns(i, d),
-                                      self.dims(d + 1))
-        return self._act[key]
-
-    def _unit(self, i: int) -> tuple:
-        """The exponent tuple of x_i."""
-        return tuple(1 if j == i else 0 for j in range(self.nvars))
+        raise NotImplementedError
 
     def apply_mono(self, vec: np.ndarray, m, d: int) -> np.ndarray:
         cur, deg = vec, d
@@ -207,9 +184,14 @@ class FreeTable(_ActionTable):
         vec[offsets[g]:offsets[g] + ring_coords.shape[0]] = ring_coords
         return vec
 
-    def _act_columns(self, i: int, d: int) -> list:
-        unit = self._unit(i)
-        return [self.coords(g, mono_mul(b, unit)) for g, b in self.basis(d)]
+    def act(self, i: int, d: int) -> np.ndarray:
+        """x_i on each coordinate of degree d, one column each."""
+        if (i, d) not in self._act:
+            unit = tuple(int(j == i) for j in range(self.nvars))
+            self._act[i, d] = _columns(
+                [self.coords(g, mono_mul(b, unit))
+                 for g, b in self.basis(d)], self.dims(d + 1))
+        return self._act[i, d]
 
 
 class ModuleTable(_ActionTable):
@@ -217,7 +199,8 @@ class ModuleTable(_ActionTable):
 
     The degree-d piece is that of the free cover (a FreeTable with the
     generator degrees of M) modulo the row space of all standard
-    monomial multiples of the relation columns.
+    monomial multiples of the relation columns, with coordinates the
+    free columns of that row space, as linalg.complement returns them.
     """
 
     def __init__(self, M: GradedModule):
@@ -229,54 +212,37 @@ class ModuleTable(_ActionTable):
         self.cover = FreeTable(self.rt, self.shifts)
         self.min_degree = self.cover.min_degree
         self.rels = [(r.degree(), r) for r in M.relations]
-        self._piece = {}     # d -> (rref rows, pivots, free idx)
+        self._piece = {}     # d -> (free, Q) of the relation rows
         self._act = {}
 
     def _ensure(self, d: int):
-        if d in self._piece:
-            return
-        p, cover, total = self.p, self.cover, self.cover.dims(d)
-        rows = []
-        for bl, rel in self.rels:
-            for b in self.rt.basis(d - bl) if d - bl >= 0 else ():
-                row = np.zeros(total, dtype=np.int64)
-                for (pos, m), c in rel.terms.items():
-                    row = (row + c * cover.coords(pos, mono_mul(b, m))) % p
-                rows.append(row)
-        if rows:
-            R, pivots = rref(np.array(rows, dtype=np.int64), p)
-        else:
-            R, pivots = np.zeros((0, total), dtype=np.int64), []
-        pivot_set = set(pivots)
-        free = [c for c in range(total) if c not in pivot_set]
-        self._piece[d] = (R, list(pivots), free)
+        if d not in self._piece:
+            p, cover, total = self.p, self.cover, self.cover.dims(d)
+            rows = []
+            for bl, rel in self.rels:
+                for b in self.rt.basis(d - bl) if d - bl >= 0 else ():
+                    row = np.zeros(total, dtype=np.int64)
+                    for (pos, m), c in rel.terms.items():
+                        row = (row + c * cover.coords(pos, mono_mul(b, m))) % p
+                    rows.append(row)
+            self._piece[d] = complement(
+                np.array(rows, dtype=np.int64).reshape(len(rows), total), p)
+        return self._piece[d]
 
     def dims(self, d: int) -> int:
         if d < self.min_degree:
             return 0
-        self._ensure(d)
-        return len(self._piece[d][2])
+        return len(self._ensure(d)[0])
 
-    def to_quotient(self, covervec: np.ndarray, d: int) -> np.ndarray:
-        self._ensure(d)
-        R, pivots, free = self._piece[d]
-        v = covervec % self.p
-        for i, c in enumerate(pivots):
-            if v[c]:
-                v = (v - int(v[c]) * R[i]) % self.p
-        return v[free]
-
-    def _act_columns(self, i: int, d: int) -> list:
-        """x_i on each free coordinate of degree d, through the cover."""
-        self._ensure(d)
-        unit = self._unit(i)
-        basis = self.cover.basis(d)
-        cols = []
-        for idx in self._piece[d][2]:
-            g, b = basis[idx]
-            cols.append(self.to_quotient(
-                self.cover.coords(g, mono_mul(b, unit)), d + 1))
-        return cols
+    def act(self, i: int, d: int) -> np.ndarray:
+        """x_i on the cover, restricted to the free coordinates of
+        degree d and projected onto the quotient of degree d + 1."""
+        if (i, d) not in self._act:
+            free = self._ensure(d)[0]
+            Q = self._ensure(d + 1)[1]
+            self._act[i, d] = matmul(Q.T, self.cover.act(i, d)[:, free],
+                                     self.p)
+        return self._act[i, d]
 
     def certified_top(self, bound: int) -> int:
         """A degree at or above the largest one with a nonzero piece,

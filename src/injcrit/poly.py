@@ -478,7 +478,3 @@ class Vec:
     def __repr__(self):
         return f"Vec{self}"
 
-
-def poly_multiply(f: Poly, g: Poly) -> Poly:
-    """Exact product of two polynomials in the same ring."""
-    return f * g

@@ -24,6 +24,7 @@ from .parse import ParseError
 from .poly import PolyRing
 
 BUILTIN_MODULES = ("R", "k")
+TOP_LEVEL_KEYS = ("char", "vars", "ideal", "modules", "flags", "checks")
 
 
 class SessionError(ValueError):
@@ -109,6 +110,13 @@ def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
 
 
+def _reject_unknown(doc: dict, allowed, where: str, errors: list):
+    """Report each key of doc outside allowed, under where: a misspelled
+    key would otherwise fall back to its default unseen."""
+    errors.extend(f"{where}{key}: unknown key"
+                  for key in doc if key not in allowed)
+
+
 # A negative bound would leave the degree window or the resolution empty,
 # and a check over an empty window passes vacuously.
 NONNEGATIVE_FLAGS = ("degree_bound", "res_cap")
@@ -119,6 +127,7 @@ def _parse_flags(doc, errors: list) -> SessionFlags:
     if not isinstance(doc, dict):
         errors.append("flags: expected an object")
         return flags
+    _reject_unknown(doc, flags.to_dict(), "flags.", errors)
     for key, default in flags.to_dict().items():
         value = doc.get(key, default)
         if key == "domain" and not isinstance(value, bool):
@@ -149,6 +158,7 @@ def _parse_modules(doc, ring: RingPresentation, errors: list) -> dict:
         if not isinstance(spec, dict):
             errors.append(f"{where}: expected an object")
             continue
+        _reject_unknown(spec, ("degrees", "relations"), f"{where}.", errors)
         degrees = spec.get("degrees", [])
         if not isinstance(degrees, list) or not all(map(_is_int, degrees)):
             errors.append(f"{where}: degrees must be a list of integers")
@@ -205,6 +215,7 @@ def _parse_checks(doc, modules: dict, errors: list) -> list:
         if not isinstance(cid, str) or cid not in CHECKS:
             errors.append(f"{where}: unknown criterion id {cid!r}")
             continue
+        _reject_unknown(chk, ("id",) + CHECKS[cid][0], f"{where}.", errors)
         entry = {"id": cid}
         for arg in CHECKS[cid][0]:
             many = arg == "N"
@@ -235,14 +246,17 @@ def parse_session(text: str) -> Session:
             [f"line {e.lineno}, column {e.colno}: {e.msg}"]) from None
     if not isinstance(doc, dict):
         raise SessionError(["top-level document must be an object"])
+    _reject_unknown(doc, TOP_LEVEL_KEYS, "", errors)
 
     char = doc.get("char", 32003)
     try:
+        if not _is_int(char):
+            raise ValueError(f"expected an integer, got {char!r}")
         if char >= ORACLE_PRIME_LIMIT:
             raise ValueError(f"{char} is not below 2^31, the dense "
                              "oracle's int64 limit")
         PrimeField(char)
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         errors.append(f"char: {e}")
         char = 32003
     variables = doc.get("vars", [])

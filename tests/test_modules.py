@@ -77,7 +77,7 @@ def test_resolution_minimality(type2_ring):
 def test_kernel_of_identity_is_relations(node_ring):
     R = node_ring.as_module()
     cols = [R.cover.gen(0)]
-    K = kernel_of_cokernel_map(cols, R, R)
+    K = kernel_of_cokernel_map(cols, R.cover, R)
     assert all(R.contains(k) for k in K)
 
 

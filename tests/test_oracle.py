@@ -1,7 +1,9 @@
 """The dense linear-algebra oracle against the symbolic engine."""
 
+import ast
 import random
 from math import comb
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,12 +13,12 @@ from hypothesis import given, settings, strategies as st
 from injcrit import oracle
 from injcrit.field import ORACLE_PRIME_LIMIT
 from injcrit.invariants import hilbert_series, length, socle_dimension
-from injcrit.linalg import matmul, nullspace, rref
+from injcrit.linalg import complement, matmul, nullspace, rref
 from injcrit.modules import GradedModule, RingPresentation, ext, resolution
 from injcrit.oracle import (DualTable, ModuleTable, TruncationError,
                             matlis_dual, oracle_ext_dims, oracle_hilbert,
                             oracle_length, oracle_socle_dimension, ring_table)
-from injcrit.poly import PolyRing
+from injcrit.poly import PolyRing, mono_mul
 
 from conftest import named_modules
 
@@ -196,6 +198,122 @@ def test_nullspace_matches_the_loop_construction(rng, p):
     assert np.array_equal(nullspace(A, p), _nullspace_by_loops(A, p))
 
 
+def _projection_by_entries(A, p):
+    """The per-entry projection RingTable built before complement."""
+    n = A.shape[1]
+    R, pivots = rref(A, p)
+    free = [c for c in range(n) if c not in set(pivots)]
+    proj = np.zeros((n, len(free)), dtype=np.int64)
+    for k, c in enumerate(free):
+        proj[c, k] = 1
+    for i, c in enumerate(pivots):
+        proj[c] = (-R[i, [f for f in free]]) % p if free else 0
+    return free, proj
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from([2, 3, 5, 32003, 2 ** 31 - 1]))
+def test_complement_is_the_projection_onto_the_quotient(rng, p):
+    """Zero rows and zero columns included."""
+    m, n = rng.randrange(0, 5), rng.randrange(0, 7)
+    A = np.array([rng.choice((0, rng.randrange(p))) for _ in range(m * n)],
+                 dtype=np.int64).reshape(m, n)
+    if m > 1 and rng.random() < 0.3:
+        A[-1] = A[0]
+    free, Q = complement(A, p)
+    assert Q.shape == (n, len(free))
+    assert not (A.astype(object) @ Q.astype(object) % p).any()
+    assert np.array_equal(Q[free], np.eye(len(free), dtype=np.int64))
+    assert len(rref(A, p)[1]) + len(free) == n
+    want_free, want_Q = _projection_by_entries(A, p)
+    assert free == want_free
+    assert np.array_equal(Q, want_Q)
+
+
+def _piece_by_rows(mt, d):
+    """(R, pivots, free) of a module piece, as ModuleTable kept it
+    before complement: the rref of the relation multiples."""
+    p, cover, total = mt.p, mt.cover, mt.cover.dims(d)
+    rows = []
+    for bl, rel in mt.rels:
+        for b in mt.rt.basis(d - bl) if d - bl >= 0 else ():
+            row = np.zeros(total, dtype=np.int64)
+            for (pos, m), c in rel.terms.items():
+                row = (row + c * cover.coords(pos, mono_mul(b, m))) % p
+            rows.append(row)
+    if rows:
+        R, pivots = rref(np.array(rows, dtype=np.int64), p)
+    else:
+        R, pivots = np.zeros((0, total), dtype=np.int64), []
+    return R, pivots, [c for c in range(total) if c not in set(pivots)]
+
+
+def _act_by_columns(mt, i, d):
+    """x_i from degree d as the to_quotient column loop built it: each
+    free cover coordinate pushed up, then reduced row by row."""
+    p = mt.p
+    R, pivots, free = _piece_by_rows(mt, d + 1)
+    unit = tuple(int(j == i) for j in range(mt.nvars))
+    basis = mt.cover.basis(d)
+    cols = []
+    for idx in _piece_by_rows(mt, d)[2]:
+        g, b = basis[idx]
+        v = mt.cover.coords(g, mono_mul(b, unit)) % p
+        for r, c in enumerate(pivots):
+            if v[c]:
+                v = (v - int(v[c]) * R[r]) % p
+        cols.append(v[free])
+    return (np.stack(cols, axis=1) if cols
+            else np.zeros((len(free), 0), dtype=np.int64))
+
+
+def _random_artinian_module(rng):
+    """An artinian quotient of k[x, y(, z)] by powers of the variables
+    and a random form, and a module over it with up to three generators
+    in degrees -1..1 and up to three random homogeneous relations."""
+    n = rng.randint(1, 3)
+    S = PolyRing(["x", "y", "z"][:n])
+    ideal = [g ** rng.randint(1, 3) for g in S.gens()]
+    exps = [0] * n
+    for _ in range(2):
+        exps[rng.randrange(n)] += 1
+    ideal.append(S.poly({tuple(exps): 1}) + S.gens()[0] ** 2)
+    ring = RingPresentation(S, ideal)
+    shifts = tuple(rng.randint(-1, 1) for _ in range(rng.randint(1, 3)))
+    F = S.free_module(shifts)
+    rels = []
+    for _ in range(rng.randint(0, 3)):
+        deg = max(shifts) + rng.randint(0, 2)
+        terms = {}
+        for pos, a in enumerate(shifts):
+            if deg - a < 0 or rng.random() < 0.3:
+                continue
+            m = [0] * n
+            for _ in range(deg - a):
+                m[rng.randrange(n)] += 1
+            terms[pos, tuple(m)] = rng.randrange(1, S.p)
+        rels.append(F.vec(terms))
+    return GradedModule(ring, shifts, rels)
+
+
+def test_module_actions_match_the_column_loop(type2_ring, dual_numbers):
+    rng = random.Random(5)
+    modules = [M for ring in (type2_ring, dual_numbers)
+               for M in (ring.as_module(), ring.residue_field(),
+                         matlis_dual(ring.as_module(), bound=12))]
+    modules += [_random_artinian_module(rng) for _ in range(20)]
+    nonzero = 0
+    for M in modules:
+        mt = ModuleTable(M)
+        for d in range(mt.min_degree - 2, mt.certified_top(12) + 1):
+            for i in range(mt.nvars):
+                got = mt.act(i, d)
+                assert np.array_equal(got, _act_by_columns(mt, i, d))
+                nonzero += bool(got.any())
+    assert nonzero >= 20
+
+
 def _greedy_sieve(table, lo, top, candidates):
     """The vector-at-a-time sieve the batched one replaced: each pushed
     vector, then each candidate, reduced against the rows kept so far."""
@@ -354,3 +472,32 @@ def test_closed_forms_of_complete_intersections(degrees, forms):
     assert [sum(e.values()) for e in oracle_ext_dims(k, R, 2)] == [1, 0, 0]
     assert oracle_hilbert(matlis_dual(R)) == \
         {-d: c for d, c in hilbert.items()}
+
+
+# relative module -> the names it may give, or None for any
+_ORACLE_IMPORTS = {"linalg": None, "field": None, "poly": None,
+                   "modules": {"GradedModule", "RingPresentation"}}
+
+
+def test_oracle_shares_only_polynomial_arithmetic_with_the_engine():
+    """No Groebner basis, invariant or criterion reaches the oracle, so
+    that its agreement with the engine is evidence."""
+    package = Path(oracle.__file__).parent
+    imported = {}
+    for name in ("oracle", "linalg"):
+        tree = ast.parse((package / f"{name}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                assert not any(a.name.startswith("injcrit")
+                               for a in node.names), name
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                assert node.module in _ORACLE_IMPORTS, (name, node.module)
+                allowed = _ORACLE_IMPORTS[node.module]
+                names = {a.name for a in node.names}
+                assert allowed is None or names <= allowed, (name, names)
+                imported.setdefault(name, set()).update(
+                    (node.module, n) for n in names)
+            elif isinstance(node, ast.ImportFrom):
+                assert not node.module.startswith("injcrit"), name
+    # bench/tracer.py rebinds oracle.rref, so it must stay a name there
+    assert ("linalg", "rref") in imported["oracle"]

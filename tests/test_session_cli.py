@@ -85,6 +85,16 @@ def test_parse_bounds_char_by_the_oracle_limit():
     ({"ideal": [7]}, "ideal[0]: expected a string, got 7"),
     ({"modules": {"A": {"degrees": [0], "relations": [["x", "y"]]}}},
      "modules.A.relations[0]: 2 entries for 1 generators"),
+    ({"char": 3.0}, "char: expected an integer, got 3.0"),
+    ({"char": "7"}, "char: expected an integer, got '7'"),
+    ({"char": None}, "char: expected an integer, got None"),
+    ({"char": [2]}, "char: expected an integer, got [2]"),
+    ({"check": [{"id": "Bass", "C": "R"}]}, "check: unknown key"),
+    ({"flags": {"degre_bound": 3}}, "flags.degre_bound: unknown key"),
+    ({"modules": {"A": {"degrees": [0], "degree": [1]}}},
+     "modules.A.degree: unknown key"),
+    ({"checks": [{"id": "Bass", "C": "R", "m": "A"}]},
+     "checks[0].m: unknown key"),
 ])
 def test_parse_rejects_mistyped_fields(patch, message, tmp_path, capsys):
     doc = dict(json.loads(GOOD), **patch)
