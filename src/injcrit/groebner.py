@@ -23,16 +23,23 @@ sieve in modules.minimal_generators completes that far, one candidate
 degree at a time.  A reduced basis is unique for its order, so neither
 the criteria nor the truncation change any result.
 
-Syzygies come from a single tagged Groebner basis run: each input column
-gets a fresh tag position dominated by the ambient positions, so basis
-elements supported only on tags are exactly the syzygies of the input.
-Under pot those are the elements whose lead sits on a tag, and reducing
-their tails only ever meets reducers of the same kind, so
-reduced_basis(from_pos) tail-reduces the tag block alone and returns
-the same syzygies as filtering the full reduced basis would.  A tag
-position takes the degree of its column, so every column must be
-nonzero; columns that vanish are the caller's to handle
-(modules.syzygies_over does so for columns that vanish modulo an ideal).
+Syzygies come from one tagged Groebner basis run, in the "modulo"
+construction (Greuel and Pfister, A Singular Introduction to Commutative
+Algebra, 2nd ed., 2008, sec. 2.8; Kreuzer and Robbiano, Computational
+Commutative Algebra 1, 2000, sec. 3.3).  Only the map's columns are
+tagged: column c_j enters as [c_j | e_j], with a fresh tag position e_j in
+the degree of the j-th source generator, and each relation n enters
+untagged as [n | 0].  These generate the module U of pairs
+(phi(a) + n, a).  Under pot the target positions dominate the tags, so by
+elimination the basis elements whose lead sits on a tag are supported on
+the tags alone and form a Groebner basis of U's part there,
+{(0, a) : phi(a) in <relations>}: the preimage of the relations, read on
+the source.  A tail reduction of such an element only ever meets reducers
+of the same kind, so reduced_basis(from_pos) tail-reduces the tag block
+alone and returns the matching part of the full reduced basis.  A zero
+column is simply [0 | e_j] and yields its unit syzygy.  Pairs among the
+untagged relations yield only untagged elements, so the syzygies among
+the relations themselves, which no caller wants, are never formed.
 """
 
 from __future__ import annotations
@@ -262,22 +269,22 @@ def normal_form(v: Vec, basis, module: Optional[FreeModule] = None,
     return builder.normal_form(v)
 
 
-def syzygies(columns, target: FreeModule) -> list:
-    """Generators of the kernel of the map target <- F defined by columns.
+def syzygies(columns, source: FreeModule, target: FreeModule,
+             relations=()) -> list:
+    """Generators of {a in source : sum a_j * columns_j in <relations>}.
 
-    F has one generator per column, in the degree of that column, so
-    every column must be nonzero.  The syzygies are the elements of a
-    tagged Groebner basis supported on the tag positions alone, that is,
-    under pot, those whose lead sits on a tag; only they are reduced.
+    columns[j], an element of target, is the image of the j-th generator
+    of source and has its degree (or is zero); relations are elements of
+    target.  The result is the reduced Groebner basis of that preimage
+    over S, as elements of source: the tag block of a basis in which only
+    the columns carry tags (see the module docstring).
     """
-    _check_homogeneous(columns)
-    if any(c.is_zero() for c in columns):
-        raise ValueError("zero column has no degree; filter before calling")
     ring = target.ring
-    tags = FreeModule(ring, tuple(c.degree() for c in columns))
-    ext = FreeModule(ring, target.shifts + tags.shifts)
     r = target.rank
-    tagged = [Vec(ext, {**c.terms, (r + j, ring._zero_mono): 1})
-              for j, c in enumerate(columns)]
-    return [Vec(tags, {(pos - r, m): c for (pos, m), c in g.terms.items()})
-            for g in MembershipTester(tagged, ext).reduced_basis(from_pos=r)]
+    ext = FreeModule(ring, target.shifts + source.shifts)
+    gens = [Vec(ext, {**c.terms, (r + j, ring._zero_mono): 1})
+            for j, c in enumerate(columns)]
+    gens += [Vec(ext, dict(n.terms)) for n in relations]
+    _check_homogeneous(gens)
+    return [Vec(source, {(pos - r, m): c for (pos, m), c in g.terms.items()})
+            for g in MembershipTester(gens, ext).reduced_basis(from_pos=r)]

@@ -248,51 +248,19 @@ class GradedModule:
 # ---------------------------------------------------------------------------
 # submodule machinery over a quotient ring
 
-def apply_columns(columns, v: Vec) -> Vec:
-    """Image of v under the map whose j-th generator goes to columns[j]."""
-    target = columns[0].module if columns else None
-    if target is None:
-        raise ValueError("empty column list has no target")
-    out = target.zero()
-    for (pos, m), c in v.terms.items():
-        out = out + columns[pos].mono_mul(m, c)
-    return out
+def syzygies_over(ring: RingPresentation, columns, source: FreeModule,
+                  target: FreeModule, relations=()) -> list:
+    """Generators of {a in source : sum a_j * columns_j in <relations>}
+    over R = S/I, with I * target joining the relations.
 
-
-def syzygies_over(ring: RingPresentation, columns, target: FreeModule,
-                  column_degrees=None) -> list:
-    """Generators of the kernel of target^m <- R^n over R = S/I.
-
-    Computes syzygies over S of the block [columns | I * basis vectors],
-    projects onto the column coordinates, and reduces mod I.  This is the
-    one place that handles columns vanishing mod I (groebner.syzygies
-    refuses zero columns): each gets its unit syzygy, in the degree that
-    column_degrees supplies, or 0.
+    The relations and the ideal columns enter the Groebner run untagged
+    (see groebner.syzygies); the result is reduced mod I, with zeros
+    dropped, and sorted.  A column that vanishes mod I gets its unit
+    syzygy, in the degree of its source generator.
     """
-    cols = [ring.nf_vec(c) for c in columns]
-    keep = [j for j, c in enumerate(cols) if not c.is_zero()]
-    coldegs = []
-    for j, c in enumerate(cols):
-        if not c.is_zero():
-            coldegs.append(c.degree())
-        elif column_degrees is not None:
-            coldegs.append(column_degrees[j])
-        else:
-            coldegs.append(0)
-    tags = FreeModule(ring.poly_ring, tuple(coldegs))
-    out = [tags.gen(j) for j, c in enumerate(cols) if c.is_zero()]
-    live = [cols[j] for j in keep]
-    if live:
-        icols = ring.ideal_columns(target)
-        raw = syzygies(live + icols, target)
-        for s in raw:
-            terms = {}
-            for (pos, m), c in s.terms.items():
-                if pos < len(live):
-                    terms[(keep[pos], m)] = c
-            v = ring.nf_vec(Vec(tags, terms))
-            if not v.is_zero():
-                out.append(v)
+    raw = syzygies(columns, source, target,
+                   list(relations) + ring.ideal_columns(target))
+    out = [v for v in map(ring.nf_vec, raw) if not v.is_zero()]
     return sorted(out, key=_vec_sort_key)
 
 
@@ -328,30 +296,20 @@ def kernel_of_cokernel_map(phi_columns, source: FreeModule,
     """Minimal generators of {e in source : phi(e) in im(target relations)}.
 
     phi_columns[j] is the image in the target free cover of the j-th
-    generator of the free module source.  The result generates the
-    preimage of zero under source -> coker(target); that phi is a map of
-    cokernels, when source is a cover, is the caller's to know.
+    generator of the free module source, in that generator's degree.  The
+    result generates the preimage of zero under source -> coker(target),
+    read off one syzygy run in which only phi's columns are tagged and
+    target's relations enter untagged; that phi is a map of cokernels,
+    when source is a cover, is the caller's to know.
     """
     ring = target.ring
     if len(phi_columns) != source.rank:
         raise ValueError("one column required per source generator")
     if not phi_columns:
         return []
-    block = list(phi_columns) + list(target.relations)
-    degs = list(source.shifts) + [r.degree() for r in target.relations]
-    syz = syzygies_over(ring, block, target.cover, column_degrees=degs)
-    nphi = len(phi_columns)
-    out = []
-    seen = set()
-    for s in syz:
-        terms = {(pos, m): c for (pos, m), c in s.terms.items() if pos < nphi}
-        v = Vec(source, terms)
-        if not v.is_zero():
-            key = frozenset(v.terms.items())
-            if key not in seen:
-                seen.add(key)
-                out.append(v)
-    return minimal_generators(ring, out, source)
+    syz = syzygies_over(ring, phi_columns, source, target.cover,
+                        target.relations)
+    return minimal_generators(ring, syz, source)
 
 
 def minimalize_presentation(M: GradedModule) -> GradedModule:
@@ -437,13 +395,13 @@ class FreeResolution:
         ring = self.ring
         if not self.diffs:
             raise RuntimeError("resolution was not seeded")
-        last = self.diffs[-1]
-        syz = syzygies_over(ring, last, self.covers[-2])
+        syz = syzygies_over(ring, self.diffs[-1], self.covers[-1],
+                            self.covers[-2])
         gens = minimal_generators(ring, syz, self.covers[-1])
         if not gens:
             self.complete = True
             return
-        self.diffs.append([Vec(self.covers[-1], dict(g.terms)) for g in gens])
+        self.diffs.append(gens)
         self.covers.append(ring.poly_ring.free_module(
             tuple(g.degree() for g in gens)))
 
@@ -525,7 +483,11 @@ def ext(M: GradedModule, C: GradedModule, i: int,
 
     Presented as ker/im of the dualized minimal free resolution of M over
     R, resolved to i + 1 steps under the cap and re-minimalized so that
-    the zero module has no generators; cached on M per (C, i).
+    the zero module has no generators; cached on M per (C, i).  The
+    kernel K of Hom(d_i, C) comes from kernel_of_cokernel_map, and the
+    relations on K are the preimage of im Hom(d_{i-1}, C) plus the
+    relations of Hom(F_i, C): one syzygy run in which only K's columns
+    are tagged.
     """
     if i < 0:
         raise ValueError("cohomological index must be nonnegative")
@@ -560,17 +522,10 @@ def ext(M: GradedModule, C: GradedModule, i: int,
     if i >= 1:
         psi = induced_hom_map(res.diffs[i - 1], res.covers[i - 1], F_i, C)
     # relations of the subquotient: coefficients c with K c in <psi> + <P>
-    block = list(kernel) + psi + list(hom_i.relations)
-    syz = syzygies_over(ring, block, hom_i.cover)
-    nk = len(kernel)
-    rel_cols = []
     gen_degs = tuple(v.degree() for v in kernel)
     sub_cover = ring.poly_ring.free_module(gen_degs)
-    for s in syz:
-        terms = {(pos, m): c for (pos, m), c in s.terms.items() if pos < nk}
-        v = Vec(sub_cover, terms)
-        if not v.is_zero():
-            rel_cols.append(v)
+    rel_cols = syzygies_over(ring, kernel, sub_cover, hom_i.cover,
+                             psi + list(hom_i.relations))
     E = GradedModule(ring, gen_degs, rel_cols).minimal_model()
     M._cache[key] = E
     return E
@@ -594,17 +549,10 @@ def hom_module(M: GradedModule, C: GradedModule) -> GradedModule:
     kernel = kernel_of_cokernel_map(delta, hom0.cover, hom1)
     if not kernel:
         return ring.zero_module()
-    block = list(kernel) + list(hom0.relations)
-    syz = syzygies_over(ring, block, hom0.cover)
-    nk = len(kernel)
     gen_degs = tuple(v.degree() for v in kernel)
     sub_cover = ring.poly_ring.free_module(gen_degs)
-    rel_cols = []
-    for s in syz:
-        terms = {(pos, m): c for (pos, m), c in s.terms.items() if pos < nk}
-        v = Vec(sub_cover, terms)
-        if not v.is_zero():
-            rel_cols.append(v)
+    rel_cols = syzygies_over(ring, kernel, sub_cover, hom0.cover,
+                             hom0.relations)
     return GradedModule(ring, gen_degs, rel_cols).minimal_model()
 
 

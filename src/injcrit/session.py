@@ -144,11 +144,14 @@ def _parse_flags(doc, errors: list) -> SessionFlags:
     return flags
 
 
-def _parse_modules(doc, ring: RingPresentation, errors: list) -> dict:
+def _parse_modules(doc, ring: Optional[RingPresentation],
+                   errors: list) -> dict:
+    """Named modules of the session.  With no ring (the variables are
+    invalid) only the shape of each spec is checked, and each name that
+    passes maps to None, so that checks can still refer to it."""
     if not isinstance(doc, dict):
         errors.append("modules: expected an object")
         return {}
-    poly_ring = ring.poly_ring
     modules = {}
     for name, spec in doc.items():
         where = f"modules.{name}"
@@ -171,7 +174,6 @@ def _parse_modules(doc, ring: RingPresentation, errors: list) -> dict:
             errors.append(f"{where}.relations: expected a list of lists "
                           "of strings")
             continue
-        cover = poly_ring.free_module(tuple(degrees))
         columns = []
         bad = False
         for ci, col in enumerate(relations):
@@ -180,21 +182,27 @@ def _parse_modules(doc, ring: RingPresentation, errors: list) -> dict:
                               f"for {len(degrees)} generators")
                 bad = True
                 continue
+            if ring is None:
+                continue  # the entries are polynomials in the variables
             entries = []
             for ei in range(len(degrees)):
                 s = col[ei] if ei < len(col) else "0"
                 try:
-                    entries.append(poly_ring.from_string(s))
+                    entries.append(ring.poly_ring.from_string(s))
                 except ParseError as e:
                     errors.append(f"{where}.relations[{ci}][{ei}]: {e}")
                     bad = True
-            if not bad:
-                columns.append(cover.from_polys(entries))
+            columns.append(entries)
         if bad:
             continue
+        if ring is None:
+            modules[name] = None
+            continue
+        cover = ring.poly_ring.free_module(tuple(degrees))
         try:
-            modules[name] = GradedModule(ring, tuple(degrees), columns,
-                                         name=name)
+            modules[name] = GradedModule(
+                ring, tuple(degrees), [cover.from_polys(e) for e in columns],
+                name=name)
         except ValueError as e:
             errors.append(f"{where}: {e}")
     return modules
@@ -259,18 +267,17 @@ def parse_session(text: str) -> Session:
     except ValueError as e:
         errors.append(f"char: {e}")
         char = 32003
+    flags = _parse_flags(doc.get("flags", {}), errors)
     variables = doc.get("vars", [])
+    poly_ring = None
     if (not isinstance(variables, list) or not variables
             or not all(isinstance(v, str) and v.isidentifier()
                        for v in variables)):
         errors.append("vars: expected a nonempty list of identifiers")
-        raise SessionError(errors)
-    if len(set(variables)) != len(variables):
+    elif len(set(variables)) != len(variables):
         errors.append("vars: duplicate variable names")
-        raise SessionError(errors)
-
-    flags = _parse_flags(doc.get("flags", {}), errors)
-    poly_ring = PolyRing(variables, p=char)
+    else:
+        poly_ring = PolyRing(variables, p=char)
     ideal = []
     ideal_doc = doc.get("ideal", [])
     if not isinstance(ideal_doc, list):
@@ -280,6 +287,8 @@ def parse_session(text: str) -> Session:
         if not isinstance(s, str):
             errors.append(f"ideal[{idx}]: expected a string, got {s!r}")
             continue
+        if poly_ring is None:
+            continue
         try:
             f = poly_ring.from_string(s)
             if not f.is_zero() and not f.is_homogeneous():
@@ -288,9 +297,11 @@ def parse_session(text: str) -> Session:
                 ideal.append(f)
         except ParseError as e:
             errors.append(f"ideal[{idx}]: {e}")
-    # modules and checks are still parsed, over the valid generators only,
-    # so that one SessionError lists every error of the document
-    ring = RingPresentation(poly_ring, ideal, domain_flag=flags.domain)
+    # modules and checks are still checked, over the valid generators only,
+    # or without a ring when the variables are invalid, so that one
+    # SessionError lists every error of the document
+    ring = (None if poly_ring is None else
+            RingPresentation(poly_ring, ideal, domain_flag=flags.domain))
     modules = _parse_modules(doc.get("modules", {}), ring, errors)
     checks = _parse_checks(doc.get("checks", []), modules, errors)
     if errors:

@@ -1,9 +1,10 @@
-"""Shared fixtures: the shipped corpus sessions and common rings."""
+"""Shared fixtures and helpers: the shipped corpus sessions, common rings,
+and the image of a vector under a map given by its columns."""
 
 import pytest
 from importlib import resources
 
-from injcrit.poly import PolyRing
+from injcrit.poly import PolyRing, Vec
 from injcrit.modules import RingPresentation
 from injcrit.session import parse_session
 
@@ -47,3 +48,13 @@ def dual_numbers():
     S = PolyRing(["x"])
     x, = S.gens()
     return RingPresentation(S, [x * x])
+
+
+def apply_columns(columns, v: Vec) -> Vec:
+    """Image of v under the map whose j-th generator goes to columns[j]."""
+    if not columns:
+        raise ValueError("empty column list has no target")
+    out = columns[0].module.zero()
+    for (pos, m), c in v.terms.items():
+        out = out + columns[pos].mono_mul(m, c)
+    return out

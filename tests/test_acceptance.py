@@ -21,13 +21,12 @@ from injcrit.invariants import (depth, dimension, find_regular_sop,
                                 hilbert_series, is_cohen_macaulay, length,
                                 multiplicity, projective_dimension_ambient,
                                 rank, socle_dimension, type_of)
-from injcrit.modules import (GradedModule, RingPresentation, apply_columns,
-                             ext, resolution)
+from injcrit.modules import GradedModule, RingPresentation, ext, resolution
 from injcrit.oracle import (oracle_ext_dims, oracle_hilbert, oracle_length,
                             oracle_socle_dimension)
 from injcrit.poly import PolyRing
 
-from conftest import named_modules
+from conftest import apply_columns, named_modules
 
 
 @contextmanager

@@ -5,13 +5,16 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injcrit.groebner import (GBuilder, MembershipTester, _max_degree,
-                              buchberger, normal_form, syzygies)
+from injcrit.groebner import (GBuilder, InhomogeneousInputError,
+                              MembershipTester, _max_degree, buchberger,
+                              normal_form, syzygies)
 from injcrit.modules import (RingPresentation, _vec_sort_key,
                              minimal_generators, syzygies_over)
 from injcrit.poly import (GREVLEX, LEX, FreeModule, ModuleOrder, PolyRing,
                           Vec, mono_div, mono_divides, mono_lcm)
 from injcrit.session import parse_session, run_session
+
+from conftest import apply_columns
 
 
 def ring2(order=None):
@@ -65,12 +68,9 @@ def test_normal_form_idempotent_and_linear():
     assert lhs == normal_form(v, gb, F) + normal_form(w, gb, F)
 
 
-def apply_syzygy(columns, s):
-    target = columns[0].module
-    out = target.zero()
-    for (pos, m), c in s.terms.items():
-        out = out + columns[pos].mono_mul(m, c)
-    return out
+def source_of(cols):
+    """The free module with one generator in the degree of each column."""
+    return cols[0].module.ring.free_module(tuple(c.degree() for c in cols))
 
 
 def test_koszul_syzygy():
@@ -78,9 +78,9 @@ def test_koszul_syzygy():
     x, y = ring.gens()
     F = ring.free_module((0,))
     cols = [F.from_polys([x]), F.from_polys([y])]
-    syz = syzygies(cols, F)
+    syz = syzygies(cols, source_of(cols), F)
     assert len(syz) == 1
-    assert all(apply_syzygy(cols, s).is_zero() for s in syz)
+    assert all(apply_columns(cols, s).is_zero() for s in syz)
 
 
 def test_syzygies_of_square_monomials():
@@ -89,31 +89,48 @@ def test_syzygies_of_square_monomials():
     F = ring.free_module((0,))
     cols = [F.from_polys([x * x]), F.from_polys([x * y]),
             F.from_polys([y * y])]
-    syz = syzygies(cols, F)
+    syz = syzygies(cols, source_of(cols), F)
     assert len(syz) == 2
     for s in syz:
-        assert apply_syzygy(cols, s).is_zero()
+        assert apply_columns(cols, s).is_zero()
 
 
 def test_zero_columns_get_unit_syzygies():
-    """Over the ambient ring, syzygies_over gives a zero column its unit
-    syzygy; the tagged Groebner run never sees that column."""
-    ring = ring2()
-    x, _ = ring.gens()
-    F = ring.free_module((0,))
+    """syzygies_over gives a column that vanishes, or vanishes mod I, its
+    unit syzygy, in the degree of its source generator."""
+    S = ring2()
+    x, y = S.gens()
+    F = S.free_module((0,))
+    source = S.free_module((1, 3, 2))
     cols = [F.from_polys([x]), F.zero(), F.from_polys([x * x])]
-    syz = syzygies_over(RingPresentation(ring), cols, F)
-    assert any(set(pos for (pos, _m) in s.terms) == {1} for s in syz)
+    syz = syzygies_over(RingPresentation(S), cols, source, F)
+    assert source.gen(1) in syz
     for s in syz:
-        assert apply_syzygy(cols, s).is_zero()
+        assert apply_columns(cols, s).is_zero()
+    # over S/(xy) the column xy vanishes mod I
+    source = S.free_module((2, 1))
+    cols = [F.from_polys([x * y]), F.from_polys([x])]
+    syz = syzygies_over(RingPresentation(S, [x * y]), cols, source, F)
+    assert source.gen(0) in syz
 
 
-def test_syzygies_reject_zero_columns():
+def test_zero_column_yields_its_unit_syzygy():
+    """groebner.syzygies takes a zero column as [0 | e_j], so the tag
+    block holds e_j itself, in the degree of the j-th source generator."""
     ring = ring2()
-    x, _ = ring.gens()
+    x, y = ring.gens()
     F = ring.free_module((0,))
-    with pytest.raises(ValueError, match="zero column"):
-        syzygies([F.from_polys([x]), F.zero()], F)
+    source = ring.free_module((1, 4))
+    syz = syzygies([F.from_polys([x]), F.zero()], source, F)
+    assert syz == [source.gen(1)]
+    assert syz[0].degree() == 4
+    # modulo the relation y, x * a_0 lies in (y) iff y divides a_0
+    syz = syzygies([F.from_polys([x]), F.zero()], source, F,
+                   [F.from_polys([y])])
+    assert syz == [source.vec({(0, (0, 1)): 1}), source.gen(1)]
+    # a column outside the degree of its source generator is refused
+    with pytest.raises(InhomogeneousInputError):
+        syzygies([F.from_polys([x * y]), F.zero()], source, F)
 
 
 @settings(max_examples=25, deadline=None)
@@ -135,8 +152,8 @@ def test_syzygy_soundness_random(data):
             cols.append(v)
     if len(cols) < 2:
         return
-    for s in syzygies(cols, F):
-        assert apply_syzygy(cols, s).is_zero()
+    for s in syzygies(cols, source_of(cols), F):
+        assert apply_columns(cols, s).is_zero()
 
 
 def test_pot_order_prefers_low_positions():
@@ -424,18 +441,32 @@ def test_nf_vec_matches_per_component_reduction(data):
             list(ref.terms.items())
 
 
-def filtered_full_syzygies(columns, target):
+def filtered_full_syzygies(columns, source, target, relations):
     """Syzygies as the tag-supported elements of the full reduced basis of
-    the tagged input, every element tail-reduced."""
+    the tagged columns and the untagged relations, every element
+    tail-reduced."""
     ring = target.ring
-    tags = FreeModule(ring, tuple(c.degree() for c in columns))
-    ext = FreeModule(ring, target.shifts + tags.shifts)
+    ext = FreeModule(ring, target.shifts + source.shifts)
     r = target.rank
-    tagged = [Vec(ext, {**c.terms, (r + j, ring._zero_mono): 1})
-              for j, c in enumerate(columns)]
-    return [Vec(tags, {(pos - r, m): c for (pos, m), c in g.terms.items()})
-            for g in buchberger(tagged, ext)
+    gens = [Vec(ext, {**c.terms, (r + j, ring._zero_mono): 1})
+            for j, c in enumerate(columns)]
+    gens += [Vec(ext, dict(n.terms)) for n in relations]
+    return [Vec(source, {(pos - r, m): c for (pos, m), c in g.terms.items()})
+            for g in buchberger(gens, ext)
             if all(pos >= r for pos, _ in g.terms)]
+
+
+def draw_map(data, F):
+    """Random homogeneous columns into F, some zero, and a source free
+    module with one generator in each column's degree (any degree for a
+    zero column)."""
+    cols = [draw_homogeneous(data, F) if data.draw(st.integers(0, 4))
+            else F.zero()
+            for _ in range(data.draw(st.integers(1, 4)))]
+    source = F.ring.free_module(tuple(
+        c.degree() if not c.is_zero() else data.draw(st.integers(0, 3))
+        for c in cols))
+    return cols, source
 
 
 @settings(max_examples=60, deadline=None)
@@ -445,14 +476,69 @@ def test_syzygies_match_the_filtered_full_basis(data):
     x, y, z = S.gens()
     F = S.free_module(data.draw(st.sampled_from(
         [(0,), (0, 0), (0, 1), (1, 0, 0)])))
-    cols = [draw_homogeneous(data, F)
-            for _ in range(data.draw(st.integers(1, 4)))]
+    cols, source = draw_map(data, F)
     ideal = data.draw(st.sampled_from([[], [x * y], [x * x, y * z - x * z]]))
-    cols += RingPresentation(S, ideal).ideal_columns(F)
-    syz = syzygies(cols, F)
-    ref = filtered_full_syzygies(cols, F)
+    relations = [draw_homogeneous(data, F)
+                 for _ in range(data.draw(st.integers(0, 2)))]
+    relations += RingPresentation(S, ideal).ideal_columns(F)
+    syz = syzygies(cols, source, F, relations)
+    ref = filtered_full_syzygies(cols, source, F, relations)
     assert [list(s.terms.items()) for s in syz] == \
         [list(s.terms.items()) for s in ref]
+
+
+def all_tagged_syzygies_over(ring, columns, target, column_degrees):
+    """syzygies_over as it was before the relations entered untagged: every
+    column of the block, relations and ideal columns included, gets a tag,
+    a column vanishing mod I gets its unit syzygy in column_degrees, and
+    the syzygies are projected onto the block's coordinates."""
+    cols = [ring.nf_vec(c) for c in columns]
+    keep = [j for j, c in enumerate(cols) if not c.is_zero()]
+    coldegs = [c.degree() if not c.is_zero() else column_degrees[j]
+               for j, c in enumerate(cols)]
+    tags = FreeModule(ring.poly_ring, tuple(coldegs))
+    out = [tags.gen(j) for j, c in enumerate(cols) if c.is_zero()]
+    block = [cols[j] for j in keep] + ring.ideal_columns(target)
+    if keep:
+        S = ring.poly_ring
+        r = target.rank
+        ext = FreeModule(S, target.shifts + tuple(c.degree() for c in block))
+        tagged = [Vec(ext, {**c.terms, (r + j, S._zero_mono): 1})
+                  for j, c in enumerate(block)]
+        for g in MembershipTester(tagged, ext).reduced_basis(from_pos=r):
+            v = ring.nf_vec(Vec(tags, {(keep[pos - r], m): c
+                                       for (pos, m), c in g.terms.items()
+                                       if pos - r < len(keep)}))
+            if not v.is_zero():
+                out.append(v)
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_untagged_relations_give_the_all_tagged_preimage(data):
+    """The preimage {a : phi(a) in <relations> + I * target} is the same
+    submodule of source, up to I * source, whether the relations and the
+    ideal columns enter untagged or tagged and are projected away."""
+    S = PolyRing(["x", "y", "z"])
+    x, y, z = S.gens()
+    ring = RingPresentation(S, data.draw(st.sampled_from(
+        [[], [x * y], [x * x, y * z - x * z], [x * x, y * y, z * z]])))
+    F = S.free_module(data.draw(st.sampled_from(
+        [(0,), (0, 0), (0, 1), (1, 0, 0)])))
+    cols, source = draw_map(data, F)
+    relations = [draw_homogeneous(data, F)
+                 for _ in range(data.draw(st.integers(0, 3)))]
+    new = syzygies_over(ring, cols, source, F, relations)
+    old_block = all_tagged_syzygies_over(
+        ring, cols + relations, F,
+        source.shifts + tuple(n.degree() for n in relations))
+    old = [Vec(source, {(pos, m): c for (pos, m), c in s.terms.items()
+                        if pos < len(cols)}) for s in old_block]
+    ideal = ring.ideal_columns(source)
+    for gens, others in ((new, old), (old, new)):
+        tester = MembershipTester(gens + ideal, source)
+        assert all(tester.contains(v) for v in others)
 
 
 @settings(max_examples=100, deadline=None)
@@ -479,8 +565,11 @@ def test_spair_count_over_the_corpus(monkeypatch):
     already a Groebner basis of I*F, instead of completing I*F again from
     the raw ideal columns brought it to 422; reading ideal_gb off the
     ring's cached ideal tester, so the ideal is completed once per ring,
-    brought it to 417.  A higher count means a criterion stopped firing;
-    a lower one should come with a reason, and a new pin.
+    brought it to 417.  Letting relations and ideal columns enter the
+    syzygy run untagged brought it to 321: pairs among them no longer
+    yield syzygies among the relations that were then discarded.  A higher
+    count means a criterion stopped firing; a lower one should come with a
+    reason, and a new pin.
     """
     count = [0]
     spair = GBuilder._spair
@@ -494,4 +583,4 @@ def test_spair_count_over_the_corpus(monkeypatch):
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
             run_session(parse_session(entry.read_text()))
-    assert count[0] == 417
+    assert count[0] == 321

@@ -3,11 +3,13 @@
 import pytest
 
 from injcrit.invariants import hilbert_series, length
-from injcrit.modules import (GradedModule, RingPresentation, apply_columns,
-                             direct_sum, ext, hom_module,
-                             kernel_of_cokernel_map, minimalize_presentation,
-                             quotient_by_sequence, resolution)
+from injcrit.modules import (GradedModule, RingPresentation, direct_sum,
+                             ext, hom_module, kernel_of_cokernel_map,
+                             minimalize_presentation, quotient_by_sequence,
+                             resolution)
 from injcrit.poly import PolyRing
+
+from conftest import apply_columns
 
 
 def test_relations_reduced_modulo_ideal(dual_numbers):

@@ -144,6 +144,31 @@ def test_parse_reports_type_errors_together():
         "flags", "ideal", "modules", "checks[0]"]
 
 
+@pytest.mark.parametrize("doc,errors", [
+    ({"vars": 5, "chek": 1, "flags": {"x": 1},
+      "checks": [{"id": "Bass", "C": "R", "m": 1}]},
+     ["chek: unknown key", "flags.x: unknown key",
+      "vars: expected a nonempty list of identifiers",
+      "checks[0].m: unknown key"]),
+    ({"vars": ["x", "x"], "ideal": ["x^2", 3],
+      "modules": {"A": {"degrees": [0], "relations": [["x", "1"]],
+                        "degree": 0},
+                  "B": {"degrees": [0], "relations": [["x +"]]}},
+      "checks": [{"id": "T2.4", "C": "B", "M": "A"}]},
+     ["vars: duplicate variable names",
+      "ideal[1]: expected a string, got 3",
+      "modules.A.degree: unknown key",
+      "modules.A.relations[0]: 2 entries for 1 generators",
+      "checks[0]: unknown module 'A'"]),
+])
+def test_parse_reports_every_error_when_vars_is_invalid(doc, errors):
+    """Without valid variables no polynomial can be parsed, but every other
+    field is still checked, and module names still resolve."""
+    with pytest.raises(SessionError) as info:
+        parse_session(json.dumps(doc))
+    assert info.value.errors == errors
+
+
 def test_parse_rejects_bad_json():
     with pytest.raises(SessionError) as info:
         parse_session("{ not json")
