@@ -1,10 +1,10 @@
 """Numerical invariants of graded modules.
 
-Hilbert series come from the lead-term module of a Groebner basis of the
-relations (computed over the ambient polynomial ring), with the usual
-inclusion-exclusion recursion on monomial ideals.  Depth uses the
-Auslander-Buchsbaum formula over the ambient ring; type is the length of
-Ext^depth(k, M) over the quotient.
+Hilbert series come from the lead-term module of the relation tester (a
+Groebner basis over the ambient ring), with the usual inclusion-exclusion
+recursion on monomial ideals.  Depth uses the Auslander-Buchsbaum formula
+over the ambient ring; type is the length of Ext^depth(k, M) over the
+quotient, and the socle of a finite-length M is Hom(k, M) = Ext^0(k, M).
 """
 
 from __future__ import annotations
@@ -14,12 +14,13 @@ from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
-from .groebner import buchberger
-from .modules import (GradedModule, RingPresentation, ZeroModuleError,
-                      direct_sum, ext, kernel_of_cokernel_map,
-                      quotient_by_sequence, resolution)
-from .poly import (ModuleOrder, Poly, Vec, mono_deg, mono_div,
-                   mono_divides, mono_lcm, monomials_of_degree)
+# buchberger is re-exported: bench/tracer.py wraps it under this name too.
+from .groebner import buchberger  # noqa: F401
+from .modules import (GradedModule, RingPresentation, ZeroModuleError, ext,
+                      kernel_of_cokernel_map, quotient_by_sequence,
+                      resolution)
+from .poly import (Poly, mono_deg, mono_div, mono_divides, mono_lcm,
+                   monomials_of_degree)
 
 
 class UndecidedError(RuntimeError):
@@ -158,21 +159,18 @@ def _mono_ideal_numerator(gens: frozenset) -> dict:
 
 
 def hilbert_series(M: GradedModule) -> HilbertSeries:
-    """Exact Hilbert series of M over its ring."""
+    """Exact Hilbert series of M over its ring, from the leads of
+    M.rel_tester: the lead module does not depend on the basis."""
     if "hilbert" in M._cache:
         return M._cache["hilbert"]
-    work = M.over_ambient()
-    gb = buchberger(list(work.relations), work.cover)
-    morder = ModuleOrder(work.cover.ring.order, "pot")
     by_pos = {}
-    for g in gb:
-        (pos, m), _ = g.lead(morder)
+    for pos, m in M.rel_tester._lead:
         by_pos.setdefault(pos, []).append(m)
     num: dict = {}
-    for j, a in enumerate(work.shifts):
+    for j, a in enumerate(M.shifts):
         nj = _mono_ideal_numerator(frozenset(by_pos.get(j, ())))
         num = _ip_add(num, _ip_shift(nj, a))
-    hs = HilbertSeries(num, work.cover.ring.n)
+    hs = HilbertSeries(num, M.ring.poly_ring.n)
     M._cache["hilbert"] = hs
     return hs
 
@@ -218,44 +216,12 @@ def type_of(M: GradedModule, cap: Optional[int] = None) -> int:
     return l
 
 
-def socle_generators(M: GradedModule) -> list:
-    """Free-cover generators of {m : all variables kill m}."""
-    ring = M.ring
-    n = ring.poly_ring.n
-    g = M.cover.rank
-    shifted = ring.poly_ring.free_module(tuple(a + 1 for a in M.shifts))
-    stacked = direct_sum_copies(M, n)
-    cols = []
-    for j in range(g):
-        terms = {}
-        for i in range(n):
-            mono = [0] * n
-            mono[i] = 1
-            terms[(i * g + j, tuple(mono))] = 1
-        cols.append(Vec(stacked.cover, terms))
-    return kernel_of_cokernel_map(cols, shifted, stacked)
-
-
-def direct_sum_copies(M: GradedModule, copies: int) -> GradedModule:
-    acc = None
-    for _ in range(copies):
-        acc = M if acc is None else direct_sum(acc, M)
-    return acc if acc is not None else M.ring.zero_module()
-
-
 def socle_dimension(M: GradedModule) -> int:
-    """dim_k of the socle of a finite-length module."""
-    lM = length(M)
-    if lM is None:
+    """dim_k of the socle of a finite-length module: Soc M = Hom(k, M) =
+    Ext^0(k, M), so a later type_of(M) reads the same cached Ext."""
+    if length(M) is None:
         raise ValueError("socle dimension requires finite length")
-    if lM == 0:
-        return 0
-    K = socle_generators(M)
-    # the socle is the image of <K> in M: its length is l(M) - l(M / <K>)
-    images = [Vec(M.cover, dict(k.terms)) for k in K]
-    quotient = GradedModule(M.ring, M.shifts,
-                            list(M.relations) + images)
-    return lM - length(quotient)
+    return length(ext(M.ring.residue_field(), M, 0))
 
 
 def is_cohen_macaulay(M: GradedModule) -> bool:
@@ -387,8 +353,7 @@ def find_regular_sop(M: GradedModule, seed: int = 1,
             N = quotient_by_sequence(N, [x])
         if not ok:
             continue
-        reduction = hilbert_series(N).finite_length and dimension(M) == s
-        if reduction:
+        if hilbert_series(N).finite_length:
             return RegularSequenceCertificate(elements, M.name, seed, flags,
                                               True, attempt)
     raise UndecidedError(

@@ -9,8 +9,9 @@ basis vectors, then projecting back.
 Ext modules are built as subquotients ker/im of the dualized resolution:
 each Hom(F_i, C) is itself a cokernel (a direct sum of shifted copies of
 C), kernels of cokernel maps come from syzygies, and the resulting
-presentation is re-minimalized so that zero-detection is just "no
-generators survive".
+presentation is re-minimalized.  GradedModule.is_zero tests every
+generator against the relations.  Each presentation has one Groebner
+basis, its relation tester over S; the ring's is that of R as a module.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class RingPresentation:
     def ideal_gb(self) -> list:
         """Reduced Groebner basis of the ideal, as polynomials.
 
-        Read off the cached ideal tester, so the ideal is completed once
-        per ring.
+        Read off the relation tester of R as a module over itself, so
+        the ideal is completed once per ring and shared with that module.
         """
         if "ideal_gb" not in self._cache:
             self._cache["ideal_gb"] = [
@@ -90,11 +91,7 @@ class RingPresentation:
         return self._cache["ideal_gb"]
 
     def _ideal_tester(self) -> MembershipTester:
-        if "ideal_mt" not in self._cache:
-            F = self.poly_ring.free_module((0,))
-            self._cache["ideal_mt"] = MembershipTester(
-                [F.from_polys([g]) for g in self.ideal_gens], F)
-        return self._cache["ideal_mt"]
+        return self.as_module().rel_tester
 
     def _nf_terms(self, terms: dict) -> dict:
         """Normal form mod the ideal of one component, as monomial terms."""
@@ -217,16 +214,6 @@ class GradedModule:
                    for j in range(self.cover.rank))
 
     # -- derived presentations --------------------------------------------
-    def over_ambient(self) -> "GradedModule":
-        """The same module presented over the ambient polynomial ring."""
-        if self.ring.is_ambient:
-            return self
-        if "over_ambient" not in self._cache:
-            rels = list(self.relations) + self.ring.ideal_columns(self.cover)
-            self._cache["over_ambient"] = GradedModule(
-                self.ring.ambient(), self.shifts, rels, name=self.name)
-        return self._cache["over_ambient"]
-
     def minimal_model(self) -> "GradedModule":
         if "minimal" not in self._cache:
             self._cache["minimal"] = minimalize_presentation(self)
@@ -254,14 +241,12 @@ def syzygies_over(ring: RingPresentation, columns, source: FreeModule,
     over R = S/I, with I * target joining the relations.
 
     The relations and the ideal columns enter the Groebner run untagged
-    (see groebner.syzygies); the result is reduced mod I, with zeros
-    dropped, and sorted.  A column that vanishes mod I gets its unit
-    syzygy, in the degree of its source generator.
+    (see groebner.syzygies); the result is not reduced mod I, which every
+    caller does (minimal_generators, GradedModule).  A column that
+    vanishes mod I gets its unit syzygy, in its source generator's degree.
     """
-    raw = syzygies(columns, source, target,
-                   list(relations) + ring.ideal_columns(target))
-    out = [v for v in map(ring.nf_vec, raw) if not v.is_zero()]
-    return sorted(out, key=_vec_sort_key)
+    return syzygies(columns, source, target,
+                    list(relations) + ring.ideal_columns(target))
 
 
 def minimal_generators(ring: RingPresentation, vecs,
@@ -317,35 +302,31 @@ def minimalize_presentation(M: GradedModule) -> GradedModule:
 
     The result presents the same module with a minimal generating set and
     minimal relations (all relation entries in the irrelevant ideal).
+    One forward pass suffices: by homogeneity, a relation without a unit
+    entry at the pivot's row gets a multiple of positive degree of the
+    pivot relation, so a relation already passed never gains a unit.
     """
     ring = M.ring
     shifts = list(M.shifts)
     cols = [list(c.to_polys()) for c in M.relations]
-    changed = True
-    while changed:
-        changed = False
-        for l, col in enumerate(cols):
-            for j, entry in enumerate(col):
-                const = entry.constant_coeff()
-                if const:
-                    uinv = ring.poly_ring.field.inv(const)
-                    for l2 in range(len(cols)):
-                        if l2 == l:
-                            continue
-                        c2 = cols[l2][j]
-                        if not c2.is_zero():
-                            factor = c2.scale(uinv)
-                            cols[l2] = [
-                                ring.nf_poly(a - factor * b)
-                                for a, b in zip(cols[l2], cols[l])]
-                    del cols[l]
-                    del shifts[j]
-                    for col2 in cols:
-                        del col2[j]
-                    changed = True
-                    break
-            if changed:
-                break
+    l = 0
+    while l < len(cols):
+        j = next((j for j, entry in enumerate(cols[l])
+                  if entry.constant_coeff()), None)
+        if j is None:
+            l += 1
+            continue
+        uinv = ring.poly_ring.field.inv(cols[l][j].constant_coeff())
+        for l2 in range(len(cols)):
+            c2 = cols[l2][j]
+            if l2 != l and not c2.is_zero():
+                factor = c2.scale(uinv)
+                cols[l2] = [ring.nf_poly(a - factor * b)
+                            for a, b in zip(cols[l2], cols[l])]
+        del cols[l]
+        del shifts[j]
+        for col2 in cols:
+            del col2[j]
     cover = ring.poly_ring.free_module(tuple(shifts))
     rels = [cover.from_polys(col) for col in cols]
     rels = [r for r in rels if not r.is_zero()]
@@ -416,9 +397,13 @@ def resolution(M: GradedModule, base: str = "R", steps: int = 0,
     """
     if base not in ("R", "S"):
         raise ValueError("base must be 'R' or 'S'")
-    work = M if base == "R" else M.over_ambient()
     key = ("res", base)
     if key not in M._cache:
+        work = M
+        if base == "S" and not M.ring.is_ambient:
+            work = GradedModule(  # M over the ambient polynomial ring
+                M.ring.ambient(), M.shifts,
+                list(M.relations) + M.ring.ideal_columns(M.cover))
         mm = work.minimal_model()
         ring = work.ring
         covers = [mm.cover]
@@ -557,7 +542,7 @@ def hom_module(M: GradedModule, C: GradedModule) -> GradedModule:
 
 
 # ---------------------------------------------------------------------------
-# quotients and sums
+# quotients
 
 def quotient_by_sequence(M: GradedModule, xs) -> GradedModule:
     """M/(xs)M: append x * generator columns to the relations."""
@@ -568,16 +553,3 @@ def quotient_by_sequence(M: GradedModule, xs) -> GradedModule:
         for j in range(M.cover.rank):
             rels.append(M.cover.gen(j).poly_mul(x))
     return GradedModule(M.ring, M.shifts, rels, name=M.name)
-
-
-def direct_sum(A: GradedModule, B: GradedModule) -> GradedModule:
-    if A.ring != B.ring:
-        raise ValueError("modules over different rings")
-    shifts = A.shifts + B.shifts
-    cover = A.ring.poly_ring.free_module(shifts)
-    rels = [Vec(cover, dict(r.terms)) for r in A.relations]
-    off = A.cover.rank
-    for r in B.relations:
-        rels.append(Vec(cover, {(pos + off, m): c
-                                for (pos, m), c in r.terms.items()}))
-    return GradedModule(A.ring, shifts, rels)

@@ -1,11 +1,13 @@
 """Shared fixtures and helpers: the shipped corpus sessions, common rings,
-and the image of a vector under a map given by its columns."""
+the image of a vector under a map given by its columns, direct sums of
+modules, and random presentations."""
 
 import pytest
+from hypothesis import strategies as st
 from importlib import resources
 
 from injcrit.poly import PolyRing, Vec
-from injcrit.modules import RingPresentation
+from injcrit.modules import GradedModule, RingPresentation
 from injcrit.session import parse_session
 
 
@@ -58,3 +60,51 @@ def apply_columns(columns, v: Vec) -> Vec:
     for (pos, m), c in v.terms.items():
         out = out + columns[pos].mono_mul(m, c)
     return out
+
+
+def direct_sum(A: GradedModule, B: GradedModule) -> GradedModule:
+    """A + B, with B's generators numbered after A's."""
+    if A.ring != B.ring:
+        raise ValueError("modules over different rings")
+    shifts = A.shifts + B.shifts
+    cover = A.ring.poly_ring.free_module(shifts)
+    rels = [Vec(cover, dict(r.terms)) for r in A.relations]
+    off = A.cover.rank
+    for r in B.relations:
+        rels.append(Vec(cover, {(pos + off, m): c
+                                for (pos, m), c in r.terms.items()}))
+    return GradedModule(A.ring, shifts, rels)
+
+
+def draw_xyz_ring(data):
+    """k[x, y, z] or one of three quotients: a hypersurface, a
+    one-dimensional ring, and an artinian complete intersection."""
+    S = PolyRing(["x", "y", "z"])
+    x, y, z = S.gens()
+    return RingPresentation(S, data.draw(st.sampled_from(
+        [[], [x * y], [x * x, y * z - x * z], [x * x, y * y, z * z]])))
+
+
+def draw_presentation(data, ring, max_rank=3):
+    """A random homogeneous presentation over ring: 1 to max_rank
+    generators in degrees 0-2 and up to four relations, each in the degree
+    of some generator or one above, so that unit entries are common."""
+    n = ring.poly_ring.n
+    shifts = tuple(data.draw(st.lists(st.integers(0, 2), min_size=1,
+                                      max_size=max_rank)))
+    F = ring.poly_ring.free_module(shifts)
+    rels = []
+    for _ in range(data.draw(st.integers(0, 4))):
+        d = data.draw(st.sampled_from(shifts)) + data.draw(st.integers(0, 1))
+        terms = {}
+        for pos, a in enumerate(shifts):
+            if a > d or not data.draw(st.booleans()):
+                continue
+            for _ in range(data.draw(st.integers(1, 2))):
+                exps = [0] * n
+                for v in data.draw(st.lists(st.integers(0, n - 1),
+                                            min_size=d - a, max_size=d - a)):
+                    exps[v] += 1
+                terms[(pos, tuple(exps))] = data.draw(st.integers(1, 6))
+        rels.append(F.vec(terms))
+    return GradedModule(ring, shifts, rels)

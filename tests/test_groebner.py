@@ -567,9 +567,12 @@ def test_spair_count_over_the_corpus(monkeypatch):
     ring's cached ideal tester, so the ideal is completed once per ring,
     brought it to 417.  Letting relations and ideal columns enter the
     syzygy run untagged brought it to 321: pairs among them no longer
-    yield syzygies among the relations that were then discarded.  A higher
-    count means a criterion stopped firing; a lower one should come with a
-    reason, and a new pin.
+    yield syzygies among the relations that were then discarded.  Reading
+    Hilbert series off each module's relation tester instead of a second
+    Groebner basis of the same generators, and the ring's ideal basis off
+    the tester of R as a module instead of a second ideal tester, brought
+    it to 295.  A higher count means a criterion stopped firing; a lower
+    one should come with a reason, and a new pin.
     """
     count = [0]
     spair = GBuilder._spair
@@ -583,4 +586,4 @@ def test_spair_count_over_the_corpus(monkeypatch):
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
             run_session(parse_session(entry.read_text()))
-    assert count[0] == 321
+    assert count[0] == 295

@@ -3,13 +3,20 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injcrit.invariants import (depth, dimension, direct_sum_copies,
-                                find_regular_sop, hilbert_series,
-                                is_cohen_macaulay, is_regular_element, length,
-                                multiplicity, projective_dimension_ambient,
-                                rank, socle_dimension, type_of)
-from injcrit.modules import GradedModule, RingPresentation, direct_sum
-from injcrit.poly import PolyRing
+from injcrit import groebner
+from injcrit.groebner import buchberger
+from injcrit.invariants import (_ip_add, _ip_shift, _mono_ideal_numerator,
+                                depth, dimension, find_regular_sop,
+                                hilbert_series, is_cohen_macaulay,
+                                is_regular_element, length, multiplicity,
+                                projective_dimension_ambient, rank,
+                                socle_dimension, type_of)
+from injcrit.modules import (GradedModule, RingPresentation,
+                             kernel_of_cokernel_map, quotient_by_sequence)
+from injcrit.oracle import oracle_socle_dimension
+from injcrit.poly import ModuleOrder, PolyRing, Vec
+
+from conftest import direct_sum, draw_presentation, draw_xyz_ring
 
 
 def quotient_ring(varnames, rel_strings, domain=False):
@@ -80,15 +87,18 @@ def test_non_cm_example():
 
 
 def test_type_equals_socle_for_finite_length(type2_ring, dual_numbers):
+    """socle_dimension is Ext^0(k, M), which type_of also reads for a
+    finite-length M, so the dense oracle's socle is the independent side."""
     for ring in (type2_ring, dual_numbers):
         M = ring.as_module()
-        assert type_of(M) == socle_dimension(M)
+        assert type_of(M) == socle_dimension(M) == oracle_socle_dimension(M)
 
 
 def test_multiplicity_additive_on_sums(node_ring):
     M = node_ring.as_module()
     assert multiplicity(direct_sum(M, M)) == 2 * multiplicity(M)
-    assert multiplicity(direct_sum_copies(M, 3)) == 3 * multiplicity(M)
+    assert multiplicity(direct_sum(direct_sum(M, M), M)) == \
+        3 * multiplicity(M)
 
 
 def test_rank_on_domains():
@@ -142,3 +152,91 @@ def test_multiplicity_via_linear_cut(node_ring):
     cert = find_regular_sop(M, seed=7)
     cut = quotient_by_sequence(M, cert.elements)
     assert length(cut) == multiplicity(M)
+
+
+def second_basis_numerator(M):
+    """hilbert_series as it was before it read M.rel_tester: the Hilbert
+    numerator of the leads of a second, separately computed reduced
+    Groebner basis of the relations plus I * cover over S."""
+    gens = list(M.relations) + M.ring.ideal_columns(M.cover)
+    morder = ModuleOrder(M.ring.poly_ring.order, "pot")
+    by_pos = {}
+    for g in buchberger(gens, M.cover):
+        (pos, m), _ = g.lead(morder)
+        by_pos.setdefault(pos, []).append(m)
+    num = {}
+    for j, a in enumerate(M.shifts):
+        nj = _mono_ideal_numerator(frozenset(by_pos.get(j, ())))
+        num = _ip_add(num, _ip_shift(nj, a))
+    return num
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_hilbert_series_matches_a_second_groebner_basis(data):
+    """The lead module does not depend on the basis, so the relation
+    tester's leads give the series a second basis gives, on artinian and
+    non-artinian rings alike."""
+    M = draw_presentation(data, draw_xyz_ring(data))
+    hs = hilbert_series(M)
+    assert hs.numerator == second_basis_numerator(M)
+    assert hs.nvars == 3
+
+
+def kernel_route_socle_dimension(M):
+    """socle_dimension as it was before Soc M = Hom(k, M): the kernel K of
+    M(-1) -> M^n, m -> (x_1 m, ..., x_n m), over n stacked copies of M,
+    then l(M) - l(M / <K>)."""
+    ring = M.ring
+    n = ring.poly_ring.n
+    g = M.cover.rank
+    lM = length(M)
+    if lM == 0:
+        return 0
+    shifted = ring.poly_ring.free_module(tuple(a + 1 for a in M.shifts))
+    stacked = M
+    for _ in range(n - 1):
+        stacked = direct_sum(stacked, M)
+    cols = [Vec(stacked.cover, {(i * g + j, tuple(int(v == i)
+                                                   for v in range(n))): 1
+                                for i in range(n)})
+            for j in range(g)]
+    K = kernel_of_cokernel_map(cols, shifted, stacked)
+    images = [Vec(M.cover, dict(k.terms)) for k in K]
+    return lM - length(GradedModule(ring, M.shifts,
+                                    list(M.relations) + images))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_socle_dimension_matches_the_kernel_route_and_the_oracle(data):
+    """Soc M read as Ext^0(k, M) agrees with the retired kernel route and
+    with the dense oracle, on finite-length quotients M / (x^2, y^2, z^2) M
+    over ambient and quotient rings."""
+    ring = draw_xyz_ring(data)
+    x, y, z = ring.poly_ring.gens()
+    M = quotient_by_sequence(draw_presentation(data, ring),
+                             [x * x, y * y, z * z])
+    assert socle_dimension(M) == kernel_route_socle_dimension(M) == \
+        oracle_socle_dimension(M)
+
+
+def test_hilbert_series_reuses_the_relation_tester(monkeypatch, type2_ring):
+    """A work guard: once is_zero has built M's relation tester, the
+    Hilbert series builds no Groebner basis of its own, and the ring's
+    ideal tester is the relation tester of R as a module."""
+    ring = quotient_ring("xyz", ["x^2", "y*z - x*z"])
+    M = ideal_module(ring, ["x*y", "z^2"])
+    assert not M.is_zero()
+    built = [0]
+    init = groebner.MembershipTester.__init__
+
+    def counted(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(groebner.MembershipTester, "__init__", counted)
+    hilbert_series(M)
+    assert built[0] == 0
+    for R in (ring, type2_ring, quotient_ring("xy", [])):
+        assert R._ideal_tester() is R.as_module().rel_tester

@@ -1,15 +1,17 @@
 """Presentations, minimal free resolutions, and Ext modules."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from injcrit.invariants import hilbert_series, length
-from injcrit.modules import (GradedModule, RingPresentation, direct_sum,
-                             ext, hom_module, kernel_of_cokernel_map,
-                             minimalize_presentation, quotient_by_sequence,
-                             resolution)
+from injcrit.modules import (GradedModule, RingPresentation, ext,
+                             hom_module, kernel_of_cokernel_map,
+                             minimal_generators, minimalize_presentation,
+                             quotient_by_sequence, resolution)
 from injcrit.poly import PolyRing
 
-from conftest import apply_columns
+from conftest import (apply_columns, direct_sum, draw_presentation,
+                      draw_xyz_ring)
 
 
 def test_relations_reduced_modulo_ideal(dual_numbers):
@@ -39,6 +41,75 @@ def test_minimalize_splits_units(node_ring):
                                     node_ring.poly_ring.constant(-1)])])
     mm = minimalize_presentation(M)
     assert mm.cover.rank == 1 and not mm.relations
+
+
+def restart_loop_minimalize(M):
+    """minimalize_presentation as it was before its single pass: after
+    each unit elimination the scan restarts at the first relation."""
+    ring = M.ring
+    shifts = list(M.shifts)
+    cols = [list(c.to_polys()) for c in M.relations]
+    changed = True
+    while changed:
+        changed = False
+        for l, col in enumerate(cols):
+            for j, entry in enumerate(col):
+                const = entry.constant_coeff()
+                if const:
+                    uinv = ring.poly_ring.field.inv(const)
+                    for l2 in range(len(cols)):
+                        if l2 == l:
+                            continue
+                        c2 = cols[l2][j]
+                        if not c2.is_zero():
+                            factor = c2.scale(uinv)
+                            cols[l2] = [
+                                ring.nf_poly(a - factor * b)
+                                for a, b in zip(cols[l2], cols[l])]
+                    del cols[l]
+                    del shifts[j]
+                    for col2 in cols:
+                        del col2[j]
+                    changed = True
+                    break
+            if changed:
+                break
+    cover = ring.poly_ring.free_module(tuple(shifts))
+    rels = [cover.from_polys(col) for col in cols]
+    rels = [r for r in rels if not r.is_zero()]
+    rels = minimal_generators(ring, rels, cover)
+    return GradedModule(ring, shifts, rels, name=M.name)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_single_pass_minimalize_matches_the_restart_loop(data):
+    """A pivot never gives an earlier relation a unit entry, so one
+    forward pass picks the restart loop's pivots and returns exactly its
+    shifts and relations."""
+    M = draw_presentation(data, draw_xyz_ring(data))
+    new = minimalize_presentation(M)
+    old = restart_loop_minimalize(M)
+    assert new.shifts == old.shifts
+    assert [list(r.terms.items()) for r in new.relations] == \
+        [list(r.terms.items()) for r in old.relations]
+
+
+def test_minimalize_clears_earlier_relations_at_the_first_unit():
+    """The relation y e0 + e1 + e2 pivots on e1, its first unit entry, and
+    clears x e1 from the relation before it, which leaves -x e2."""
+    S = PolyRing(["x", "y", "z"])
+    x, y, _ = S.gens()
+    one = S.one()
+    F = S.free_module((0, 1, 1))
+    M = GradedModule(RingPresentation(S), (0, 1, 1),
+                     [F.from_polys([x * y, x, S.zero()]),
+                      F.from_polys([y, one, one])])
+    mm = minimalize_presentation(M)
+    assert mm.shifts == (0, 1)
+    assert [r.to_polys() for r in mm.relations] == [[S.zero(), -x]]
+    old = restart_loop_minimalize(M)
+    assert (old.shifts, old.relations) == (mm.shifts, mm.relations)
 
 
 def betti(M, base, steps):
