@@ -1,26 +1,31 @@
 """Buchberger's algorithm, normal forms, and syzygies over the polynomial ring.
 
 All computations are homogeneous-only and work on elements of graded free
-modules (a polynomial ideal is the rank-1 case).  Quotient rings are
-handled upstream by augmenting generator lists with ideal multiples of the
-basis vectors.
+modules (a polynomial ideal is the rank-1 case).  The term order is
+grevlex with position over term (poly.term_key), the standard order for
+graded computations (Bayer and Stillman, Duke Math. J. 54, 1987; Greuel
+and Pfister, sec. 2.3, cited below); there is no other.  Quotient rings
+are handled upstream by augmenting generator lists with ideal multiples
+of the basis vectors.
 
 Every basis is grown in a GBuilder.  MembershipTester is the one place
 that seeds a builder from generators (lowest degree first, each reduced
 before it is installed), optionally on top of a known Groebner basis
-whose pairs need no processing, and completes it; buchberger returns
-that builder's reduced basis, and the tester itself answers normal-form
-and membership queries and takes further elements.
+whose pairs need no processing, and completes it.  It refuses an
+inhomogeneous generator, so every seeded basis, buchberger's and the
+syzygy run's included, is homogeneous.  buchberger returns that
+builder's reduced basis, and the tester itself answers normal-form and
+membership queries and takes further elements.
 
 Pairs are processed lowest degree first, and two criteria skip pairs
 whose S-vector is known to reduce to zero: the product criterion (coprime
 leads, rank 1 only) and Buchberger's chain criterion (a third element at
 the same position whose lead divides the pair's lcm, with neither of its
-pairs with the two still queued).  On homogeneous input, complete(d)
-processes only the pairs of degree <= d; the basis is then complete up to
-degree d, which decides membership of every element of degree <= d.  The
-sieve in modules.minimal_generators completes that far, one candidate
-degree at a time.  A reduced basis is unique for its order, so neither
+pairs with the two still queued).  As the input is homogeneous,
+complete(d) processes only the pairs of degree <= d; the basis is then
+complete up to degree d, which decides membership of every element of
+degree <= d.  The sieve in modules.minimal_generators completes that far,
+one candidate degree at a time.  A reduced basis is unique, so neither
 the criteria nor the truncation change any result.
 
 Syzygies come from one tagged Groebner basis run, in the "modulo"
@@ -47,18 +52,12 @@ from __future__ import annotations
 import heapq
 from typing import Optional
 
-from .poly import (FreeModule, ModuleOrder, Vec, mono_coprime, mono_deg,
-                   mono_div, mono_divides, mono_lcm, mono_mul)
+from .poly import (FreeModule, Vec, largest_term, mono_coprime, mono_deg,
+                   mono_div, mono_divides, mono_lcm, mono_mul, term_key)
 
 
 class InhomogeneousInputError(ValueError):
     pass
-
-
-def _check_homogeneous(vecs):
-    for v in vecs:
-        if not v.is_homogeneous():
-            raise InhomogeneousInputError(f"inhomogeneous generator {v}")
 
 
 class GBuilder:
@@ -69,9 +68,8 @@ class GBuilder:
     minimal-generator sieves cheap.
     """
 
-    def __init__(self, module: FreeModule, morder: Optional[ModuleOrder] = None):
+    def __init__(self, module: FreeModule):
         self.module = module
-        self.morder = morder or ModuleOrder(module.ring.order, "pot")
         self.basis = []          # monic Vecs
         self._lead = []          # (pos, mono) per basis element
         self._by_pos = {}        # pos -> list of basis indices
@@ -83,11 +81,10 @@ class GBuilder:
         """Fully reduced remainder of v against the current basis."""
         ring = self.module.ring
         p = ring.p
-        largest = self.morder.largest
         work = dict(v.terms)
         rem = {}
         while work:
-            t = largest(work)
+            t = largest_term(work)
             c = work[t]
             pos, m = t
             reducer = None
@@ -127,7 +124,7 @@ class GBuilder:
 
     def _append(self, v: Vec) -> int:
         """Register v, made monic, as a reducer; push no S-pairs."""
-        lead, c = v.lead(self.morder)
+        lead, c = v.lead()
         idx = len(self.basis)
         self.basis.append(v if c == 1 else
                           v.scale(self.module.ring.field.inv(c)))
@@ -194,9 +191,8 @@ class GBuilder:
         other reducers keep their relative order, so each element comes
         out exactly as if it were reduced against the others alone.
         """
-        key = self.morder.key
         # minimalize: drop elements whose lead is divisible by another lead
-        tails = GBuilder(self.module, self.morder)
+        tails = GBuilder(self.module)
         for i, (pos, lm) in enumerate(self._lead):
             if pos < from_pos:
                 continue
@@ -215,7 +211,7 @@ class GBuilder:
                                      if t != lead})
             rest = tails.normal_form(tail).terms
             reduced.append((lead, Vec(self.module, {lead: 1, **rest})))
-        reduced.sort(key=lambda e: (_max_degree(e[1]), key(e[0])))
+        reduced.sort(key=lambda e: (_max_degree(e[1]), term_key(e[0])))
         return [g for _, g in reduced]
 
 
@@ -226,18 +222,21 @@ def _max_degree(v: Vec) -> int:
 class MembershipTester(GBuilder):
     """A builder seeded from generators, lowest degree first, and completed.
 
-    basis, if given, must already be a Groebner basis of the submodule it
-    spans; its elements are registered as reducers before the generators
-    are reduced, and no pairs among them are queued.
+    The nonzero generators must be homogeneous, or InhomogeneousInputError
+    is raised.  basis, if given, must already be a Groebner basis of the
+    submodule it spans; its elements are registered as reducers before
+    the generators are reduced, and no pairs among them are queued.
     """
 
-    def __init__(self, gens, module: FreeModule,
-                 morder: Optional[ModuleOrder] = None, basis=()):
-        super().__init__(module, morder)
+    def __init__(self, gens, module: FreeModule, basis=()):
+        super().__init__(module)
+        gens = [g for g in gens if not g.is_zero()]
+        for g in gens:
+            if not g.is_homogeneous():
+                raise InhomogeneousInputError(f"inhomogeneous generator {g}")
         for g in basis:
             self._append(g)
-        for g in sorted((g for g in gens if not g.is_zero()),
-                        key=_max_degree):
+        for g in sorted(gens, key=_max_degree):
             nf = self.normal_form(g)
             if not nf.is_zero():
                 self.install(nf)
@@ -247,23 +246,15 @@ class MembershipTester(GBuilder):
         return self.normal_form(v).is_zero()
 
 
-def buchberger(gens, module: FreeModule,
-               morder: Optional[ModuleOrder] = None) -> list:
-    """Reduced Groebner basis of the submodule generated by gens.
-
-    Graded callers pass homogeneous generators (and get graded bases); the
-    routine itself is order-generic, which the lex cross-checks rely on.
-    """
-    return MembershipTester(gens, module, morder).reduced_basis()
+def buchberger(gens, module: FreeModule) -> list:
+    """Reduced Groebner basis of the submodule generated by gens, which
+    must be homogeneous."""
+    return MembershipTester(gens, module).reduced_basis()
 
 
-def normal_form(v: Vec, basis, module: Optional[FreeModule] = None,
-                morder: Optional[ModuleOrder] = None) -> Vec:
+def normal_form(v: Vec, basis) -> Vec:
     """Fully reduced remainder of v against an (assumed) Groebner basis."""
-    module = module or v.module
-    if v.module != module:
-        raise ValueError("ambient module mismatch")
-    builder = GBuilder(module, morder)
+    builder = GBuilder(v.module)
     for g in basis:
         builder._append(g)
     return builder.normal_form(v)
@@ -285,6 +276,5 @@ def syzygies(columns, source: FreeModule, target: FreeModule,
     gens = [Vec(ext, {**c.terms, (r + j, ring._zero_mono): 1})
             for j, c in enumerate(columns)]
     gens += [Vec(ext, dict(n.terms)) for n in relations]
-    _check_homogeneous(gens)
     return [Vec(source, {(pos - r, m): c for (pos, m), c in g.terms.items()})
             for g in MembershipTester(gens, ext).reduced_basis(from_pos=r)]

@@ -4,6 +4,9 @@ Monomials are plain exponent tuples.  A polynomial is a dict mapping
 monomials to nonzero coefficients; an element of a free module maps
 (position, monomial) pairs to nonzero coefficients.  Everything is
 immutable by convention: arithmetic always builds fresh dicts.
+
+There is one term order: grevlex on monomials and position over term
+(pot) on free-module terms, all that the graded objects here need.
 """
 
 from __future__ import annotations
@@ -57,70 +60,38 @@ def monomials_of_degree(n: int, d: int):
 
 
 # ---------------------------------------------------------------------------
-# monomial orders
+# the term order: grevlex on monomials, position over term on free modules
 
 class MonomialOrder:
-    """A total order on monomials, exposed through a sort key.
+    """grevlex, the one monomial order, exposed through a sort key.
 
     key(m) is a tuple that compares the way the monomials do: bigger
     monomial, bigger key.  grevlex orders by degree first and breaks ties
-    on the last nonzero exponent difference (smaller there wins).
+    on the last nonzero exponent difference (smaller there wins).  It is
+    a class with one instance, GREVLEX, rather than a function, because
+    bench/tracer.py counts the calls of MonomialOrder.key by rebinding it.
     """
-
-    def __init__(self, name: str):
-        if name not in ("grevlex", "lex"):
-            raise ValueError(f"unknown monomial order {name!r}")
-        self.name = name
 
     def key(self, m: Mono):
-        if self.name == "grevlex":
-            return (sum(m),) + tuple(-e for e in reversed(m))
-        return m  # lex
-
-    def __repr__(self):
-        return f"MonomialOrder({self.name!r})"
+        return (sum(m),) + tuple(-e for e in reversed(m))
 
 
-GREVLEX = MonomialOrder("grevlex")
-LEX = MonomialOrder("lex")
+GREVLEX = MonomialOrder()
 
 
-class ModuleOrder:
-    """A total order on free-module terms (position, monomial).
+def term_key(t: Term):
+    """Sort key of a free-module term (position, monomial) under pot:
+    lower positions dominate, ties by grevlex."""
+    return (-t[0], GREVLEX.key(t[1]))
 
-    kind "pot" is position-over-term: lower positions dominate, ties by
-    the ring order.  kind "schreyer" compares after multiplying by a
-    monomial weight attached to each position, with position as the tie
-    break; trivial weights give term-over-position.
+
+def largest_term(terms) -> Term:
+    """The largest of a nonempty collection of terms under term_key.
+
+    That is the term with the smallest (pos, -degree, reversed exponents),
+    a key much cheaper to build than term_key.
     """
-
-    def __init__(self, ring_order: MonomialOrder, kind: str = "pot",
-                 weights: Optional[list] = None):
-        if kind not in ("pot", "schreyer"):
-            raise ValueError(f"unknown module order {kind!r}")
-        self.ring_order = ring_order
-        self.kind = kind
-        self.weights = weights
-        self._pot_grevlex = kind == "pot" and ring_order.name == "grevlex"
-
-    def key(self, t: Term):
-        pos, m = t
-        if self.kind == "pot":
-            return (-pos, self.ring_order.key(m))
-        w = self.weights[pos] if self.weights is not None else None
-        mm = mono_mul(m, w) if w is not None else m
-        return (self.ring_order.key(mm), -pos)
-
-    def largest(self, terms) -> Term:
-        """The largest of a nonempty collection of terms.
-
-        Under pot with grevlex that is the term with the smallest
-        (pos, -degree, reversed exponents), a key much cheaper to build
-        than key(); every other order takes the max by key().
-        """
-        if self._pot_grevlex:
-            return min(terms, key=_pot_grevlex_rank)
-        return max(terms, key=self.key)
+    return min(terms, key=_pot_grevlex_rank)
 
 
 def _pot_grevlex_rank(t: Term):
@@ -131,17 +102,15 @@ def _pot_grevlex_rank(t: Term):
 # polynomial ring
 
 class PolyRing:
-    """k[x_1..x_n] over GF(p) with a fixed global monomial order."""
+    """k[x_1..x_n] over GF(p), its monomials ordered by grevlex."""
 
-    def __init__(self, variables: Iterable[str], p: int = 32003,
-                 order: MonomialOrder = GREVLEX):
+    def __init__(self, variables: Iterable[str], p: int = 32003):
         self.field = PrimeField(p)
         self.p = self.field.p
         self.variables = tuple(variables)
         if len(set(self.variables)) != len(self.variables):
             raise ValueError("duplicate variable names")
         self.n = len(self.variables)
-        self.order = order
         self._zero_mono = (0,) * self.n
 
     # -- constructors ------------------------------------------------------
@@ -200,11 +169,10 @@ class PolyRing:
 
     def __eq__(self, other):
         return (isinstance(other, PolyRing) and self.p == other.p
-                and self.variables == other.variables
-                and self.order.name == other.order.name)
+                and self.variables == other.variables)
 
     def __hash__(self):
-        return hash((self.p, self.variables, self.order.name))
+        return hash((self.p, self.variables))
 
     def __repr__(self):
         return f"GF({self.p})[{','.join(self.variables)}]"
@@ -296,12 +264,12 @@ class Poly:
 
     # -- leading data ------------------------------------------------------
     def lead_mono(self) -> Mono:
-        return max(self.terms, key=self.ring.order.key)
+        return max(self.terms, key=GREVLEX.key)
 
     # -- misc --------------------------------------------------------------
     def sorted_terms(self):
         return sorted(self.terms.items(),
-                      key=lambda t: self.ring.order.key(t[0]), reverse=True)
+                      key=lambda t: GREVLEX.key(t[0]), reverse=True)
 
     def _check(self, other: "Poly"):
         if self.ring != other.ring:
@@ -451,8 +419,8 @@ class Vec:
             out = out + self.mono_mul(m, c)
         return out
 
-    def lead(self, morder: ModuleOrder):
-        t = morder.largest(self.terms)
+    def lead(self):
+        t = largest_term(self.terms)
         return t, self.terms[t]
 
     def component(self, j: int) -> Poly:

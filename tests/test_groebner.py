@@ -10,25 +10,15 @@ from injcrit.groebner import (GBuilder, InhomogeneousInputError,
                               normal_form, syzygies)
 from injcrit.modules import (RingPresentation, _vec_sort_key,
                              minimal_generators, syzygies_over)
-from injcrit.poly import (GREVLEX, LEX, FreeModule, ModuleOrder, PolyRing,
-                          Vec, mono_div, mono_divides, mono_lcm)
+from injcrit.poly import (FreeModule, PolyRing, Vec, largest_term, mono_div,
+                          mono_divides, mono_lcm, term_key)
 from injcrit.session import parse_session, run_session
 
 from conftest import apply_columns
 
 
-def ring2(order=None):
-    return PolyRing(["x", "y"], order=order) if order else PolyRing(["x", "y"])
-
-
-def test_lex_basis_contains_eliminant():
-    ring = ring2(LEX)
-    x, y = ring.gens()
-    F = ring.free_module((0,))
-    gb = buchberger([F.from_polys([x * x - y]), F.from_polys([x * y])], F)
-    polys = [g.component(0) for g in gb]
-    assert y ** 2 in polys
-    assert normal_form(F.from_polys([x * x * y]), gb, F).is_zero()
+def ring2():
+    return PolyRing(["x", "y"])
 
 
 def test_monomial_ideal_is_its_own_basis():
@@ -48,7 +38,7 @@ def test_two_way_membership():
     gb = buchberger(gens, F)
     # every generator reduces to zero against the basis
     for g in gens:
-        assert normal_form(g, gb, F).is_zero()
+        assert normal_form(g, gb).is_zero()
     # every basis element lies in the ideal of the generators
     mt = MembershipTester(gens, F)
     for g in gb:
@@ -61,11 +51,11 @@ def test_normal_form_idempotent_and_linear():
     F = ring.free_module((0,))
     gb = buchberger([F.from_polys([x * x]), F.from_polys([x * y + y * y])], F)
     v = F.from_polys([x ** 3 + x * y ** 2 + y ** 3])
-    once = normal_form(v, gb, F)
-    assert normal_form(once, gb, F) == once
+    once = normal_form(v, gb)
+    assert normal_form(once, gb) == once
     w = F.from_polys([y ** 4])
-    lhs = normal_form(v + w, gb, F)
-    assert lhs == normal_form(v, gb, F) + normal_form(w, gb, F)
+    lhs = normal_form(v + w, gb)
+    assert lhs == normal_form(v, gb) + normal_form(w, gb)
 
 
 def source_of(cols):
@@ -133,6 +123,19 @@ def test_zero_column_yields_its_unit_syzygy():
         syzygies([F.from_polys([x * y]), F.zero()], source, F)
 
 
+def test_inhomogeneous_generators_are_refused():
+    """Every basis is seeded through MembershipTester, which refuses an
+    inhomogeneous generator: complete(d) relies on homogeneity."""
+    ring = ring2()
+    x, y = ring.gens()
+    F = ring.free_module((0,))
+    gens = [F.zero(), F.from_polys([x * x - y])]
+    with pytest.raises(InhomogeneousInputError):
+        buchberger(gens, F)
+    with pytest.raises(InhomogeneousInputError):
+        MembershipTester(gens, F)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.data())
 def test_syzygy_soundness_random(data):
@@ -157,18 +160,15 @@ def test_syzygy_soundness_random(data):
 
 
 def test_pot_order_prefers_low_positions():
-    ring = ring2()
-    morder = ModuleOrder(ring.order, "pot")
     m0 = (0, (0, 0))
     m1 = (1, (3, 3))
-    assert morder.key(m0) > morder.key(m1)
+    assert term_key(m0) > term_key(m1)
 
 
 def reference_reduced_basis(builder):
     """Tail reduction one element at a time, each against a fresh builder
     that holds every other element of the minimal basis, S-pairs and all.
     This is the straightforward route to the same reduced basis."""
-    key = builder.morder.key
     kept = []
     for i, (pos, lm) in enumerate(builder._lead):
         redundant = False
@@ -183,15 +183,14 @@ def reference_reduced_basis(builder):
     minimal = [builder.basis[i] for i in kept]
     reduced = []
     for i, g in enumerate(minimal):
-        others = GBuilder(builder.module, builder.morder)
+        others = GBuilder(builder.module)
         for j, h in enumerate(minimal):
             if i != j:
                 others.install(h)
         reduced.append(others.normal_form(g).scale(
-            builder.module.ring.field.inv(g.lead(builder.morder)[1])))
+            builder.module.ring.field.inv(g.lead()[1])))
     reduced = [g for g in reduced if not g.is_zero()]
-    reduced.sort(key=lambda g: (_max_degree(g),
-                                key(g.lead(builder.morder)[0])))
+    reduced.sort(key=lambda g: (_max_degree(g), term_key(g.lead()[0])))
     return reduced
 
 
@@ -216,21 +215,18 @@ def draw_homogeneous(data, F, d=None):
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_reduced_basis_matches_per_element_reference(data):
-    ring_order, kind = data.draw(st.sampled_from(
-        [(GREVLEX, "pot"), (LEX, "pot"), (GREVLEX, "schreyer")]))
-    ring = PolyRing(["x", "y", "z"], order=ring_order)
+    ring = PolyRing(["x", "y", "z"])
     shifts = data.draw(st.sampled_from([(0,), (0, 0), (0, 1), (1, 0)]))
     F = ring.free_module(shifts)
-    morder = ModuleOrder(ring_order, kind)
     gens = [draw_homogeneous(data, F)
             for _ in range(data.draw(st.integers(1, 3)))]
 
-    builder = MembershipTester(gens, F, morder)
-    gb = buchberger(gens, F, morder)
+    builder = MembershipTester(gens, F)
+    gb = buchberger(gens, F)
     assert gb == builder.reduced_basis()
 
     # reduced: monic, and no term of one element divisible by another's lead
-    leads = [g.lead(morder) for g in gb]
+    leads = [g.lead() for g in gb]
     assert all(c == 1 for _, c in leads)
     for i, ((pos, lm), _) in enumerate(leads):
         for j, g in enumerate(gb):
@@ -238,7 +234,7 @@ def test_reduced_basis_matches_per_element_reference(data):
                 assert not any(q == pos and mono_divides(lm, m)
                                for q, m in g.terms)
     for g in gens:
-        assert normal_form(g, gb, F, morder).is_zero()
+        assert normal_form(g, gb).is_zero()
 
     # the same elements, in the same order, with the same term order inside
     ref = reference_reduced_basis(builder)
@@ -248,17 +244,17 @@ def test_reduced_basis_matches_per_element_reference(data):
 
 # -- the pair criteria, the truncated completion and the lead pick ----------
 
-def reference_lead(v, morder):
-    t = max(v.terms, key=morder.key)
+def reference_lead(v):
+    t = max(v.terms, key=term_key)
     return t, v.terms[t]
 
 
-def reference_normal_form(v, basis, morder):
+def reference_normal_form(v, basis):
     """Division by monic elements, given as (lead, element), the largest
-    term taken by key()."""
+    term taken by term_key."""
     rem = v.module.zero()
     while not v.is_zero():
-        (pos, m), c = reference_lead(v, morder)
+        (pos, m), c = reference_lead(v)
         for (gpos, glm), g in basis:
             if gpos == pos and mono_divides(glm, m):
                 v = v - g.mono_mul(mono_div(m, glm), c)
@@ -269,7 +265,7 @@ def reference_normal_form(v, basis, morder):
     return rem
 
 
-def reference_buchberger(gens, F, morder):
+def reference_buchberger(gens, F):
     """Reduced basis by Buchberger's algorithm with no pair criterion: every
     pair at a common position is reduced, lowest degree first, and the
     basis is completed fully."""
@@ -277,14 +273,14 @@ def reference_buchberger(gens, F, morder):
     basis, pairs = [], []
 
     def add(h):
-        lead, c = reference_lead(h, morder)
+        lead, c = reference_lead(h)
         pairs.extend((sum(mono_lcm(lm, lead[1])), i, len(basis))
                      for i, ((pos, lm), _) in enumerate(basis)
                      if pos == lead[0])
         basis.append((lead, h.scale(inv(c))))
 
     for g in gens:
-        h = reference_normal_form(g, basis, morder)
+        h = reference_normal_form(g, basis)
         if not h.is_zero():
             add(h)
     while pairs:
@@ -293,7 +289,7 @@ def reference_buchberger(gens, F, morder):
         ((_, li), gi), ((_, lj), gj) = basis[i], basis[j]
         lcm = mono_lcm(li, lj)
         s = gi.mono_mul(mono_div(lcm, li)) - gj.mono_mul(mono_div(lcm, lj))
-        h = reference_normal_form(s, basis, morder)
+        h = reference_normal_form(s, basis)
         if not h.is_zero():
             add(h)
     minimal = [(lead, g) for i, (lead, g) in enumerate(basis)
@@ -304,33 +300,22 @@ def reference_buchberger(gens, F, morder):
         others = [e for e in minimal if e[1] is not g]
         tail = Vec(F, {t: c for t, c in g.terms.items() if t != lead})
         reduced.append((lead, Vec(F, {lead: 1}) +
-                        reference_normal_form(tail, others, morder)))
-    reduced.sort(key=lambda e: (_max_degree(e[1]), morder.key(e[0])))
+                        reference_normal_form(tail, others)))
+    reduced.sort(key=lambda e: (_max_degree(e[1]), term_key(e[0])))
     return [g for _, g in reduced]
-
-
-def draw_module_order(data, ring_order, rank):
-    kind = data.draw(st.sampled_from(["pot", "schreyer"]))
-    if kind == "pot":
-        return ModuleOrder(ring_order, "pot")
-    weights = [tuple(data.draw(st.integers(0, 2)) for _ in range(3))
-               for _ in range(rank)]
-    return ModuleOrder(ring_order, "schreyer", weights)
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_criteria_drop_no_basis_element(data):
-    ring_order = data.draw(st.sampled_from([GREVLEX, LEX]))
-    ring = PolyRing(["x", "y", "z"], order=ring_order)
+    ring = PolyRing(["x", "y", "z"])
     shifts = data.draw(st.sampled_from(
         [(0,), (0, 0), (0, 1), (1, 0), (0, 0, 0), (0, 1, 1), (2, 0, 1)]))
     F = ring.free_module(shifts)
-    morder = draw_module_order(data, ring_order, F.rank)
     gens = [draw_homogeneous(data, F)
             for _ in range(data.draw(st.integers(1, 4)))]
-    gb = buchberger(gens, F, morder)
-    ref = reference_buchberger(gens, F, morder)
+    gb = buchberger(gens, F)
+    ref = reference_buchberger(gens, F)
     assert [g.terms for g in gb] == [g.terms for g in ref]
 
 
@@ -544,17 +529,11 @@ def test_untagged_relations_give_the_all_tagged_preimage(data):
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_largest_term_is_the_max_by_key(data):
-    ring_order = data.draw(st.sampled_from([GREVLEX, LEX]))
     rank = data.draw(st.integers(1, 3))
-    morder = data.draw(st.sampled_from([
-        ModuleOrder(ring_order, "pot"),
-        ModuleOrder(ring_order, "schreyer"),
-        ModuleOrder(ring_order, "schreyer",
-                    [(p, 0, 2 - p) for p in range(rank)])]))
     terms = data.draw(st.sets(
         st.tuples(st.integers(0, rank - 1),
                   st.tuples(*[st.integers(0, 4)] * 3)), min_size=1))
-    assert morder.largest(terms) == max(terms, key=morder.key)
+    assert largest_term(terms) == max(terms, key=term_key)
 
 
 def test_spair_count_over_the_corpus(monkeypatch):

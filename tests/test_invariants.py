@@ -14,7 +14,7 @@ from injcrit.invariants import (_ip_add, _ip_shift, _mono_ideal_numerator,
 from injcrit.modules import (GradedModule, RingPresentation,
                              kernel_of_cokernel_map, quotient_by_sequence)
 from injcrit.oracle import oracle_socle_dimension
-from injcrit.poly import ModuleOrder, PolyRing, Vec
+from injcrit.poly import PolyRing, Vec
 
 from conftest import direct_sum, draw_presentation, draw_xyz_ring
 
@@ -159,10 +159,9 @@ def second_basis_numerator(M):
     numerator of the leads of a second, separately computed reduced
     Groebner basis of the relations plus I * cover over S."""
     gens = list(M.relations) + M.ring.ideal_columns(M.cover)
-    morder = ModuleOrder(M.ring.poly_ring.order, "pot")
     by_pos = {}
     for g in buchberger(gens, M.cover):
-        (pos, m), _ = g.lead(morder)
+        (pos, m), _ = g.lead()
         by_pos.setdefault(pos, []).append(m)
     num = {}
     for j, a in enumerate(M.shifts):
