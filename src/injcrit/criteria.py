@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from math import prod
 from typing import Optional
 
+from .groebner import MonomialLimitError
 from .invariants import (RegularSequenceCertificate, UndecidedError,
                          depth, dimension, hilbert_series, is_cohen_macaulay,
                          is_regular_element, length, multiplicity, rank,
@@ -81,7 +82,9 @@ class CriterionReport:
                 "verdict": self.verdict}
 
 
-_CAPPED = (UndecidedError, ResolutionCapError)
+# the errors of a computation that hit a cap or a limit: each makes the
+# check it belongs to "undecided", with the error as the reason
+CAPPED = (UndecidedError, ResolutionCapError, MonomialLimitError)
 
 
 class _Run:
@@ -93,7 +96,7 @@ class _Run:
     def get(self, fn, *args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except _CAPPED as e:
+        except CAPPED as e:
             self.undecided.append(str(e))
             return None
 

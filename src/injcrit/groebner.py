@@ -45,6 +45,29 @@ alone and returns the matching part of the full reduced basis.  A zero
 column is simply [0 | e_j] and yields its unit syzygy.  Pairs among the
 untagged relations yield only untagged elements, so the syzygies among
 the relations themselves, which no caller wants, are never formed.
+
+Inside a GBuilder each term (pos, mono) is one int, a packed monomial
+(Bachmann and Schoenemann, "Monomial representations for Groebner bases
+computations", ISSAC 1998).  From the top it holds LIMIT - pos, the
+total degree, then LIMIT - e_i for each exponent, last variable first.
+Every field below the position is WIDTH bits wide, and its top bit is a
+guard, clear in every valid code.  Integer order is then the term order,
+so a lead term is max() of the codes; multiplying a reducer by m / lead
+adds m - lead to each of its packed terms; and lead | m is one subtraction
+and mask on the exponent guards (Packing.divides).  Terms are encoded
+where they enter (normal_form, _append, the lcm of an S-pair) and decoded
+where they leave (normal_form's result, the S-vector handed to it, the
+(pos, mono) leads in _lead) through two tables per variable count that
+fill themselves on first use.  Poly, Vec and every signature keep
+exponent tuples.
+
+A term of degree above LIMIT = 2^15 - 1 does not fit, and raises
+MonomialLimitError instead of wrapping; the session layer reports it as a
+cap, "undecided".  Encoding checks the degree.  A shifted term can only
+outgrow its fields by passing LIMIT, and then its lowest bad field shows
+its guard bit.  Distinct terms keep distinct codes even so, so
+cancellation stays exact until normal_form takes such a term as its
+largest, finds the guard and raises; decoding one raises too.
 """
 
 from __future__ import annotations
@@ -52,12 +75,93 @@ from __future__ import annotations
 import heapq
 from typing import Optional
 
-from .poly import (FreeModule, Vec, largest_term, mono_coprime, mono_deg,
-                   mono_div, mono_divides, mono_lcm, mono_mul, term_key)
+from .poly import FreeModule, Vec, mono_coprime, mono_deg, mono_lcm, term_key
+
+WIDTH = 16                      # bits per packed field, its top bit a guard
+LIMIT = (1 << (WIDTH - 1)) - 1  # the largest degree a packed term may have
+_FIELD = (1 << WIDTH) - 1
 
 
 class InhomogeneousInputError(ValueError):
     pass
+
+
+class MonomialLimitError(ArithmeticError):
+    """A term of degree above LIMIT, which a packed field cannot hold."""
+
+    def __init__(self):
+        super().__init__(f"a term exceeds degree {LIMIT}, the largest a "
+                         "packed monomial holds")
+
+
+class _Table(dict):
+    """A dict that fills a missing entry by calling fill(key)."""
+
+    __slots__ = ("fill",)
+
+    def __init__(self, fill):
+        super().__init__()
+        self.fill = fill
+
+    def __missing__(self, key):
+        return self.fill(key)
+
+
+class Packing:
+    """The terms (pos, mono) over n variables as ints, both ways.
+
+    code[term] is the packed int and term[code] the term back; both tables
+    fill themselves on first use and serve every builder over n variables.
+    Encoding refuses a degree above LIMIT, and decoding a code with a
+    guard bit set, with MonomialLimitError.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.pos_shift = (n + 1) * WIDTH
+        self.exp_guards = sum(1 << (WIDTH * f + WIDTH - 1) for f in range(n))
+        self.guards = self.exp_guards | 1 << (WIDTH * n + WIDTH - 1)
+        self.code = _Table(self._encode)
+        self.term = _Table(self._decode)
+
+    def _encode(self, term) -> int:
+        pos, mono = term
+        deg = sum(mono)
+        if deg > LIMIT:
+            raise MonomialLimitError()
+        code = (LIMIT - pos) << WIDTH | deg
+        for e in reversed(mono):
+            code = code << WIDTH | LIMIT - e
+        self.code[term] = code
+        self.term[code] = term
+        return code
+
+    def _decode(self, code: int):
+        if code & self.guards:
+            # a shifted term whose degree or some exponent left its field
+            raise MonomialLimitError()
+        term = (LIMIT - (code >> self.pos_shift),
+                tuple(LIMIT - (code >> WIDTH * f & _FIELD)
+                      for f in range(self.n)))
+        self.code[term] = code
+        self.term[code] = term
+        return term
+
+    def divides(self, a: int, b: int) -> bool:
+        """True iff the monomial of code a divides that of code b, both
+        at one position: no complemented exponent field of a is below
+        b's, so subtracting b from a with its guards set clears none."""
+        return ((a | self.exp_guards) - b) & self.exp_guards == self.exp_guards
+
+
+_PACKINGS = {}   # n -> Packing
+
+
+def packing(n: int) -> Packing:
+    """The one Packing of terms over n variables."""
+    if n not in _PACKINGS:
+        _PACKINGS[n] = Packing(n)
+    return _PACKINGS[n]
 
 
 class GBuilder:
@@ -75,38 +179,44 @@ class GBuilder:
         self._by_pos = {}        # pos -> list of basis indices
         self._pairs = []         # heap of (degree, i, j), i < j
         self._queued = set()     # the (i, j) still in the heap
+        self._packing = packing(module.ring.n)
+        self._packed = []        # (lead code, [(code, coeff)] of the tail)
+        self._reducers = {}      # position field -> [(lead | exp guards,
+        #                          lead code, tail)], in basis order
 
     # -- reduction ---------------------------------------------------------
     def normal_form(self, v: Vec) -> Vec:
-        """Fully reduced remainder of v against the current basis."""
-        ring = self.module.ring
-        p = ring.p
-        work = dict(v.terms)
+        """Fully reduced remainder of v against the current basis.
+
+        Raises MonomialLimitError if v, or a product met on the way, has
+        a term of degree above LIMIT.
+        """
+        pk = self._packing
+        code, term = pk.code, pk.term
+        p = self.module.ring.p
+        guards, exp_guards, pos_shift = pk.guards, pk.exp_guards, pk.pos_shift
+        reducers = self._reducers
+        work = {code[t]: c for t, c in v.terms.items()}
         rem = {}
         while work:
-            t = largest_term(work)
-            c = work[t]
-            pos, m = t
-            reducer = None
-            for i in self._by_pos.get(pos, ()):
-                lm = self._lead[i][1]
-                if mono_divides(lm, m):
-                    reducer = i
+            t = max(work)
+            if t & guards:
+                raise MonomialLimitError()
+            c = work.pop(t)
+            for lg, lead, tail in reducers.get(t >> pos_shift, ()):
+                if (lg - t) & exp_guards == exp_guards:  # Packing.divides
+                    shift = t - lead
+                    for g, gc in tail:
+                        tt = g + shift
+                        val = (work.get(tt, 0) - c * gc) % p
+                        if val:
+                            work[tt] = val
+                        else:
+                            del work[tt]
                     break
-            if reducer is None:
+            else:
                 rem[t] = c
-                del work[t]
-                continue
-            g = self.basis[reducer]
-            q = mono_div(m, self._lead[reducer][1])
-            for (gp, gm), gc in g.terms.items():
-                tt = (gp, mono_mul(gm, q))
-                val = (work.get(tt, 0) - c * gc) % p
-                if val:
-                    work[tt] = val
-                else:
-                    work.pop(tt, None)
-        return Vec(self.module, rem)
+        return Vec(self.module, {term[t]: c for t, c in rem.items()})
 
     # -- completion --------------------------------------------------------
     def _push_pairs(self, new_index: int):
@@ -124,12 +234,28 @@ class GBuilder:
 
     def _append(self, v: Vec) -> int:
         """Register v, made monic, as a reducer; push no S-pairs."""
-        lead, c = v.lead()
+        code = self._packing.code
+        terms = {code[t]: c for t, c in v.terms.items()}
+        lead = max(terms)
+        c = terms.pop(lead)
+        if c != 1:
+            p = self.module.ring.p
+            inv = self.module.ring.field.inv(c)
+            v = v.scale(inv)
+            terms = {t: d * inv % p for t, d in terms.items()}
+        return self._register(v, self._packing.term[lead], lead,
+                              list(terms.items()))
+
+    def _register(self, v: Vec, lead_term, lead: int, tail: list) -> int:
+        """Register the monic v, its lead as a term and as a code, and its
+        packed tail."""
         idx = len(self.basis)
-        self.basis.append(v if c == 1 else
-                          v.scale(self.module.ring.field.inv(c)))
-        self._lead.append(lead)
-        self._by_pos.setdefault(lead[0], []).append(idx)
+        self.basis.append(v)
+        self._lead.append(lead_term)
+        self._packed.append((lead, tail))
+        self._by_pos.setdefault(lead_term[0], []).append(idx)
+        self._reducers.setdefault(lead >> self._packing.pos_shift, []).append(
+            (lead | self._packing.exp_guards, lead, tail))
         return idx
 
     def install(self, v: Vec):
@@ -156,22 +282,38 @@ class GBuilder:
         """Buchberger's chain criterion: some k at the same position has a
         lead dividing lcm(i, j), and neither (i, k) nor (j, k) is queued.
         """
-        (pos, lm_i), (_, lm_j) = self._lead[i], self._lead[j]
-        lcm = mono_lcm(lm_i, lm_j)
-        queued = self._queued
-        for k in self._by_pos[pos]:
-            if (k != i and k != j and mono_divides(self._lead[k][1], lcm)
+        lcm = self._lcm_code(i, j)
+        divides = self._packing.divides
+        packed, queued = self._packed, self._queued
+        for k in self._by_pos[self._lead[i][0]]:
+            if (k != i and k != j and divides(packed[k][0], lcm)
                     and (min(i, k), max(i, k)) not in queued
                     and (min(j, k), max(j, k)) not in queued):
                 return True
         return False
 
-    def _spair(self, i: int, j: int) -> Vec:
+    def _lcm_code(self, i: int, j: int) -> int:
         (pos, lm_i), (_, lm_j) = self._lead[i], self._lead[j]
-        lcm = mono_lcm(lm_i, lm_j)
-        vi = self.basis[i].mono_mul(mono_div(lcm, lm_i))
-        vj = self.basis[j].mono_mul(mono_div(lcm, lm_j))
-        return vi - vj
+        return self._packing.code[(pos, mono_lcm(lm_i, lm_j))]
+
+    def _spair(self, i: int, j: int) -> Vec:
+        """The S-vector of i and j, built from their packed tails: both
+        leads shift onto the lcm and cancel."""
+        lcm = self._lcm_code(i, j)
+        (lead_i, tail_i), (lead_j, tail_j) = self._packed[i], self._packed[j]
+        shift = lcm - lead_i
+        work = {g + shift: c for g, c in tail_i}
+        shift = lcm - lead_j
+        p = self.module.ring.p
+        for g, c in tail_j:
+            t = g + shift
+            val = (work.get(t, 0) - c) % p
+            if val:
+                work[t] = val
+            else:
+                del work[t]
+        term = self._packing.term
+        return Vec(self.module, {term[t]: c for t, c in work.items()})
 
     # -- output ------------------------------------------------------------
     def reduced_basis(self, from_pos: int = 0) -> list:
@@ -191,20 +333,19 @@ class GBuilder:
         other reducers keep their relative order, so each element comes
         out exactly as if it were reduced against the others alone.
         """
-        # minimalize: drop elements whose lead is divisible by another lead
+        # minimalize: drop elements whose lead is divisible by another
+        # lead; the kept ones enter the tail builder packed as they are
+        divides = self._packing.divides
+        packed = self._packed
         tails = GBuilder(self.module)
-        for i, (pos, lm) in enumerate(self._lead):
-            if pos < from_pos:
+        for i, lead_term in enumerate(self._lead):
+            if lead_term[0] < from_pos:
                 continue
-            redundant = False
-            for j, (pos2, lm2) in enumerate(self._lead):
-                if i == j or pos != pos2:
-                    continue
-                if mono_divides(lm2, lm) and (lm2 != lm or j < i):
-                    redundant = True
-                    break
-            if not redundant:
-                tails._append(self.basis[i])
+            lead = packed[i][0]
+            if not any(j != i and divides(packed[j][0], lead)
+                       and (packed[j][0] != lead or j < i)
+                       for j in self._by_pos[lead_term[0]]):
+                tails._register(self.basis[i], lead_term, *packed[i])
         reduced = []
         for g, lead in zip(tails.basis, tails._lead):
             tail = Vec(self.module, {t: c for t, c in g.terms.items()
@@ -250,14 +391,6 @@ def buchberger(gens, module: FreeModule) -> list:
     """Reduced Groebner basis of the submodule generated by gens, which
     must be homogeneous."""
     return MembershipTester(gens, module).reduced_basis()
-
-
-def normal_form(v: Vec, basis) -> Vec:
-    """Fully reduced remainder of v against an (assumed) Groebner basis."""
-    builder = GBuilder(v.module)
-    for g in basis:
-        builder._append(g)
-    return builder.normal_form(v)
 
 
 def syzygies(columns, source: FreeModule, target: FreeModule,

@@ -1,6 +1,8 @@
 """Multivariate polynomials over a prime field and elements of graded free modules.
 
-Monomials are plain exponent tuples.  A polynomial is a dict mapping
+Monomials are exponent tuples, in every signature of the package;
+only groebner.GBuilder packs each term into one int inside itself (see
+the groebner module docstring).  A polynomial is a dict mapping
 monomials to nonzero coefficients; an element of a free module maps
 (position, monomial) pairs to nonzero coefficients.  Everything is
 immutable by convention: arithmetic always builds fresh dicts.

@@ -17,9 +17,9 @@ from typing import Optional
 
 from . import criteria
 from .field import ORACLE_PRIME_LIMIT, PrimeField
-from .invariants import (UndecidedError, find_regular_sop, invariant_report)
-from .modules import (GradedModule, ResolutionCapError, RingPresentation,
-                      ZeroModuleError)
+from .groebner import MonomialLimitError
+from .invariants import find_regular_sop, invariant_report
+from .modules import GradedModule, RingPresentation, ZeroModuleError
 from .parse import ParseError
 from .poly import PolyRing
 
@@ -203,7 +203,8 @@ def _parse_modules(doc, ring: Optional[RingPresentation],
             modules[name] = GradedModule(
                 ring, tuple(degrees), [cover.from_polys(e) for e in columns],
                 name=name)
-        except ValueError as e:
+        except (ValueError, MonomialLimitError) as e:
+            # reducing the relations modulo the ideal can hit the limit
             errors.append(f"{where}: {e}")
     return modules
 
@@ -317,7 +318,7 @@ def run_check(session: Session, chk: dict) -> criteria.CriterionReport:
         return runner(session, *(
             [session.resolve(nm) for nm in chk[a]] if a == "N"
             else session.resolve(chk[a]) for a in arg_names))
-    except (UndecidedError, ResolutionCapError) as e:
+    except criteria.CAPPED as e:
         return criteria.CriterionReport(cid, inputs, [], "",
                                         undecided=[str(e)])
     except ZeroModuleError:
@@ -342,7 +343,7 @@ def run_session(session: Session, with_oracle: bool = False) -> dict:
             rep = invariant_report(
                 name, M, with_rank=session.ring.domain_flag,
                 cap=session.flags.res_cap).to_dict()
-        except (UndecidedError, ResolutionCapError) as e:
+        except criteria.CAPPED as e:
             rep = {"module": name, "undecided": str(e)}
         invariants.append(rep)
     checks = [run_check(session, chk).to_dict() for chk in session.checks]

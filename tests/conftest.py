@@ -1,11 +1,12 @@
 """Shared fixtures and helpers: the shipped corpus sessions, common rings,
-the image of a vector under a map given by its columns, direct sums of
-modules, and random presentations."""
+the image of a vector under a map given by its columns, normal forms
+against a given basis, direct sums of modules, and random presentations."""
 
 import pytest
 from hypothesis import strategies as st
 from importlib import resources
 
+from injcrit.groebner import GBuilder
 from injcrit.poly import PolyRing, Vec
 from injcrit.modules import GradedModule, RingPresentation
 from injcrit.session import parse_session
@@ -60,6 +61,14 @@ def apply_columns(columns, v: Vec) -> Vec:
     for (pos, m), c in v.terms.items():
         out = out + columns[pos].mono_mul(m, c)
     return out
+
+
+def normal_form(v: Vec, basis) -> Vec:
+    """Fully reduced remainder of v against an (assumed) Groebner basis."""
+    builder = GBuilder(v.module)
+    for g in basis:
+        builder._append(g)
+    return builder.normal_form(v)
 
 
 def direct_sum(A: GradedModule, B: GradedModule) -> GradedModule:

@@ -16,7 +16,7 @@ from injcrit.criteria import (check_finite_length_criterion,
                               check_lemma_mult_length, check_main_theorem,
                               check_mcm_inequality, check_moreover_clause,
                               check_rank_criterion, check_self_ext_criterion)
-from injcrit.groebner import MembershipTester, buchberger, normal_form
+from injcrit.groebner import MembershipTester, buchberger
 from injcrit.invariants import (depth, dimension, find_regular_sop,
                                 hilbert_series, is_cohen_macaulay, length,
                                 multiplicity, projective_dimension_ambient,
@@ -26,7 +26,7 @@ from injcrit.oracle import (oracle_ext_dims, oracle_hilbert, oracle_length,
                             oracle_socle_dimension)
 from injcrit.poly import PolyRing
 
-from conftest import apply_columns, named_modules
+from conftest import apply_columns, named_modules, normal_form
 
 
 @contextmanager

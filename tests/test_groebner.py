@@ -5,16 +5,16 @@ from importlib import resources
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injcrit.groebner import (GBuilder, InhomogeneousInputError,
-                              MembershipTester, _max_degree, buchberger,
-                              normal_form, syzygies)
+from injcrit.groebner import (LIMIT, GBuilder, InhomogeneousInputError,
+                              MembershipTester, MonomialLimitError, Packing,
+                              _max_degree, buchberger, syzygies)
 from injcrit.modules import (RingPresentation, _vec_sort_key,
                              minimal_generators, syzygies_over)
 from injcrit.poly import (FreeModule, PolyRing, Vec, largest_term, mono_div,
-                          mono_divides, mono_lcm, term_key)
+                          mono_divides, mono_lcm, mono_mul, term_key)
 from injcrit.session import parse_session, run_session
 
-from conftest import apply_columns
+from conftest import apply_columns, normal_form
 
 
 def ring2():
@@ -566,3 +566,134 @@ def test_spair_count_over_the_corpus(monkeypatch):
         if entry.name.endswith(".json"):
             run_session(parse_session(entry.read_text()))
     assert count[0] == 295
+
+
+def test_complete_reduces_each_spair_once(monkeypatch):
+    """bench/tracer.py counts S-pairs as the normal_form spans under
+    complete.  That count is only right while complete hands every
+    S-vector that _spair builds to normal_form once, and reduces nothing
+    else; this pins it over the corpus."""
+    built, reduced, inside = [], [], [0]
+    spair, normal_form, complete = (GBuilder._spair, GBuilder.normal_form,
+                                    GBuilder.complete)
+
+    def counted_spair(self, i, j):
+        built.append(spair(self, i, j))
+        return built[-1]
+
+    def counted_normal_form(self, v):
+        if inside[0]:
+            reduced.append(v)
+        return normal_form(self, v)
+
+    def counted_complete(self, degree=None):
+        inside[0] += 1
+        try:
+            return complete(self, degree)
+        finally:
+            inside[0] -= 1
+
+    monkeypatch.setattr(GBuilder, "_spair", counted_spair)
+    monkeypatch.setattr(GBuilder, "normal_form", counted_normal_form)
+    monkeypatch.setattr(GBuilder, "complete", counted_complete)
+    root = resources.files("injcrit") / "corpus"
+    for entry in sorted(root.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".json"):
+            run_session(parse_session(entry.read_text()))
+    assert built
+    assert len(reduced) == len(built)
+    assert all(v is s for v, s in zip(reduced, built))
+
+
+# -- packed terms ------------------------------------------------------------
+
+def draw_term(data, n, rank, pos=None):
+    """A term over n variables, of degree at most LIMIT; its exponents
+    are kept small or run up to the limit, so both degree ties and full
+    fields come up."""
+    if pos is None:
+        pos = data.draw(st.integers(0, rank - 1))
+    left = data.draw(st.sampled_from([3, 40, LIMIT]))
+    exps = []
+    for _ in range(n):
+        exps.append(data.draw(st.integers(0, left)))
+        left -= exps[-1]
+    return pos, tuple(data.draw(st.permutations(exps)))
+
+
+def draw_packing(data):
+    n = data.draw(st.integers(1, 4))
+    return Packing(n), n, data.draw(st.integers(1, 3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packing_round_trips(data):
+    pk, n, rank = draw_packing(data)
+    t = draw_term(data, n, rank)
+    # a fresh packing decodes, rather than reading back what it stored
+    assert Packing(n).term[pk.code[t]] == t
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_order_is_the_term_order(data):
+    pk, n, rank = draw_packing(data)
+    a, b = draw_term(data, n, rank), draw_term(data, n, rank)
+    assert (pk.code[a] < pk.code[b]) == (term_key(a) < term_key(b))
+    assert (pk.code[a] == pk.code[b]) == (a == b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_packed_guard_test_is_divisibility(data):
+    pk, n, rank = draw_packing(data)
+    a = draw_term(data, n, rank)
+    b = draw_term(data, n, rank, pos=a[0])
+    if data.draw(st.booleans()) and sum(b[1]) + sum(a[1]) <= LIMIT:
+        b = (a[0], mono_mul(a[1], b[1]))   # a divisible pair
+    assert pk.divides(pk.code[a], pk.code[b]) == mono_divides(a[1], b[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_shifted_code_is_the_product_code(data):
+    """Multiplying by q is adding code(lead * q) - code(lead); past the
+    limit the sum shows a guard bit and will not decode."""
+    pk, n, rank = draw_packing(data)
+    lead, g = draw_term(data, n, rank), draw_term(data, n, rank)
+    q = draw_term(data, n, 1)[1]
+    if sum(lead[1]) + sum(q) > LIMIT:
+        return
+    shifted = (pk.code[g] + pk.code[(lead[0], mono_mul(lead[1], q))]
+               - pk.code[lead])
+    product = (g[0], mono_mul(g[1], q))
+    if sum(product[1]) <= LIMIT:
+        assert shifted == pk.code[product]
+    else:
+        assert shifted & pk.guards
+        with pytest.raises(MonomialLimitError):
+            pk.term[shifted]
+
+
+def test_packing_refuses_a_degree_past_the_limit():
+    pk = Packing(2)
+    assert pk.term[pk.code[(0, (LIMIT, 0))]] == (0, (LIMIT, 0))
+    with pytest.raises(MonomialLimitError):
+        pk.code[(0, (LIMIT, 1))]
+    F = PolyRing(["x"]).free_module((0,))
+    with pytest.raises(MonomialLimitError):
+        MembershipTester([F.vec({(0, (LIMIT + 1,)): 1})], F)
+
+
+def test_reduction_past_the_limit_raises():
+    """Under pot a tail can sit at a higher monomial degree than its lead:
+    reducing x^LIMIT e_0 by e_0 + y^10 e_1 (shifts 0 and -10) puts a term
+    of degree LIMIT + 10 into the work, which must raise, not wrap."""
+    ring = ring2()
+    F = ring.free_module((0, -10))
+    tester = MembershipTester([F.vec({(0, (0, 0)): 1, (1, (0, 10)): 1})], F)
+    with pytest.raises(MonomialLimitError):
+        tester.normal_form(F.vec({(0, (LIMIT, 0)): 1}))
+    below = tester.normal_form(F.vec({(0, (LIMIT - 10, 0)): 1}))
+    assert below == F.vec({(1, (LIMIT - 10, 10)): ring.p - 1})

@@ -6,6 +6,7 @@ from importlib import resources
 import pytest
 
 from injcrit.cli import main
+from injcrit.groebner import MonomialLimitError
 from injcrit.session import (SessionError, emit_json, has_undecided,
                              parse_session, run_session)
 
@@ -238,6 +239,33 @@ def test_cli_undecided_exit_code(tmp_path, capsys):
         assert code == 2
     else:
         assert code == 0
+
+
+def test_packed_monomial_limit_is_undecided(tmp_path, capsys):
+    """x^40000 is past the largest degree a packed monomial holds: each
+    computation that meets it is undecided, with the limit as its reason,
+    and the run exits 2 without a traceback.  A module over that ring
+    fails to parse, as its relations are reduced modulo the ideal."""
+    doc = {"vars": ["x"], "ideal": ["x^40000"],
+           "checks": [{"id": "T2.4", "C": "R", "M": "R"},
+                      {"id": "Bass", "C": "R"}]}
+    reason = str(MonomialLimitError())
+    f = tmp_path / "s.json"
+    f.write_text(json.dumps(doc))
+    assert main(["--json", "check", str(f)]) == 2
+    out = capsys.readouterr()
+    assert out.err == ""
+    report = json.loads(out.out)
+    assert report["invariants"] == [{"module": "R", "undecided": reason}]
+    for chk in report["checks"]:
+        assert chk["verdict"] == "undecided"
+        assert reason in chk["undecided"]
+    assert main(["check", str(f)]) == 2
+    assert "undecided: " + reason in capsys.readouterr().out
+    doc["modules"] = {"M": {"degrees": [0], "relations": [["x"]]}}
+    with pytest.raises(SessionError) as e:
+        parse_session(json.dumps(doc))
+    assert e.value.errors == [f"modules.M: {reason}"]
 
 
 def test_precondition_failure_is_one_checks_verdict(tmp_path, capsys):
