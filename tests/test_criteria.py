@@ -1,5 +1,7 @@
 """Criterion checkers: verdict semantics and worked instances."""
 
+import json
+
 import pytest
 
 from injcrit import criteria
@@ -11,9 +13,11 @@ from injcrit.criteria import (check_claim_multiplicity,
                               check_rank_criterion, check_regseq_transfer,
                               check_self_ext_criterion,
                               verify_finite_injdim_bass)
+from injcrit.groebner import MonomialLimitError
 from injcrit.invariants import (RegularSequenceCertificate, find_regular_sop,
                                 multiplicity)
-from injcrit.session import CHECKS
+from injcrit.modules import ResolutionCapError
+from injcrit.session import CHECKS, parse_session
 
 
 def test_criterion_id_registry():
@@ -209,3 +213,183 @@ def test_undecided_from_tiny_cap(corpus):
     assert rep.verdict in ("undecided", "pass")
     if rep.verdict == "undecided":
         assert rep.undecided
+
+
+# -- the exits the corpus never reaches, each report pinned whole ----------
+
+SKIPPED = {"status": "skipped", "method": "none"}
+LIMIT = str(MonomialLimitError())
+NO_SEQUENCE = RegularSequenceCertificate([], None, 1, [], True)
+T24_WINDOW = "Ext^i(M,C) = 0 for r-s+1 <= i <= r+1"
+L22 = ("the sequence transfers to Ext^{r-s}(M,C), base-changes Ext^r, "
+       "and Ext^{r+1}(M/xM, C) = 0")
+MOREOVER = ("every Cohen-Macaulay module of dimension s satisfies both "
+            "conditions, with equality in the multiplicity bound")
+
+
+def fresh(vars, ideal, *names, modules=None):
+    """The named modules of a session parsed anew, so that no resolution
+    or Ext module is cached on them yet."""
+    s = parse_session(json.dumps({"vars": vars, "ideal": ideal,
+                                  "modules": modules or {}}))
+    return [s.resolve(n) for n in names]
+
+
+def node():
+    """R, k and A = R/(x) over the node k[x,y]/(xy)."""
+    return fresh(["x", "y"], ["x*y"], "R", "k", "A",
+                 modules={"A": {"degrees": [0], "relations": [["x"]]}})
+
+
+def intercept(monkeypatch, name, when, outcome):
+    """Make the criteria module's `name` raise outcome, or return it, on
+    the arguments that `when` accepts; every other call goes through."""
+    real = getattr(criteria, name)
+
+    def fake(*args, **kwargs):
+        if not when(*args):
+            return real(*args, **kwargs)
+        if isinstance(outcome, Exception):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(criteria, name, fake)
+
+
+def hyp(name, status, **values):
+    return {"name": name, "status": status, "values": values}
+
+
+def unresolved(cid, inputs, *reasons):
+    return {"criterion": cid, "inputs": inputs, "hypotheses": [],
+            "conclusion": "", "asserted": False, "verification": SKIPPED,
+            "undecided": list(reasons), "verdict": "undecided"}
+
+
+def test_past_the_monomial_limit_the_input_invariants_are_unresolved():
+    """Over k[x]/(x^40000) depth and dimension hit the packed-term limit,
+    so L2.2, C2.6 and C2.9 stop before any hypothesis."""
+    R, = fresh(["x"], ["x^40000"], "R")
+    assert check_regseq_transfer(R, R, NO_SEQUENCE).to_dict() == unresolved(
+        "L2.2", {"M": "R", "C": "R", "r": None, "s": None, "sequence": []},
+        LIMIT, LIMIT)
+    assert check_gorenstein_criterion(R).to_dict() == unresolved(
+        "C2.6", {"M": "R", "depth_R": None, "type_R": None}, LIMIT, LIMIT)
+    assert check_self_ext_criterion(R).to_dict() == unresolved(
+        "C2.9", {"C": "R", "n": None, "type_C": None}, LIMIT, LIMIT)
+
+
+def test_capped_type_leaves_l23_unresolved():
+    R, k, _ = node()
+    assert check_finite_length_criterion(k, R, cap=0).to_dict() == unresolved(
+        "L2.3", {"M": "k", "C": "R", "r": 1, "type_C": None, "length_M": 1},
+        "resolution needs 2 steps but the cap is 0")
+
+
+def test_regseq_transfer_precondition_and_failed_window():
+    R, k, _ = node()
+    cert = find_regular_sop(R, seed=1)
+    assert check_regseq_transfer(R, k, cert).to_dict() == {
+        "criterion": "L2.2",
+        "inputs": {"M": "R", "C": "k", "r": 0, "s": 1,
+                   "sequence": [str(x) for x in cert.elements]},
+        "hypotheses": [hyp("s <= r", "fail", r=0, s=1)],
+        "conclusion": "transfer of the sequence to the Ext module",
+        "asserted": False, "verification": SKIPPED, "undecided": [],
+        "verdict": "not_applicable"}
+    R, k = fresh(["x", "y"], ["x^2", "x*y"], "R", "k")
+    assert check_regseq_transfer(k, R, NO_SEQUENCE).to_dict() == {
+        "criterion": "L2.2",
+        "inputs": {"M": "k", "C": "R", "r": 0, "s": 0, "sequence": []},
+        "hypotheses": [hyp("M Cohen-Macaulay", "pass"),
+                       hyp("sequence length = dim M", "pass", length=0, s=0),
+                       hyp(T24_WINDOW, "fail", window={1: 2})],
+        "conclusion": L22, "asserted": False, "verification": SKIPPED,
+        "undecided": [], "verdict": "not_applicable"}
+
+
+@pytest.mark.parametrize("capped", ["Ext^{r-s}(M,C)", "Ext^{r+1}(M/xM,C)"])
+def test_regseq_transfer_capped_verification(monkeypatch, capped):
+    """Over k[x] the hypotheses of L2.2 hold for M = C = R; a cap met by
+    the Ext module the verification reads makes the report undecided."""
+    R, = fresh(["x"], [], "R")
+    cert = find_regular_sop(R, seed=1)
+    error = ResolutionCapError(3, 2)
+    if capped == "Ext^{r-s}(M,C)":
+        intercept(monkeypatch, "ext", lambda M, C, i, *_: M is R and i == 0,
+                  error)
+    else:
+        intercept(monkeypatch, "ext",
+                  lambda M, C, i, *_: M is not R and i == 2, error)
+    assert check_regseq_transfer(R, R, cert).to_dict() == {
+        "criterion": "L2.2",
+        "inputs": {"M": "R", "C": "R", "r": 1, "s": 1,
+                   "sequence": [str(x) for x in cert.elements]},
+        "hypotheses": [hyp("M Cohen-Macaulay", "pass"),
+                       hyp("sequence length = dim M", "pass", length=1, s=1),
+                       hyp(T24_WINDOW, "pass", window={1: 0, 2: 0})],
+        "conclusion": L22, "asserted": False, "verification": SKIPPED,
+        "undecided": [str(error)], "verdict": "undecided"}
+
+
+def test_capped_bass_number_leaves_l23_undecided():
+    """Over k[x]/(x^2), M = C = R meets both hypotheses of L2.3; the Bass
+    number Ext^1(k, R) then needs a second resolution step."""
+    R, = fresh(["x"], ["x^2"], "R")
+    assert check_finite_length_criterion(R, R, cap=0).to_dict() == {
+        "criterion": "L2.3",
+        "inputs": {"M": "R", "C": "R", "r": 0, "type_C": 1, "length_M": 2},
+        "hypotheses": [hyp("r(C) l(M) <= l(Ext^r(M,C))", "pass",
+                           lhs=2, rhs=2),
+                       hyp("Ext^{r+1}(M,C) = 0", "pass", length=0)],
+        "conclusion": "Ext^{r+1}(k, C) = 0", "asserted": False,
+        "verification": SKIPPED,
+        "undecided": ["resolution needs 2 steps but the cap is 0"],
+        "verdict": "undecided"}
+
+
+def test_capped_hom_leaves_the_claim_undecided(monkeypatch):
+    R, _, A = node()
+    error = ResolutionCapError(1, 0)
+    intercept(monkeypatch, "ext", lambda M, C, i, *_: M is A and i == 0,
+              error)
+    assert check_claim_multiplicity(R, A).to_dict() == {
+        "criterion": "Claim",
+        "inputs": {"C": "R", "M": "A", "dim_R": 1, "type_C": 1},
+        "hypotheses": [hyp("R Cohen-Macaulay", "pass"),
+                       hyp("M maximal Cohen-Macaulay", "pass",
+                           dim=1, depth=1),
+                       hyp("C maximal Cohen-Macaulay with finite injective "
+                           "dimension", "pass")],
+        "conclusion": "r(C) e(M) = e(Hom(M, C))", "asserted": False,
+        "verification": SKIPPED, "undecided": [str(error)],
+        "verdict": "undecided"}
+
+
+@pytest.mark.parametrize("fault", ["capped", "wrong"])
+def test_moreover_entry_undecided_or_failed(monkeypatch, fault):
+    """An N whose Ext hits a cap gets an undecided entry; an N whose
+    multiplicity comes out wrong breaks the equality, an engine bug."""
+    R, _, A = node()
+    error = ResolutionCapError(1, 0)
+    if fault == "capped":
+        intercept(monkeypatch, "ext", lambda M, *_: M is R, error)
+        entry = {"module": "R", "undecided": True}
+    else:
+        intercept(monkeypatch, "multiplicity", lambda M: M is R, 3)
+        entry = {"module": "R", "lhs": 3, "rhs": 2, "equality": False,
+                 "window_zero": True}
+    assert check_moreover_clause(R, A, [A, R]).to_dict() == {
+        "criterion": "T2.4-moreover",
+        "inputs": {"C": "R", "M": "A", "r": 1, "s": 1,
+                   "modules": ["A", "R"]},
+        "hypotheses": [hyp("main criterion verified for M", "pass",
+                           verdict="pass")],
+        "conclusion": MOREOVER, "asserted": fault == "wrong",
+        "verification": {"status": "fail",
+                         "method": "per-module equality + window",
+                         "modules": [{"module": "A", "lhs": 1, "rhs": 1,
+                                      "equality": True, "window_zero": True},
+                                     entry]},
+        "undecided": [str(error)] * 2 if fault == "capped" else [],
+        "verdict": "undecided" if fault == "capped" else "engine_bug"}
