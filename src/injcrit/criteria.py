@@ -87,18 +87,40 @@ class CriterionReport:
 CAPPED = (UndecidedError, ResolutionCapError, MonomialLimitError)
 
 
-class _Run:
-    """Collects undecided reasons from capped computations."""
+class _Check:
+    """One checker's criterion id and conclusion, the reasons its capped
+    computations gave, and the three kinds of report it builds."""
 
-    def __init__(self):
+    def __init__(self, cid: str, conclusion: str):
+        self.cid = cid
+        self.conclusion = conclusion
         self.undecided = []
 
     def get(self, fn, *args, **kwargs):
+        """fn(*args, **kwargs), or None, keeping the reason, if capped."""
         try:
             return fn(*args, **kwargs)
         except CAPPED as e:
             self.undecided.append(str(e))
             return None
+
+    def report(self, inputs: dict, hyps: list) -> CriterionReport:
+        """The full report.  It shares the reasons, so a verification
+        step that hits a cap later leaves it undecided."""
+        return CriterionReport(self.cid, inputs, hyps, self.conclusion,
+                               undecided=self.undecided)
+
+    def failed(self, inputs: dict, name: str, conclusion: Optional[str] = None,
+               **values) -> CriterionReport:
+        """A failed precondition: one failing hypothesis, no reasons."""
+        return CriterionReport(self.cid, inputs,
+                               [Hypothesis(name, "fail", values)],
+                               conclusion or self.conclusion)
+
+    def unresolved(self, inputs: dict) -> CriterionReport:
+        """The report of a checker stopped by a capped input computation."""
+        return CriterionReport(self.cid, inputs, [], "",
+                               undecided=self.undecided)
 
 
 # ---------------------------------------------------------------------------
@@ -127,23 +149,6 @@ def _mult_or_zero(E: Optional[GradedModule]) -> Optional[int]:
     return 0 if E.is_zero() else multiplicity(E)
 
 
-def _ext_window(M: GradedModule, C: GradedModule, lo: int, hi: int,
-                run: _Run, cap=None) -> Optional[dict]:
-    """{i: length-or-dimension marker} of Ext^i(M,C) over lo..hi; None if
-    any computation was capped."""
-    out = {}
-    for i in range(lo, hi + 1):
-        E = run.get(ext, M, C, i, cap)
-        if E is None:
-            return None
-        out[i] = 0 if E.is_zero() else (length(E) or -1)
-    return out
-
-
-def _name(M: GradedModule, default: str) -> str:
-    return M.name or default
-
-
 def _at_most(name: str, lhs: Optional[int], rhs: Optional[int]) -> Hypothesis:
     """lhs <= rhs, undecided while either side is unknown."""
     return Hypothesis(name, _status(None if None in (lhs, rhs)
@@ -157,42 +162,64 @@ def _vanishing(name: str, E: Optional[GradedModule], key: str) -> Hypothesis:
                       {key: None if E is None else length(E)})
 
 
-def _vanishing_window(name: str, window: Optional[dict]) -> Hypothesis:
-    """Every Ext module of a window from _ext_window vanishes."""
-    if window is None:
-        return Hypothesis(name, "undecided", {})
+_WINDOW = "Ext^i(M,C) = 0 for r-s+1 <= i <= r+1"
+
+
+def _vanishing_window(chk: _Check, M: GradedModule, C: GradedModule,
+                      lo: int, hi: int, cap, name: str = _WINDOW
+                      ) -> Hypothesis:
+    """Ext^i(M,C) = 0 for lo <= i <= hi, recording the window {i: length
+    or dimension marker}; undecided if any computation was capped."""
+    window = {}
+    for i in range(lo, hi + 1):
+        E = chk.get(ext, M, C, i, cap)
+        if E is None:
+            return Hypothesis(name, "undecided", {})
+        window[i] = 0 if E.is_zero() else (length(E) or -1)
     return Hypothesis(name, _status(all(v == 0 for v in window.values())),
                       {"window": window})
 
 
-def _cohen_macaulay(run: _Run, X: GradedModule, label: str) -> Hypothesis:
+def _main_conditions(chk: _Check, M: GradedModule, C: GradedModule,
+                     t: Optional[int], lo: int, hi: int, cap,
+                     bound: str = "r(C) e(M) <= e(Ext^{r-s}(M,C))",
+                     window: str = _WINDOW) -> list:
+    """The main theorem's two conditions on M against C of type t, named
+    bound and window: t e(M) <= e(Ext^lo(M,C)), and Ext^i(M,C) = 0 for
+    lo < i <= hi.  The theorem takes lo = r - s and hi = r + 1; its
+    corollaries take lo = 0, with C = R or with M = C."""
+    eM = chk.get(multiplicity, M)
+    E = chk.get(ext, M, C, lo, cap)
+    return [_at_most(bound, _product(t, eM), _mult_or_zero(E)),
+            _vanishing_window(chk, M, C, lo + 1, hi, cap, window)]
+
+
+def _cohen_macaulay(chk: _Check, X: GradedModule, label: str) -> Hypothesis:
     return Hypothesis(f"{label} Cohen-Macaulay",
-                      _status(run.get(is_cohen_macaulay, X)), {})
+                      _status(chk.get(is_cohen_macaulay, X)), {})
 
 
-def _mcm_preamble(run: _Run, R: GradedModule, d: Optional[int],
+def _mcm_preamble(chk: _Check, R: GradedModule, d: Optional[int],
                   X: GradedModule, label: str, **extra) -> list:
     """R Cohen-Macaulay and X maximal Cohen-Macaulay, dim X = depth X =
     dim R = d; extra goes into the values of the second hypothesis."""
-    hyps = [_cohen_macaulay(run, R, "R")]
-    dX = run.get(dimension, X)
-    depX = run.get(depth, X)
+    hyps = [_cohen_macaulay(chk, R, "R")]
+    dX = chk.get(dimension, X)
+    depX = chk.get(depth, X)
     mcm = None if None in (dX, depX, d) else dX == depX == d
     hyps.append(Hypothesis(f"{label} maximal Cohen-Macaulay", _status(mcm),
                            {"dim": dX, "depth": depX, **extra}))
     return hyps
 
 
-def _unresolved(cid: str, inputs: dict, run: _Run) -> CriterionReport:
-    """The report of a checker stopped by a capped input computation."""
-    return CriterionReport(cid, inputs, [], "", undecided=run.undecided)
-
-
 def _certify_by_bass(report: CriterionReport, C: GradedModule, cap,
                      method: str, ok: Optional[bool] = True,
                      **values) -> CriterionReport:
     """Verify an asserted finite injective dimension of C through its Bass
-    number, together with a further check ok (None: undecided)."""
+    number, together with a further check ok (None: undecided).  A report
+    that is not asserted comes back unchanged."""
+    if not report.asserted:
+        return report
     bass = verify_finite_injdim_bass(C, cap=cap)
     if bass.verdict == "undecided" or ok is None:
         report.undecided = report.undecided + bass.undecided + ["bass check"]
@@ -213,24 +240,21 @@ def check_lemma_mult_length(M: GradedModule,
     system (criterion id L2.1)."""
     if not cert.verified:
         raise ValueError("certificate is not verified for this module")
-    run = _Run()
+    chk = _Check("L2.1", "e(M) = l(M / xM)")
     hyps = [Hypothesis("certificate verified", "pass",
                        {"elements": [str(x) for x in cert.elements],
                         "seed": cert.seed}),
-            _cohen_macaulay(run, M, "M")]
-    e = run.get(multiplicity, M)
-    l = run.get(length, quotient_by_sequence(M, cert.elements))
-    verification = {"status": "skipped", "method": "two-sided computation"}
+            _cohen_macaulay(chk, M, "M")]
+    e = chk.get(multiplicity, M)
+    l = chk.get(length, quotient_by_sequence(M, cert.elements))
+    report = chk.report({"M": M.name or "M",
+                         "sequence_length": len(cert.elements)}, hyps)
+    report.verification = {"status": "skipped",
+                           "method": "two-sided computation"}
     if e is not None and l is not None:
-        verification.update(status=_status(e == l), e=e,
-                            length_of_quotient=l)
-    return CriterionReport(
-        "L2.1",
-        {"M": _name(M, "M"), "sequence_length": len(cert.elements)},
-        hyps,
-        "e(M) = l(M / xM)",
-        verification,
-        run.undecided)
+        report.verification.update(status=_status(e == l), e=e,
+                                   length_of_quotient=l)
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -245,32 +269,27 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
     (criterion id L2.2)."""
     if not cert.verified:
         raise ValueError("certificate is not verified for this module")
-    run = _Run()
-    r = run.get(depth, C)
-    s = run.get(dimension, M)
-    inputs = {"M": _name(M, "M"), "C": _name(C, "C"), "r": r, "s": s,
+    chk = _Check("L2.2", "the sequence transfers to Ext^{r-s}(M,C), "
+                 "base-changes Ext^r, and Ext^{r+1}(M/xM, C) = 0")
+    r = chk.get(depth, C)
+    s = chk.get(dimension, M)
+    inputs = {"M": M.name or "M", "C": C.name or "C", "r": r, "s": s,
               "sequence": [str(x) for x in cert.elements]}
     if r is None or s is None:
-        return _unresolved("L2.2", inputs, run)
+        return chk.unresolved(inputs)
     if s > r:
-        return CriterionReport("L2.2", inputs,
-                               [Hypothesis("s <= r", "fail",
-                                           {"r": r, "s": s})],
-                               "transfer of the sequence to the Ext module")
-    hyps = [_cohen_macaulay(run, M, "M"),
+        return chk.failed(inputs, "s <= r",
+                          "transfer of the sequence to the Ext module",
+                          r=r, s=s)
+    hyps = [_cohen_macaulay(chk, M, "M"),
             Hypothesis("sequence length = dim M",
                        _status(len(cert.elements) == s),
                        {"length": len(cert.elements), "s": s}),
-            _vanishing_window("Ext^i(M,C) = 0 for r-s+1 <= i <= r+1",
-                              _ext_window(M, C, r - s + 1, r + 1, run, cap))]
-    report = CriterionReport(
-        "L2.2", inputs, hyps,
-        "the sequence transfers to Ext^{r-s}(M,C), base-changes Ext^r, "
-        "and Ext^{r+1}(M/xM, C) = 0",
-        undecided=run.undecided)
+            _vanishing_window(chk, M, C, r - s + 1, r + 1, cap)]
+    report = chk.report(inputs, hyps)
     if not report.asserted:
         return report
-    E = run.get(ext, M, C, r - s, cap)
+    E = chk.get(ext, M, C, r - s, cap)
     if E is None:
         return report
     checks = {}
@@ -289,7 +308,7 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
         # grading shift contributed by the connecting maps (one per
         # element, by its degree)
         MX = quotient_by_sequence(M, cert.elements)
-        ER = run.get(ext, MX, C, r, cap)
+        ER = chk.get(ext, MX, C, r, cap)
         if ER is None:
             return report
         delta = sum(x.degree() for x in cert.elements)
@@ -307,7 +326,7 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
                                 "generator_match": ga == gb,
                                 "shift": -delta}
         # (iii) vanishing one step further
-        E1 = run.get(ext, MX, C, r + 1, cap)
+        E1 = chk.get(ext, MX, C, r + 1, cap)
         if E1 is None:
             return report
         checks["next_ext_zero"] = E1.is_zero()
@@ -326,30 +345,27 @@ def check_finite_length_criterion(M: GradedModule, C: GradedModule,
                                   ) -> CriterionReport:
     """Length inequality plus one Ext vanishing forces the next Bass
     number of C to vanish (criterion id L2.3)."""
-    run = _Run()
+    chk = _Check("L2.3", "Ext^{r+1}(k, C) = 0")
     lM = length(M)
-    conclusion = "Ext^{r+1}(k, C) = 0"
     if not lM:
-        return CriterionReport(
-            "L2.3", {"M": _name(M, "M"), "C": _name(C, "C"), "length_M": lM},
-            [Hypothesis("0 < l(M) < infinity", "fail", {"length_M": lM})],
-            conclusion)
-    r = run.get(depth, C)
-    t = run.get(type_of, C, cap)
-    inputs = {"M": _name(M, "M"), "C": _name(C, "C"), "r": r,
+        return chk.failed({"M": M.name or "M", "C": C.name or "C",
+                           "length_M": lM},
+                          "0 < l(M) < infinity", length_M=lM)
+    r = chk.get(depth, C)
+    t = chk.get(type_of, C, cap)
+    inputs = {"M": M.name or "M", "C": C.name or "C", "r": r,
               "type_C": t, "length_M": lM}
     if r is None or t is None:
-        return _unresolved("L2.3", inputs, run)
-    E = run.get(ext, M, C, r, cap)
+        return chk.unresolved(inputs)
+    E = chk.get(ext, M, C, r, cap)
     hyps = [_at_most("r(C) l(M) <= l(Ext^r(M,C))", t * lM,
                      None if E is None else length(E)),
             _vanishing("Ext^{r+1}(M,C) = 0",
-                       run.get(ext, M, C, r + 1, cap), "length")]
-    report = CriterionReport("L2.3", inputs, hyps, conclusion,
-                             undecided=run.undecided)
+                       chk.get(ext, M, C, r + 1, cap), "length")]
+    report = chk.report(inputs, hyps)
     if not report.asserted:
         return report
-    B = run.get(ext, C.ring.residue_field(), C, r + 1, cap)
+    B = chk.get(ext, C.ring.residue_field(), C, r + 1, cap)
     if B is None:
         return report
     report.verification = {"status": _status(B.is_zero()),
@@ -365,18 +381,17 @@ def verify_finite_injdim_bass(C: GradedModule,
                               cap: Optional[int] = None) -> CriterionReport:
     """Finite injective dimension via vanishing of Ext^{dim R + 1}(k, C)
     (criterion id Bass)."""
-    run = _Run()
+    chk = _Check("Bass", _FINITE_INJDIM)
     R = C.ring.as_module()
-    d = run.get(dimension, R)
-    inputs = {"C": _name(C, "C"), "dim_R": d}
+    d = chk.get(dimension, R)
+    inputs = {"C": C.name or "C", "dim_R": d}
     if d is None:
-        return _unresolved("Bass", inputs, run)
-    hyps = _mcm_preamble(run, R, d, C, "C", dim_R=d)
+        return chk.unresolved(inputs)
+    hyps = _mcm_preamble(chk, R, d, C, "C", dim_R=d)
     hyps.append(_vanishing("Ext^{dim R + 1}(k, C) = 0",
-                           run.get(ext, C.ring.residue_field(), C, d + 1, cap),
+                           chk.get(ext, C.ring.residue_field(), C, d + 1, cap),
                            "bass_length"))
-    report = CriterionReport("Bass", inputs, hyps, _FINITE_INJDIM,
-                             undecided=run.undecided)
+    report = chk.report(inputs, hyps)
     if report.asserted:
         report.verification = {"status": "pass",
                                "method": "bass number vanishing"}
@@ -391,94 +406,68 @@ def check_main_theorem(C: GradedModule, M: GradedModule,
     """Multiplicity inequality plus a finite Ext vanishing window imply
     R Cohen-Macaulay and C maximal Cohen-Macaulay of finite injective
     dimension (criterion id T2.4)."""
+    chk = _Check("T2.4", _MCM_FINITE_INJDIM)
     if C.is_zero():
-        return CriterionReport("T2.4",
-                               {"C": _name(C, "C"), "M": _name(M, "M")},
-                               [Hypothesis("C nonzero", "fail", {})],
-                               _MCM_FINITE_INJDIM)
-    run = _Run()
-    r = run.get(depth, C)
-    s = run.get(dimension, M)
-    t = run.get(type_of, C, cap)
-    inputs = {"C": _name(C, "C"), "M": _name(M, "M"),
+        return chk.failed({"C": C.name or "C", "M": M.name or "M"},
+                          "C nonzero")
+    r = chk.get(depth, C)
+    s = chk.get(dimension, M)
+    t = chk.get(type_of, C, cap)
+    inputs = {"C": C.name or "C", "M": M.name or "M",
               "r": r, "s": s, "type_C": t}
     if r is not None and s is not None and s > r:
         # the index window Ext^{r-s}..Ext^{r+1} is meaningless
-        return CriterionReport("T2.4", inputs,
-                               [Hypothesis("dim M <= depth C", "fail",
-                                           {"r": r, "s": s})],
-                               _MCM_FINITE_INJDIM)
+        return chk.failed(inputs, "dim M <= depth C", r=r, s=s)
     if r is None or s is None or t is None:
-        return _unresolved("T2.4", inputs, run)
-    hyps = [_cohen_macaulay(run, M, "M")]
-    eM = run.get(multiplicity, M)
-    E = run.get(ext, M, C, r - s, cap)
-    hyps.append(_at_most("r(C) e(M) <= e(Ext^{r-s}(M,C))", _product(t, eM),
-                         _mult_or_zero(E)))
-    hyps.append(_vanishing_window(
-        "Ext^i(M,C) = 0 for r-s+1 <= i <= r+1",
-        _ext_window(M, C, r - s + 1, r + 1, run, cap)))
-    report = CriterionReport("T2.4", inputs, hyps, _MCM_FINITE_INJDIM,
-                             undecided=run.undecided)
-    if not report.asserted:
-        return report
-    return _certify_by_bass(report, C, cap,
+        return chk.unresolved(inputs)
+    hyps = [_cohen_macaulay(chk, M, "M"),
+            *_main_conditions(chk, M, C, t, r - s, r + 1, cap)]
+    return _certify_by_bass(chk.report(inputs, hyps), C, cap,
                             "depth/dim equalities + bass number")
 
 
 def check_moreover_clause(C: GradedModule, M_verified: GradedModule,
-                          others, degree_bound: int = 8,
-                          cap: Optional[int] = None) -> CriterionReport:
+                          others, cap: Optional[int] = None
+                          ) -> CriterionReport:
     """Once the main criterion holds, every Cohen-Macaulay module of the
     same dimension satisfies both conditions, with the multiplicity
     inequality sharpened to an equality (criterion id T2.4-moreover)."""
     base = check_main_theorem(C, M_verified, cap=cap)
-    run = _Run()
+    chk = _Check("T2.4-moreover",
+                 "every Cohen-Macaulay module of dimension s satisfies both "
+                 "conditions, with equality in the multiplicity bound")
     if C.is_zero():
         r = s = t = None
     else:
-        r = run.get(depth, C)
-        s = run.get(dimension, M_verified)
-        t = run.get(type_of, C, cap)
-    inputs = {"C": _name(C, "C"), "M": _name(M_verified, "M"),
-              "r": r, "s": s, "modules": [_name(N, f"N{i}")
+        r = chk.get(depth, C)
+        s = chk.get(dimension, M_verified)
+        t = chk.get(type_of, C, cap)
+    inputs = {"C": C.name or "C", "M": M_verified.name or "M",
+              "r": r, "s": s, "modules": [N.name or f"N{i}"
                                           for i, N in enumerate(others)]}
-    hyps = [Hypothesis("main criterion verified for M", _verdict_status(base),
-                       {"verdict": base.verdict})]
-    report = CriterionReport(
-        "T2.4-moreover", inputs, hyps,
-        "every Cohen-Macaulay module of dimension s satisfies both "
-        "conditions, with equality in the multiplicity bound",
-        undecided=list(run.undecided))
+    report = chk.report(inputs, [
+        Hypothesis("main criterion verified for M", _verdict_status(base),
+                   {"verdict": base.verdict})])
     if not report.asserted or r is None or s is None or t is None:
         return report
     per_module = []
-    all_ok = True
     for i, N in enumerate(others):
-        entry = {"module": _name(N, f"N{i}")}
-        # a zero N has dimension -1, never s, and no CM property
-        if run.get(dimension, N) != s or not run.get(is_cohen_macaulay, N):
-            entry["skipped"] = f"not CM of dimension {s}"
-            per_module.append(entry)
-            continue
-        eN = run.get(multiplicity, N)
-        E = run.get(ext, N, C, r - s, cap)
-        window = _ext_window(N, C, r - s + 1, r + 1, run, cap)
-        if eN is None or E is None or window is None:
-            entry["undecided"] = True
-            per_module.append(entry)
-            all_ok = False
-            continue
-        eE = _mult_or_zero(E)
-        entry["lhs"] = t * eN
-        entry["rhs"] = eE
-        entry["equality"] = (t * eN == eE)
-        entry["window_zero"] = all(v == 0 for v in window.values())
+        entry = {"module": N.name or f"N{i}"}
         per_module.append(entry)
-        if not (entry["equality"] and entry["window_zero"]):
-            all_ok = False
-    report.undecided = list(run.undecided)
-    report.verification = {"status": _status(all_ok),
+        # a zero N has dimension -1, never s, and no CM property
+        if chk.get(dimension, N) != s or not chk.get(is_cohen_macaulay, N):
+            entry["skipped"] = f"not CM of dimension {s}"
+            continue
+        bound, window = _main_conditions(chk, N, C, t, r - s, r + 1, cap)
+        if "undecided" in (bound.status, window.status):
+            entry["undecided"] = True
+            continue
+        entry.update(bound.values)
+        entry["equality"] = entry["lhs"] == entry["rhs"]
+        entry["window_zero"] = window.status == "pass"
+    ok = all("skipped" in e or (e.get("equality") and e.get("window_zero"))
+             for e in per_module)
+    report.verification = {"status": _status(ok),
                            "method": "per-module equality + window",
                            "modules": per_module}
     return report
@@ -489,23 +478,21 @@ def check_claim_multiplicity(C: GradedModule, M: GradedModule,
     """Multiplicity is preserved by dualizing into C, scaled by the type
     of C: r(C) e(M) = e(Hom(M, C)) for M maximal Cohen-Macaulay over a
     Cohen-Macaulay ring (criterion id Claim)."""
-    run = _Run()
+    chk = _Check("Claim", "r(C) e(M) = e(Hom(M, C))")
     R = C.ring.as_module()
-    d = run.get(dimension, R)
-    t = run.get(type_of, C, cap)
-    inputs = {"C": _name(C, "C"), "M": _name(M, "M"), "dim_R": d,
+    d = chk.get(dimension, R)
+    t = chk.get(type_of, C, cap)
+    inputs = {"C": C.name or "C", "M": M.name or "M", "dim_R": d,
               "type_C": t}
-    hyps = _mcm_preamble(run, R, d, M, "M")
+    hyps = _mcm_preamble(chk, R, d, M, "M")
     bass = verify_finite_injdim_bass(C, cap=cap)
     hyps.append(Hypothesis("C maximal Cohen-Macaulay with finite "
                            "injective dimension", _verdict_status(bass), {}))
-    report = CriterionReport("Claim", inputs, hyps,
-                             "r(C) e(M) = e(Hom(M, C))",
-                             undecided=run.undecided)
+    report = chk.report(inputs, hyps)
     if not report.asserted or t is None:
         return report
-    eM = run.get(multiplicity, M)
-    eH = _mult_or_zero(run.get(ext, M, C, 0, cap))
+    eM = chk.get(multiplicity, M)
+    eH = _mult_or_zero(chk.get(ext, M, C, 0, cap))
     if eM is None or eH is None:
         return report
     report.verification = {"status": _status(t * eM == eH),
@@ -519,31 +506,27 @@ def check_claim_multiplicity(C: GradedModule, M: GradedModule,
 
 def check_gorenstein_criterion(M: GradedModule,
                                cap: Optional[int] = None) -> CriterionReport:
-    """Gorensteinness of R from a Cohen-Macaulay witness module
-    (criterion id C2.6, the case C = R)."""
-    run = _Run()
+    """Gorensteinness of R from a Cohen-Macaulay witness module: the main
+    theorem's conditions with C = R (criterion id C2.6)."""
+    chk = _Check("C2.6", "R is Gorenstein")
     R = M.ring.as_module()
-    r = run.get(depth, R)
-    tR = run.get(type_of, R, cap)
-    inputs = {"M": _name(M, "M"), "depth_R": r, "type_R": tR}
+    r = chk.get(depth, R)
+    tR = chk.get(type_of, R, cap)
+    inputs = {"M": M.name or "M", "depth_R": r, "type_R": tR}
     if r is None:
-        return _unresolved("C2.6", inputs, run)
-    hyps = [_cohen_macaulay(run, M, "M")]
-    s = run.get(dimension, M)
+        return chk.unresolved(inputs)
+    hyps = [_cohen_macaulay(chk, M, "M")]
+    s = chk.get(dimension, M)
     hyps.append(Hypothesis("dim M = depth R",
                            _status(None if s is None else s == r),
                            {"dim_M": s, "depth_R": r}))
-    eM = run.get(multiplicity, M)
-    H = run.get(ext, M, R, 0, cap)
-    hyps.append(_at_most("r(R) e(M) <= e(Hom(M,R))", _product(tR, eM),
-                         _mult_or_zero(H)))
-    hyps.append(_vanishing_window("Ext^i(M,R) = 0 for 1 <= i <= depth R + 1",
-                                  _ext_window(M, R, 1, r + 1, run, cap)))
-    report = CriterionReport("C2.6", inputs, hyps, "R is Gorenstein",
-                             undecided=run.undecided)
+    hyps += _main_conditions(chk, M, R, tR, 0, r + 1, cap,
+                             "r(R) e(M) <= e(Hom(M,R))",
+                             "Ext^i(M,R) = 0 for 1 <= i <= depth R + 1")
+    report = chk.report(inputs, hyps)
     if not report.asserted:
         return report
-    rcm = run.get(is_cohen_macaulay, R)
+    rcm = chk.get(is_cohen_macaulay, R)
     report.verification = {"status": _status(rcm is True and tR == 1),
                            "method": "type(R) = 1 and R Cohen-Macaulay",
                            "type_R": tR, "R_cm": rcm}
@@ -554,20 +537,17 @@ def check_mcm_inequality(C: GradedModule,
                          cap: Optional[int] = None) -> CriterionReport:
     """Finite injective dimension of a maximal Cohen-Macaulay module from
     the inequality r(C) e(R) <= e(C) (criterion id C2.7)."""
-    run = _Run()
+    chk = _Check("C2.7", _FINITE_INJDIM)
     R = C.ring.as_module()
-    d = run.get(dimension, R)
-    t = run.get(type_of, C, cap)
-    inputs = {"C": _name(C, "C"), "dim_R": d, "type_C": t}
-    hyps = _mcm_preamble(run, R, d, C, "C")
-    eR = run.get(multiplicity, R)
-    eC = run.get(multiplicity, C)
+    d = chk.get(dimension, R)
+    t = chk.get(type_of, C, cap)
+    inputs = {"C": C.name or "C", "dim_R": d, "type_C": t}
+    hyps = _mcm_preamble(chk, R, d, C, "C")
+    eR = chk.get(multiplicity, R)
+    eC = chk.get(multiplicity, C)
     hyps.append(_at_most("r(C) e(R) <= e(C)", _product(t, eR), eC))
-    report = CriterionReport("C2.7", inputs, hyps, _FINITE_INJDIM,
-                             undecided=run.undecided)
-    if not report.asserted:
-        return report
-    return _certify_by_bass(report, C, cap, "bass number vanishing")
+    return _certify_by_bass(chk.report(inputs, hyps), C, cap,
+                            "bass number vanishing")
 
 
 def check_rank_criterion(C: GradedModule,
@@ -575,30 +555,29 @@ def check_rank_criterion(C: GradedModule,
     """Finite injective dimension from type bounded by rank over a
     flagged domain, with the exact identity e(C) = e(R) rank(C) as a
     cross-check (criterion id C2.8)."""
-    run = _Run()
+    chk = _Check("C2.8", _FINITE_INJDIM)
     ring = C.ring
     R = ring.as_module()
-    d = run.get(dimension, R)
-    t = run.get(type_of, C, cap)
-    inputs = {"C": _name(C, "C"), "dim_R": d, "type_C": t,
+    d = chk.get(dimension, R)
+    t = chk.get(type_of, C, cap)
+    inputs = {"C": C.name or "C", "dim_R": d, "type_C": t,
               "domain_flag": ring.domain_flag}
-    hyps = _mcm_preamble(run, R, d, C, "C")
-    rk = run.get(rank, C)
+    hyps = _mcm_preamble(chk, R, d, C, "C")
+    rk = chk.get(rank, C)
     # a missing rank is undecided only once some computation was capped
     hyps.append(Hypothesis("C has a rank (flagged domain)",
-                           _status(None if rk is None and run.undecided
+                           _status(None if rk is None and chk.undecided
                                    else rk is not None),
                            {"rank": rk}))
     hyps.append(Hypothesis("r(C) <= rank(C)",
-                           _status(None if None in (t, rk) and run.undecided
+                           _status(None if None in (t, rk) and chk.undecided
                                    else None not in (t, rk) and t <= rk),
                            {"type": t, "rank": rk}))
-    report = CriterionReport("C2.8", inputs, hyps, _FINITE_INJDIM,
-                             undecided=run.undecided)
+    report = chk.report(inputs, hyps)
     if not report.asserted:
         return report
-    eR = run.get(multiplicity, R)
-    eC = run.get(multiplicity, C)
+    eR = chk.get(multiplicity, R)
+    eC = chk.get(multiplicity, C)
     eR_rank = _product(eR, rk)
     return _certify_by_bass(report, C, cap,
                             "multiplicity identity + bass number",
@@ -609,22 +588,17 @@ def check_rank_criterion(C: GradedModule,
 def check_self_ext_criterion(C: GradedModule,
                              cap: Optional[int] = None) -> CriterionReport:
     """The case M = C: self-Ext vanishing plus an endomorphism-ring
-    multiplicity bound (criterion id C2.9)."""
-    run = _Run()
-    n = run.get(dimension, C)
-    t = run.get(type_of, C, cap)
-    inputs = {"C": _name(C, "C"), "n": n, "type_C": t}
+    multiplicity bound, the main theorem's conditions with M = C
+    (criterion id C2.9)."""
+    chk = _Check("C2.9", _MCM_FINITE_INJDIM)
+    n = chk.get(dimension, C)
+    t = chk.get(type_of, C, cap)
+    inputs = {"C": C.name or "C", "n": n, "type_C": t}
     if n is None:
-        return _unresolved("C2.9", inputs, run)
-    hyps = [_cohen_macaulay(run, C, "C")]
-    eC = run.get(multiplicity, C)
-    End = run.get(ext, C, C, 0, cap)
-    hyps.append(_at_most("r(C) e(C) <= e(End(C))", _product(t, eC),
-                         _mult_or_zero(End)))
-    hyps.append(_vanishing_window("Ext^i(C,C) = 0 for 1 <= i <= n+1",
-                                  _ext_window(C, C, 1, n + 1, run, cap)))
-    report = CriterionReport("C2.9", inputs, hyps, _MCM_FINITE_INJDIM,
-                             undecided=run.undecided)
-    if not report.asserted:
-        return report
-    return _certify_by_bass(report, C, cap, "bass number vanishing")
+        return chk.unresolved(inputs)
+    hyps = [_cohen_macaulay(chk, C, "C"),
+            *_main_conditions(chk, C, C, t, 0, n + 1, cap,
+                              "r(C) e(C) <= e(End(C))",
+                              "Ext^i(C,C) = 0 for 1 <= i <= n+1")]
+    return _certify_by_bass(chk.report(inputs, hyps), C, cap,
+                            "bass number vanishing")

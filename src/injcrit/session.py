@@ -89,8 +89,7 @@ CHECKS = {
         C, M, cap=s.flags.res_cap)),
     "T2.4-moreover": (("C", "M", "N"), lambda s, C, M, N:
                       criteria.check_moreover_clause(
-                          C, M, N, degree_bound=s.flags.degree_bound,
-                          cap=s.flags.res_cap)),
+                          C, M, N, cap=s.flags.res_cap)),
     "Claim": (("C", "M"), lambda s, C, M: criteria.check_claim_multiplicity(
         C, M, cap=s.flags.res_cap)),
     "C2.6": (("M",), lambda s, M: criteria.check_gorenstein_criterion(
