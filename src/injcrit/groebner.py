@@ -177,7 +177,7 @@ class GBuilder:
         self.basis = []          # monic Vecs
         self._lead = []          # (pos, mono) per basis element
         self._by_pos = {}        # pos -> list of basis indices
-        self._pairs = []         # heap of (degree, i, j), i < j
+        self._pairs = []         # heap of (degree, i, j, lcm term), i < j
         self._queued = set()     # the (i, j) still in the heap
         self._packing = packing(module.ring.n)
         self._packed = []        # (lead code, [(code, coeff)] of the tail)
@@ -228,8 +228,9 @@ class GBuilder:
             lm_i = self._lead[i][1]
             if self.module.rank == 1 and mono_coprime(lm_new, lm_i):
                 continue  # product criterion, valid in the ideal case
-            deg = mono_deg(mono_lcm(lm_new, lm_i)) + shift
-            heapq.heappush(self._pairs, (deg, i, new_index))
+            lcm = mono_lcm(lm_new, lm_i)
+            heapq.heappush(self._pairs, (mono_deg(lcm) + shift, i, new_index,
+                                         (pos_new, lcm)))
             self._queued.add((i, new_index))
 
     def _append(self, v: Vec) -> int:
@@ -269,20 +270,21 @@ class GBuilder:
         """Process the queued pairs, or only those of degree <= degree."""
         pairs = self._pairs
         while pairs and (degree is None or pairs[0][0] <= degree):
-            _, i, j = heapq.heappop(pairs)
+            _, i, j, lcm = heapq.heappop(pairs)
             self._queued.remove((i, j))
-            if self._chain_covers(i, j):
+            lcm = self._packing.code[lcm]
+            if self._chain_covers(i, j, lcm):
                 continue
-            s = self._spair(i, j)
+            s = self._spair(i, j, lcm)
             nf = self.normal_form(s)
             if not nf.is_zero():
                 self.install(nf)
 
-    def _chain_covers(self, i: int, j: int) -> bool:
+    def _chain_covers(self, i: int, j: int, lcm: int) -> bool:
         """Buchberger's chain criterion: some k at the same position has a
-        lead dividing lcm(i, j), and neither (i, k) nor (j, k) is queued.
+        lead dividing lcm, the code of lcm(i, j), and neither (i, k) nor
+        (j, k) is queued.
         """
-        lcm = self._lcm_code(i, j)
         divides = self._packing.divides
         packed, queued = self._packed, self._queued
         for k in self._by_pos[self._lead[i][0]]:
@@ -292,14 +294,9 @@ class GBuilder:
                 return True
         return False
 
-    def _lcm_code(self, i: int, j: int) -> int:
-        (pos, lm_i), (_, lm_j) = self._lead[i], self._lead[j]
-        return self._packing.code[(pos, mono_lcm(lm_i, lm_j))]
-
-    def _spair(self, i: int, j: int) -> Vec:
+    def _spair(self, i: int, j: int, lcm: int) -> Vec:
         """The S-vector of i and j, built from their packed tails: both
-        leads shift onto the lcm and cancel."""
-        lcm = self._lcm_code(i, j)
+        leads shift onto lcm, the code of their lcm, and cancel."""
         (lead_i, tail_i), (lead_j, tail_j) = self._packed[i], self._packed[j]
         shift = lcm - lead_i
         work = {g + shift: c for g, c in tail_i}

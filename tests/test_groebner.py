@@ -556,9 +556,9 @@ def test_spair_count_over_the_corpus(monkeypatch):
     count = [0]
     spair = GBuilder._spair
 
-    def counted(self, i, j):
+    def counted(self, *args):
         count[0] += 1
-        return spair(self, i, j)
+        return spair(self, *args)
 
     monkeypatch.setattr(GBuilder, "_spair", counted)
     root = resources.files("injcrit") / "corpus"
@@ -577,8 +577,8 @@ def test_complete_reduces_each_spair_once(monkeypatch):
     spair, normal_form, complete = (GBuilder._spair, GBuilder.normal_form,
                                     GBuilder.complete)
 
-    def counted_spair(self, i, j):
-        built.append(spair(self, i, j))
+    def counted_spair(self, *args):
+        built.append(spair(self, *args))
         return built[-1]
 
     def counted_normal_form(self, v):
