@@ -87,19 +87,6 @@ def term_key(t: Term):
     return (-t[0], GREVLEX.key(t[1]))
 
 
-def largest_term(terms) -> Term:
-    """The largest of a nonempty collection of terms under term_key.
-
-    That is the term with the smallest (pos, -degree, reversed exponents),
-    a key much cheaper to build than term_key.
-    """
-    return min(terms, key=_pot_grevlex_rank)
-
-
-def _pot_grevlex_rank(t: Term):
-    return (t[0], -sum(t[1]), t[1][::-1])
-
-
 # ---------------------------------------------------------------------------
 # polynomial ring
 
@@ -420,10 +407,6 @@ class Vec:
         for m, c in f.terms.items():
             out = out + self.mono_mul(m, c)
         return out
-
-    def lead(self):
-        t = largest_term(self.terms)
-        return t, self.terms[t]
 
     def component(self, j: int) -> Poly:
         return Poly(self.module.ring,

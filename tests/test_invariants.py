@@ -14,7 +14,7 @@ from injcrit.invariants import (_ip_add, _ip_shift, _mono_ideal_numerator,
 from injcrit.modules import (GradedModule, RingPresentation,
                              kernel_of_cokernel_map, quotient_by_sequence)
 from injcrit.oracle import oracle_socle_dimension
-from injcrit.poly import PolyRing, Vec
+from injcrit.poly import PolyRing, Vec, term_key
 
 from conftest import direct_sum, draw_presentation, draw_xyz_ring
 
@@ -161,7 +161,7 @@ def second_basis_numerator(M):
     gens = list(M.relations) + M.ring.ideal_columns(M.cover)
     by_pos = {}
     for g in buchberger(gens, M.cover):
-        (pos, m), _ = g.lead()
+        pos, m = max(g.terms, key=term_key)
         by_pos.setdefault(pos, []).append(m)
     num = {}
     for j, a in enumerate(M.shifts):
