@@ -5,7 +5,9 @@ There is no linter in the toolchain, so this walks the syntax trees.  An
 import that is kept on purpose (a re-export) carries `# noqa: F401` and a
 comment line right above it that says why.  A function, method or class
 of the package must be read by name somewhere in the package or in
-bench/; the few that only tests read are listed, each with its reason.
+bench/; a method counts as read only as an attribute or in a dotted
+string, since a local variable of its name reads something else.  The
+few definitions that only tests read are listed, each with its reason.
 """
 
 import ast
@@ -74,41 +76,60 @@ TEST_REFERENCES = {
     "hom_module": "Hom(M, C) built directly, the reference for ext(M, C, 0)",
     "betti_numbers": "engine and oracle Betti numbers, compared with each "
                      "other in the oracle's Betti agreement test",
+    "vec": "a free-module element from a dict of terms, checked and "
+           "reduced mod p, the way tests write their inputs",
 }
 
 
-def references(tree) -> Counter:
-    """How often a syntax tree reads each identifier: as a name, as an
-    attribute, or as a word of a dotted-name string such as
-    "GBuilder.complete", the form in which bench/tracer.py names what it
-    wraps."""
-    out = Counter()
+def references(tree) -> tuple:
+    """How often a syntax tree reads each identifier as a plain name, and
+    how often as an attribute or as a word of a dotted-name string such
+    as "GBuilder.complete", the form in which bench/tracer.py names what
+    it wraps."""
+    names, attributes = Counter(), Counter()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out[node.id] += 1
+            names[node.id] += 1
         elif isinstance(node, ast.Attribute):
-            out[node.attr] += 1
+            attributes[node.attr] += 1
         elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
               and DOTTED.fullmatch(node.value)):
-            out.update(node.value.split("."))
-    return out
+            attributes.update(node.value.split("."))
+    return names, attributes
 
 
 def unreferenced_definitions(defining: dict, others=()) -> list:
     """(file, name) of every function, method and class defined in
     `defining` (file name -> source) whose name no source, there or in
-    `others`, reads outside the definition itself.  Dunder methods are
+    `others`, reads outside the definition itself; a method counts only
+    reads as an attribute or in a dotted string.  Dunder methods are
     called by the language and are skipped."""
     trees = {path: ast.parse(text) for path, text in defining.items()}
-    reads = Counter()
+    names, attributes = Counter(), Counter()
     for tree in [*trees.values(), *map(ast.parse, others)]:
-        reads.update(references(tree))
+        tree_names, tree_attributes = references(tree)
+        names.update(tree_names)
+        attributes.update(tree_attributes)
     defs = [(path, node) for path, tree in trees.items()
             for node in ast.walk(tree) if isinstance(node, DEFS)]
+    methods = {node for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef)
+               for node in cls.body if isinstance(node, DEFS)}
     for _, node in defs:
-        reads[node.name] -= references(node)[node.name]
+        # a read inside the definition itself counts for nothing: a method
+        # calls itself as an attribute of self, anything else by its name
+        own_names, own_attributes = references(node)
+        if node in methods:
+            attributes[node.name] -= own_attributes[node.name]
+        else:
+            names[node.name] -= own_names[node.name]
+
+    def read(node) -> bool:
+        plain = 0 if node in methods else names[node.name]
+        return plain + attributes[node.name] > 0
+
     return sorted((path, node.name) for path, node in defs
-                  if not node.name.startswith("__") and reads[node.name] <= 0)
+                  if not node.name.startswith("__") and not read(node))
 
 
 def test_package_defines_nothing_it_leaves_unreferenced():
@@ -126,15 +147,23 @@ def test_unreferenced_definition_check_catches_leftovers():
               "        return self.gens()\n"
               "    def __eq__(self, other):\n"
               "        return isinstance(other, Ring)\n"
+              "    def lead(self):\n"
+              "        return 1\n"
               "def used():\n"
               "    return Ring\n"
               "def helper():\n"
-              "    return helper()\n")
+              "    return helper()\n"
+              "def shadow():\n"
+              "    lead = 1\n"
+              "    return lead\n")
     # Ring is read by used; a read inside its own definition counts for
-    # nothing, so gens and helper, recursive as they are, are reported
+    # nothing, so gens and helper, recursive as they are, are reported;
+    # so is lead, as the local variable lead of shadow reads no method
     assert unreferenced_definitions({"m.py": source}) == [
-        ("m.py", "gens"), ("m.py", "helper"), ("m.py", "used")]
+        ("m.py", "gens"), ("m.py", "helper"), ("m.py", "lead"),
+        ("m.py", "shadow"), ("m.py", "used")]
     # a read in another source, or by a dotted name in a string, counts
     assert unreferenced_definitions(
-        {"m.py": source}, ["used()", "WRAPPED = ['Ring.gens']"]) == \
+        {"m.py": source},
+        ["used(), shadow(), Ring().lead()", "WRAPPED = ['Ring.gens']"]) == \
         [("m.py", "helper")]
