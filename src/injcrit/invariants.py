@@ -364,37 +364,23 @@ def find_regular_sop(M: GradedModule, seed: int = 1,
 # ---------------------------------------------------------------------------
 # report
 
-@dataclass
-class InvariantReport:
-    module: str
-    dim: int
-    depth: int
-    multiplicity: Optional[int]
-    length: Optional[int]
-    type: Optional[int]
-    is_cm: Optional[bool]
-    rank: Optional[int] = None
-
-    def to_dict(self) -> dict:
-        out = {"module": self.module, "dim": self.dim, "depth": self.depth,
-               "e": self.multiplicity, "type": self.type, "is_cm": self.is_cm}
-        out["length"] = self.length if self.length is not None else "infinite"
-        if self.rank is not None:
-            out["rank"] = self.rank
-        return out
-
-
 def invariant_report(name: str, M: GradedModule,
                      with_rank: bool = False,
-                     cap: Optional[int] = None) -> InvariantReport:
+                     cap: Optional[int] = None) -> dict:
     if M.is_zero():
-        return InvariantReport(name, -1, 0, None, 0, None, None)
+        return {"module": name, "dim": -1, "depth": 0, "e": None,
+                "type": None, "is_cm": None, "length": 0}
     rk = None
     if with_rank:
         try:
             rk = rank(M)
         except UndecidedError:
             rk = None
-    return InvariantReport(
-        name, dimension(M), depth(M), multiplicity(M), length(M),
-        type_of(M, cap=cap), is_cohen_macaulay(M), rk)
+    out = {"module": name, "dim": dimension(M), "depth": depth(M),
+           "e": multiplicity(M), "length": length(M),
+           "type": type_of(M, cap=cap), "is_cm": is_cohen_macaulay(M)}
+    if out["length"] is None:
+        out["length"] = "infinite"
+    if rk is not None:
+        out["rank"] = rk
+    return out

@@ -341,7 +341,7 @@ def run_session(session: Session, with_oracle: bool = False) -> dict:
         try:
             rep = invariant_report(
                 name, M, with_rank=session.ring.domain_flag,
-                cap=session.flags.res_cap).to_dict()
+                cap=session.flags.res_cap)
         except criteria.CAPPED as e:
             rep = {"module": name, "undecided": str(e)}
         invariants.append(rep)
