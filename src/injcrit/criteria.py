@@ -162,6 +162,7 @@ def _vanishing(name: str, E: Optional[GradedModule], key: str) -> Hypothesis:
                       {key: None if E is None else length(E)})
 
 
+# the name of T2.4's vanishing window, which L2.2 also requires
 _WINDOW = "Ext^i(M,C) = 0 for r-s+1 <= i <= r+1"
 
 

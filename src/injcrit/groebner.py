@@ -270,9 +270,9 @@ class GBuilder:
         """Process the queued pairs, or only those of degree <= degree."""
         pairs = self._pairs
         while pairs and (degree is None or pairs[0][0] <= degree):
-            _, i, j, lcm = heapq.heappop(pairs)
+            _, i, j, lcm_term = heapq.heappop(pairs)
             self._queued.remove((i, j))
-            lcm = self._packing.code[lcm]
+            lcm = self._packing.code[lcm_term]
             if self._chain_covers(i, j, lcm):
                 continue
             s = self._spair(i, j, lcm)
