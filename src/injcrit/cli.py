@@ -26,19 +26,12 @@ def _corpus_files():
                   if entry.name.endswith(".json"))
 
 
-def _apply_overrides(session, args):
-    if args.seed is not None:
-        session.flags.seed = args.seed
-    if args.degree_bound is not None:
-        session.flags.degree_bound = args.degree_bound
-    if args.res_cap is not None:
-        session.flags.res_cap = args.res_cap
-
-
 def _run_file(text: str, args, include_checks: bool,
               with_oracle: bool) -> int:
-    session = parse_session(text)
-    _apply_overrides(session, args)
+    # each option given on the command line replaces its session flag
+    session = parse_session(text, {
+        key: getattr(args, key) for key in ("seed", "degree_bound", "res_cap")
+        if getattr(args, key) is not None})
     if not include_checks:
         session.checks = []
     report = run_session(session, with_oracle=with_oracle)

@@ -167,13 +167,12 @@ _WINDOW = "Ext^i(M,C) = 0 for r-s+1 <= i <= r+1"
 
 
 def _vanishing_window(chk: _Check, M: GradedModule, C: GradedModule,
-                      lo: int, hi: int, cap, name: str = _WINDOW
-                      ) -> Hypothesis:
+                      lo: int, hi: int, name: str = _WINDOW) -> Hypothesis:
     """Ext^i(M,C) = 0 for lo <= i <= hi, recording the window {i: length
     or dimension marker}; undecided if any computation was capped."""
     window = {}
     for i in range(lo, hi + 1):
-        E = chk.get(ext, M, C, i, cap)
+        E = chk.get(ext, M, C, i)
         if E is None:
             return Hypothesis(name, "undecided", {})
         window[i] = 0 if E.is_zero() else (length(E) or -1)
@@ -182,7 +181,7 @@ def _vanishing_window(chk: _Check, M: GradedModule, C: GradedModule,
 
 
 def _main_conditions(chk: _Check, M: GradedModule, C: GradedModule,
-                     t: Optional[int], lo: int, hi: int, cap,
+                     t: Optional[int], lo: int, hi: int,
                      bound: str = "r(C) e(M) <= e(Ext^{r-s}(M,C))",
                      window: str = _WINDOW) -> list:
     """The main theorem's two conditions on M against C of type t, named
@@ -190,9 +189,9 @@ def _main_conditions(chk: _Check, M: GradedModule, C: GradedModule,
     lo < i <= hi.  The theorem takes lo = r - s and hi = r + 1; its
     corollaries take lo = 0, with C = R or with M = C."""
     eM = chk.get(multiplicity, M)
-    E = chk.get(ext, M, C, lo, cap)
+    E = chk.get(ext, M, C, lo)
     return [_at_most(bound, _product(t, eM), _mult_or_zero(E)),
-            _vanishing_window(chk, M, C, lo + 1, hi, cap, window)]
+            _vanishing_window(chk, M, C, lo + 1, hi, window)]
 
 
 def _cohen_macaulay(chk: _Check, X: GradedModule, label: str) -> Hypothesis:
@@ -213,15 +212,14 @@ def _mcm_preamble(chk: _Check, R: GradedModule, d: Optional[int],
     return hyps
 
 
-def _certify_by_bass(report: CriterionReport, C: GradedModule, cap,
-                     method: str, ok: Optional[bool] = True,
-                     **values) -> CriterionReport:
+def _certify_by_bass(report: CriterionReport, C: GradedModule, method: str,
+                     ok: Optional[bool] = True, **values) -> CriterionReport:
     """Verify an asserted finite injective dimension of C through its Bass
     number, together with a further check ok (None: undecided).  A report
     that is not asserted comes back unchanged."""
     if not report.asserted:
         return report
-    bass = verify_finite_injdim_bass(C, cap=cap)
+    bass = verify_finite_injdim_bass(C)
     if bass.verdict == "undecided" or ok is None:
         report.undecided = report.undecided + bass.undecided + ["bass check"]
         return report
@@ -263,8 +261,7 @@ def check_lemma_mult_length(M: GradedModule,
 
 def check_regseq_transfer(M: GradedModule, C: GradedModule,
                           cert: RegularSequenceCertificate,
-                          degree_bound: int = 8,
-                          cap: Optional[int] = None) -> CriterionReport:
+                          degree_bound: int = 8) -> CriterionReport:
     """Transfer of a regular sequence on M to Ext^{r-s}(M, C), with the
     base-change isomorphism and the vanishing one step further
     (criterion id L2.2)."""
@@ -286,11 +283,11 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
             Hypothesis("sequence length = dim M",
                        _status(len(cert.elements) == s),
                        {"length": len(cert.elements), "s": s}),
-            _vanishing_window(chk, M, C, r - s + 1, r + 1, cap)]
+            _vanishing_window(chk, M, C, r - s + 1, r + 1)]
     report = chk.report(inputs, hyps)
     if not report.asserted:
         return report
-    E = chk.get(ext, M, C, r - s, cap)
+    E = chk.get(ext, M, C, r - s)
     if E is None:
         return report
     checks = {}
@@ -309,7 +306,7 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
         # grading shift contributed by the connecting maps (one per
         # element, by its degree)
         MX = quotient_by_sequence(M, cert.elements)
-        ER = chk.get(ext, MX, C, r, cap)
+        ER = chk.get(ext, MX, C, r)
         if ER is None:
             return report
         delta = sum(x.degree() for x in cert.elements)
@@ -327,7 +324,7 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
                                 "generator_match": ga == gb,
                                 "shift": -delta}
         # (iii) vanishing one step further
-        E1 = chk.get(ext, MX, C, r + 1, cap)
+        E1 = chk.get(ext, MX, C, r + 1)
         if E1 is None:
             return report
         checks["next_ext_zero"] = E1.is_zero()
@@ -341,9 +338,8 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
 # ---------------------------------------------------------------------------
 # finite-length criterion for the Bass number
 
-def check_finite_length_criterion(M: GradedModule, C: GradedModule,
-                                  cap: Optional[int] = None
-                                  ) -> CriterionReport:
+def check_finite_length_criterion(M: GradedModule,
+                                  C: GradedModule) -> CriterionReport:
     """Length inequality plus one Ext vanishing forces the next Bass
     number of C to vanish (criterion id L2.3)."""
     chk = _Check("L2.3", "Ext^{r+1}(k, C) = 0")
@@ -353,20 +349,20 @@ def check_finite_length_criterion(M: GradedModule, C: GradedModule,
                            "length_M": lM},
                           "0 < l(M) < infinity", length_M=lM)
     r = chk.get(depth, C)
-    t = chk.get(type_of, C, cap)
+    t = chk.get(type_of, C)
     inputs = {"M": M.name or "M", "C": C.name or "C", "r": r,
               "type_C": t, "length_M": lM}
     if r is None or t is None:
         return chk.unresolved(inputs)
-    E = chk.get(ext, M, C, r, cap)
+    E = chk.get(ext, M, C, r)
     hyps = [_at_most("r(C) l(M) <= l(Ext^r(M,C))", t * lM,
                      None if E is None else length(E)),
             _vanishing("Ext^{r+1}(M,C) = 0",
-                       chk.get(ext, M, C, r + 1, cap), "length")]
+                       chk.get(ext, M, C, r + 1), "length")]
     report = chk.report(inputs, hyps)
     if not report.asserted:
         return report
-    B = chk.get(ext, C.ring.residue_field(), C, r + 1, cap)
+    B = chk.get(ext, C.ring.residue_field(), C, r + 1)
     if B is None:
         return report
     report.verification = {"status": _status(B.is_zero()),
@@ -378,8 +374,7 @@ def check_finite_length_criterion(M: GradedModule, C: GradedModule,
 # ---------------------------------------------------------------------------
 # Bass-number finiteness certificate
 
-def verify_finite_injdim_bass(C: GradedModule,
-                              cap: Optional[int] = None) -> CriterionReport:
+def verify_finite_injdim_bass(C: GradedModule) -> CriterionReport:
     """Finite injective dimension via vanishing of Ext^{dim R + 1}(k, C)
     (criterion id Bass)."""
     chk = _Check("Bass", _FINITE_INJDIM)
@@ -390,7 +385,7 @@ def verify_finite_injdim_bass(C: GradedModule,
         return chk.unresolved(inputs)
     hyps = _mcm_preamble(chk, R, d, C, "C", dim_R=d)
     hyps.append(_vanishing("Ext^{dim R + 1}(k, C) = 0",
-                           chk.get(ext, C.ring.residue_field(), C, d + 1, cap),
+                           chk.get(ext, C.ring.residue_field(), C, d + 1),
                            "bass_length"))
     report = chk.report(inputs, hyps)
     if report.asserted:
@@ -402,8 +397,7 @@ def verify_finite_injdim_bass(C: GradedModule,
 # ---------------------------------------------------------------------------
 # the main theorem
 
-def check_main_theorem(C: GradedModule, M: GradedModule,
-                       cap: Optional[int] = None) -> CriterionReport:
+def check_main_theorem(C: GradedModule, M: GradedModule) -> CriterionReport:
     """Multiplicity inequality plus a finite Ext vanishing window imply
     R Cohen-Macaulay and C maximal Cohen-Macaulay of finite injective
     dimension (criterion id T2.4)."""
@@ -413,7 +407,7 @@ def check_main_theorem(C: GradedModule, M: GradedModule,
                           "C nonzero")
     r = chk.get(depth, C)
     s = chk.get(dimension, M)
-    t = chk.get(type_of, C, cap)
+    t = chk.get(type_of, C)
     inputs = {"C": C.name or "C", "M": M.name or "M",
               "r": r, "s": s, "type_C": t}
     if r is not None and s is not None and s > r:
@@ -422,18 +416,17 @@ def check_main_theorem(C: GradedModule, M: GradedModule,
     if r is None or s is None or t is None:
         return chk.unresolved(inputs)
     hyps = [_cohen_macaulay(chk, M, "M"),
-            *_main_conditions(chk, M, C, t, r - s, r + 1, cap)]
-    return _certify_by_bass(chk.report(inputs, hyps), C, cap,
+            *_main_conditions(chk, M, C, t, r - s, r + 1)]
+    return _certify_by_bass(chk.report(inputs, hyps), C,
                             "depth/dim equalities + bass number")
 
 
 def check_moreover_clause(C: GradedModule, M_verified: GradedModule,
-                          others, cap: Optional[int] = None
-                          ) -> CriterionReport:
+                          others) -> CriterionReport:
     """Once the main criterion holds, every Cohen-Macaulay module of the
     same dimension satisfies both conditions, with the multiplicity
     inequality sharpened to an equality (criterion id T2.4-moreover)."""
-    base = check_main_theorem(C, M_verified, cap=cap)
+    base = check_main_theorem(C, M_verified)
     chk = _Check("T2.4-moreover",
                  "every Cohen-Macaulay module of dimension s satisfies both "
                  "conditions, with equality in the multiplicity bound")
@@ -442,7 +435,7 @@ def check_moreover_clause(C: GradedModule, M_verified: GradedModule,
     else:
         r = chk.get(depth, C)
         s = chk.get(dimension, M_verified)
-        t = chk.get(type_of, C, cap)
+        t = chk.get(type_of, C)
     inputs = {"C": C.name or "C", "M": M_verified.name or "M",
               "r": r, "s": s, "modules": [N.name or f"N{i}"
                                           for i, N in enumerate(others)]}
@@ -459,41 +452,45 @@ def check_moreover_clause(C: GradedModule, M_verified: GradedModule,
         if chk.get(dimension, N) != s or not chk.get(is_cohen_macaulay, N):
             entry["skipped"] = f"not CM of dimension {s}"
             continue
-        bound, window = _main_conditions(chk, N, C, t, r - s, r + 1, cap)
+        bound, window = _main_conditions(chk, N, C, t, r - s, r + 1)
         if "undecided" in (bound.status, window.status):
             entry["undecided"] = True
             continue
         entry.update(bound.values)
         entry["equality"] = entry["lhs"] == entry["rhs"]
         entry["window_zero"] = window.status == "pass"
-    ok = all("skipped" in e or (e.get("equality") and e.get("window_zero"))
-             for e in per_module)
+    # a decided module that breaks a condition fails the clause; short of
+    # that, an undecided module leaves it undecided
+    ok = all(e["equality"] and e["window_zero"]
+             for e in per_module if "equality" in e)
+    if ok and any("undecided" in e for e in per_module):
+        ok = None
     report.verification = {"status": _status(ok),
                            "method": "per-module equality + window",
                            "modules": per_module}
     return report
 
 
-def check_claim_multiplicity(C: GradedModule, M: GradedModule,
-                             cap: Optional[int] = None) -> CriterionReport:
+def check_claim_multiplicity(C: GradedModule,
+                             M: GradedModule) -> CriterionReport:
     """Multiplicity is preserved by dualizing into C, scaled by the type
     of C: r(C) e(M) = e(Hom(M, C)) for M maximal Cohen-Macaulay over a
     Cohen-Macaulay ring (criterion id Claim)."""
     chk = _Check("Claim", "r(C) e(M) = e(Hom(M, C))")
     R = C.ring.as_module()
     d = chk.get(dimension, R)
-    t = chk.get(type_of, C, cap)
+    t = chk.get(type_of, C)
     inputs = {"C": C.name or "C", "M": M.name or "M", "dim_R": d,
               "type_C": t}
     hyps = _mcm_preamble(chk, R, d, M, "M")
-    bass = verify_finite_injdim_bass(C, cap=cap)
+    bass = verify_finite_injdim_bass(C)
     hyps.append(Hypothesis("C maximal Cohen-Macaulay with finite "
                            "injective dimension", _verdict_status(bass), {}))
     report = chk.report(inputs, hyps)
     if not report.asserted or t is None:
         return report
     eM = chk.get(multiplicity, M)
-    eH = _mult_or_zero(chk.get(ext, M, C, 0, cap))
+    eH = _mult_or_zero(chk.get(ext, M, C, 0))
     if eM is None or eH is None:
         return report
     report.verification = {"status": _status(t * eM == eH),
@@ -505,14 +502,13 @@ def check_claim_multiplicity(C: GradedModule, M: GradedModule,
 # ---------------------------------------------------------------------------
 # corollaries
 
-def check_gorenstein_criterion(M: GradedModule,
-                               cap: Optional[int] = None) -> CriterionReport:
+def check_gorenstein_criterion(M: GradedModule) -> CriterionReport:
     """Gorensteinness of R from a Cohen-Macaulay witness module: the main
     theorem's conditions with C = R (criterion id C2.6)."""
     chk = _Check("C2.6", "R is Gorenstein")
     R = M.ring.as_module()
     r = chk.get(depth, R)
-    tR = chk.get(type_of, R, cap)
+    tR = chk.get(type_of, R)
     inputs = {"M": M.name or "M", "depth_R": r, "type_R": tR}
     if r is None:
         return chk.unresolved(inputs)
@@ -521,7 +517,7 @@ def check_gorenstein_criterion(M: GradedModule,
     hyps.append(Hypothesis("dim M = depth R",
                            _status(None if s is None else s == r),
                            {"dim_M": s, "depth_R": r}))
-    hyps += _main_conditions(chk, M, R, tR, 0, r + 1, cap,
+    hyps += _main_conditions(chk, M, R, tR, 0, r + 1,
                              "r(R) e(M) <= e(Hom(M,R))",
                              "Ext^i(M,R) = 0 for 1 <= i <= depth R + 1")
     report = chk.report(inputs, hyps)
@@ -534,25 +530,23 @@ def check_gorenstein_criterion(M: GradedModule,
     return report
 
 
-def check_mcm_inequality(C: GradedModule,
-                         cap: Optional[int] = None) -> CriterionReport:
+def check_mcm_inequality(C: GradedModule) -> CriterionReport:
     """Finite injective dimension of a maximal Cohen-Macaulay module from
     the inequality r(C) e(R) <= e(C) (criterion id C2.7)."""
     chk = _Check("C2.7", _FINITE_INJDIM)
     R = C.ring.as_module()
     d = chk.get(dimension, R)
-    t = chk.get(type_of, C, cap)
+    t = chk.get(type_of, C)
     inputs = {"C": C.name or "C", "dim_R": d, "type_C": t}
     hyps = _mcm_preamble(chk, R, d, C, "C")
     eR = chk.get(multiplicity, R)
     eC = chk.get(multiplicity, C)
     hyps.append(_at_most("r(C) e(R) <= e(C)", _product(t, eR), eC))
-    return _certify_by_bass(chk.report(inputs, hyps), C, cap,
+    return _certify_by_bass(chk.report(inputs, hyps), C,
                             "bass number vanishing")
 
 
-def check_rank_criterion(C: GradedModule,
-                         cap: Optional[int] = None) -> CriterionReport:
+def check_rank_criterion(C: GradedModule) -> CriterionReport:
     """Finite injective dimension from type bounded by rank over a
     flagged domain, with the exact identity e(C) = e(R) rank(C) as a
     cross-check (criterion id C2.8)."""
@@ -560,7 +554,7 @@ def check_rank_criterion(C: GradedModule,
     ring = C.ring
     R = ring.as_module()
     d = chk.get(dimension, R)
-    t = chk.get(type_of, C, cap)
+    t = chk.get(type_of, C)
     inputs = {"C": C.name or "C", "dim_R": d, "type_C": t,
               "domain_flag": ring.domain_flag}
     hyps = _mcm_preamble(chk, R, d, C, "C")
@@ -580,26 +574,24 @@ def check_rank_criterion(C: GradedModule,
     eR = chk.get(multiplicity, R)
     eC = chk.get(multiplicity, C)
     eR_rank = _product(eR, rk)
-    return _certify_by_bass(report, C, cap,
-                            "multiplicity identity + bass number",
+    return _certify_by_bass(report, C, "multiplicity identity + bass number",
                             None if None in (eR, eC) else eC == eR_rank,
                             e_C=eC, e_R_times_rank=eR_rank)
 
 
-def check_self_ext_criterion(C: GradedModule,
-                             cap: Optional[int] = None) -> CriterionReport:
+def check_self_ext_criterion(C: GradedModule) -> CriterionReport:
     """The case M = C: self-Ext vanishing plus an endomorphism-ring
     multiplicity bound, the main theorem's conditions with M = C
     (criterion id C2.9)."""
     chk = _Check("C2.9", _MCM_FINITE_INJDIM)
     n = chk.get(dimension, C)
-    t = chk.get(type_of, C, cap)
+    t = chk.get(type_of, C)
     inputs = {"C": C.name or "C", "n": n, "type_C": t}
     if n is None:
         return chk.unresolved(inputs)
     hyps = [_cohen_macaulay(chk, C, "C"),
-            *_main_conditions(chk, C, C, t, 0, n + 1, cap,
+            *_main_conditions(chk, C, C, t, 0, n + 1,
                               "r(C) e(C) <= e(End(C))",
                               "Ext^i(C,C) = 0 for 1 <= i <= n+1")]
-    return _certify_by_bass(chk.report(inputs, hyps), C, cap,
+    return _certify_by_bass(chk.report(inputs, hyps), C,
                             "bass number vanishing")

@@ -203,13 +203,13 @@ def depth(M: GradedModule) -> int:
     return M.ring.poly_ring.n - projective_dimension_ambient(M)
 
 
-def type_of(M: GradedModule, cap: Optional[int] = None) -> int:
+def type_of(M: GradedModule) -> int:
     """dim_k Ext^t(k, M) at t = depth M, over the quotient ring."""
     if M.is_zero():
         raise ZeroModuleError("type of the zero module")
     t = depth(M)
     k = M.ring.residue_field()
-    E = ext(k, M, t, cap=cap)
+    E = ext(k, M, t)
     l = length(E)
     if l is None:
         raise RuntimeError("Ext^depth(k, M) has infinite length")  # pragma: no cover
@@ -233,23 +233,31 @@ def is_cohen_macaulay(M: GradedModule) -> bool:
 # ---------------------------------------------------------------------------
 # rank over (flagged) domains
 
-def domain_necessary_check(ring: RingPresentation, degree_bound: int = 3) -> bool:
+# the degree bound of the standard monomials that domain_necessary_check
+# multiplies, and the most minors rank tests
+DOMAIN_CHECK_DEGREE = 3
+MINOR_CAP = 3000
+
+
+def domain_necessary_check(ring: RingPresentation) -> bool:
     """Cheap necessary condition: no product of two nonzero standard
-    monomials of degree <= bound vanishes mod the ideal."""
+    monomials of degree <= DOMAIN_CHECK_DEGREE vanishes mod the ideal;
+    cached on the ring."""
+    if "domain_check" in ring._cache:
+        return ring._cache["domain_check"]
     polyring = ring.poly_ring
     leads = [g.lead_mono() for g in ring.ideal_gb]
-    monos = [m for d in range(1, degree_bound + 1)
+    monos = [m for d in range(1, DOMAIN_CHECK_DEGREE + 1)
              for m in monomials_of_degree(polyring.n, d)
              if not any(mono_divides(l, m) for l in leads)]
-    for i, a in enumerate(monos):
-        for b in monos[i:]:
-            prod = Poly(polyring, {tuple(x + y for x, y in zip(a, b)): 1})
-            if ring.nf_poly(prod).is_zero():
-                return False
-    return True
+    products = (Poly(polyring, {tuple(x + y for x, y in zip(a, b)): 1})
+                for i, a in enumerate(monos) for b in monos[i:])
+    ok = not any(ring.nf_poly(f).is_zero() for f in products)
+    ring._cache["domain_check"] = ok
+    return ok
 
 
-def rank(M: GradedModule, minor_cap: int = 3000) -> Optional[int]:
+def rank(M: GradedModule) -> Optional[int]:
     """Generic rank of M when the ring is a flagged domain, else None.
 
     Computed as (generators) - (largest minor of the relation matrix not
@@ -267,9 +275,9 @@ def rank(M: GradedModule, minor_cap: int = 3000) -> Optional[int]:
     from itertools import combinations
     for size in range(r_max, 0, -1):
         count = comb(g, size) * comb(ncols, size)
-        if count > minor_cap:
+        if count > MINOR_CAP:
             raise UndecidedError(
-                f"{count} minors of size {size} exceed the cap {minor_cap}")
+                f"{count} minors of size {size} exceed the cap {MINOR_CAP}")
         for rsel in combinations(range(g), size):
             for csel in combinations(range(ncols), size):
                 det = _det([[matrix[i][j] for j in csel] for i in rsel])
@@ -295,6 +303,9 @@ def _det(m) -> Poly:
 
 # ---------------------------------------------------------------------------
 # regular sequences / systems of parameters
+
+SOP_TRIES = 50  # random linear systems find_regular_sop tries
+
 
 @dataclass
 class RegularSequenceCertificate:
@@ -323,8 +334,8 @@ def is_regular_element(M: GradedModule, x: Poly) -> bool:
     return all(shifted.contains(k) for k in K)
 
 
-def find_regular_sop(M: GradedModule, seed: int = 1,
-                     max_tries: int = 50) -> RegularSequenceCertificate:
+def find_regular_sop(M: GradedModule,
+                     seed: int = 1) -> RegularSequenceCertificate:
     """Random degree-1 forms, each verified regular on the successive
     quotient, jointly cutting M to finite length."""
     if M.is_zero():
@@ -336,7 +347,7 @@ def find_regular_sop(M: GradedModule, seed: int = 1,
         return RegularSequenceCertificate([], M.name, seed, [], True)
     n = ring.poly_ring.n
     p = ring.poly_ring.p
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, SOP_TRIES + 1):
         elements, flags = [], []
         N = M
         ok = True
@@ -357,7 +368,7 @@ def find_regular_sop(M: GradedModule, seed: int = 1,
             return RegularSequenceCertificate(elements, M.name, seed, flags,
                                               True, attempt)
     raise UndecidedError(
-        f"no regular system of parameters found in {max_tries} tries "
+        f"no regular system of parameters found in {SOP_TRIES} tries "
         f"(enlarge the prime or check the CM hypothesis)")
 
 
@@ -365,8 +376,7 @@ def find_regular_sop(M: GradedModule, seed: int = 1,
 # report
 
 def invariant_report(name: str, M: GradedModule,
-                     with_rank: bool = False,
-                     cap: Optional[int] = None) -> dict:
+                     with_rank: bool = False) -> dict:
     if M.is_zero():
         return {"module": name, "dim": -1, "depth": 0, "e": None,
                 "type": None, "is_cm": None, "length": 0}
@@ -378,7 +388,7 @@ def invariant_report(name: str, M: GradedModule,
             rk = None
     out = {"module": name, "dim": dimension(M), "depth": depth(M),
            "e": multiplicity(M), "length": length(M),
-           "type": type_of(M, cap=cap), "is_cm": is_cohen_macaulay(M)}
+           "type": type_of(M), "is_cm": is_cohen_macaulay(M)}
     if out["length"] is None:
         out["length"] = "infinite"
     if rk is not None:

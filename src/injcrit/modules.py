@@ -16,7 +16,7 @@ basis, its relation tester over S; the ring's is that of R as a module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 # buchberger is re-exported: bench/tracer.py wraps it under this name too.
@@ -38,10 +38,6 @@ class ResolutionCapError(RuntimeError):
         self.cap = cap
 
 
-def default_res_cap(ring: "RingPresentation") -> int:
-    return 2 * ring.poly_ring.n + 4
-
-
 def _vec_sort_key(v: Vec):
     """Deterministic total order on homogeneous vectors: degree, then terms."""
     return (v.degree() or 0,
@@ -50,10 +46,14 @@ def _vec_sort_key(v: Vec):
 
 
 class RingPresentation:
-    """S/I: a polynomial ring with a homogeneous ideal and cached GB data."""
+    """S/I: a polynomial ring with a homogeneous ideal and cached GB data.
+
+    res_cap bounds every resolution over R (None: 2n + 4 steps); the
+    resolutions over S need none, since they end after n steps.
+    """
 
     def __init__(self, poly_ring: PolyRing, ideal_gens=(),
-                 domain_flag: bool = False):
+                 domain_flag: bool = False, res_cap: Optional[int] = None):
         self.poly_ring = poly_ring
         gens = []
         for f in ideal_gens:
@@ -64,6 +64,7 @@ class RingPresentation:
             gens.append(f)
         self.ideal_gens = tuple(gens)
         self.domain_flag = domain_flag
+        self.res_cap = 2 * poly_ring.n + 4 if res_cap is None else res_cap
         self._cache = {}
 
     # -- basic data --------------------------------------------------------
@@ -343,13 +344,15 @@ class FreeResolution:
 
     covers[i] is the i-th free module; diffs[i] lists the columns of the
     differential covers[i+1] -> covers[i].  complete means the last
-    computed syzygy module was zero, so the resolution ends there.
+    computed syzygy module was zero, so the resolution ends there.  cap
+    bounds the number of maps; None leaves it unbounded.
     """
 
     ring: RingPresentation
     covers: list
-    diffs: list = field(default_factory=list)
-    complete: bool = False
+    diffs: list
+    complete: bool
+    cap: Optional[int]
 
     @property
     def num_diffs(self) -> int:
@@ -365,11 +368,10 @@ class FreeResolution:
     def betti_numbers(self) -> list:
         return [c.rank for c in self.covers]
 
-    def extend_to(self, steps: int, cap: Optional[int] = None):
-        cap = cap if cap is not None else default_res_cap(self.ring)
+    def extend_to(self, steps: int):
         while not self.complete and len(self.diffs) < steps:
-            if len(self.diffs) >= cap:
-                raise ResolutionCapError(steps, cap)
+            if self.cap is not None and len(self.diffs) >= self.cap:
+                raise ResolutionCapError(steps, self.cap)
             self._step()
 
     def _step(self):
@@ -387,13 +389,14 @@ class FreeResolution:
             tuple(g.degree() for g in gens)))
 
 
-def resolution(M: GradedModule, base: str = "R", steps: int = 0,
-               cap: Optional[int] = None) -> FreeResolution:
+def resolution(M: GradedModule, base: str = "R",
+               steps: int = 0) -> FreeResolution:
     """Minimal graded free resolution of M, truncated after `steps` maps.
 
-    base "S" resolves over the ambient polynomial ring (always finite);
-    base "R" resolves over the quotient, which generally never ends, so
-    the truncation bound is essential.
+    base "S" resolves over the ambient polynomial ring, uncapped: by
+    Hilbert's syzygy theorem it ends after n maps.  base "R" resolves over
+    the quotient, which generally never ends, so it stops at the ring's
+    res_cap with a ResolutionCapError.
     """
     if base not in ("R", "S"):
         raise ValueError("base must be 'R' or 'S'")
@@ -413,9 +416,11 @@ def resolution(M: GradedModule, base: str = "R", steps: int = 0,
             diffs.append(list(mm.relations))
             covers.append(ring.poly_ring.free_module(
                 tuple(r.degree() for r in mm.relations)))
-        M._cache[key] = FreeResolution(ring, covers, diffs, complete)
+        M._cache[key] = FreeResolution(
+            ring, covers, diffs, complete,
+            M.ring.res_cap if base == "R" else None)
     res = M._cache[key]
-    res.extend_to(steps, cap)
+    res.extend_to(steps)
     return res
 
 
@@ -462,13 +467,12 @@ def induced_hom_map(diff_columns, src_cover: FreeModule,
     return cols
 
 
-def ext(M: GradedModule, C: GradedModule, i: int,
-        cap: Optional[int] = None) -> GradedModule:
+def ext(M: GradedModule, C: GradedModule, i: int) -> GradedModule:
     """Ext^i(M, C) over the ring R that M and C share.
 
     Presented as ker/im of the dualized minimal free resolution of M over
-    R, resolved to i + 1 steps under the cap and re-minimalized so that
-    the zero module has no generators; cached on M per (C, i).  The
+    R, resolved to i + 1 steps under the ring's res_cap and re-minimalized
+    so that the zero module has no generators; cached on M per (C, i).  The
     kernel K of Hom(d_i, C) comes from kernel_of_cokernel_map, and the
     relations on K are the preimage of im Hom(d_{i-1}, C) plus the
     relations of Hom(F_i, C): one syzygy run in which only K's columns
@@ -482,7 +486,7 @@ def ext(M: GradedModule, C: GradedModule, i: int,
     key = ("ext", C.cache_key(), i)
     if key in M._cache:
         return M._cache[key]
-    res = resolution(M, "R", steps=i + 1, cap=cap)
+    res = resolution(M, "R", steps=i + 1)
     if res.complete and i > res.num_diffs:
         E = ring.zero_module()
         M._cache[key] = E

@@ -14,12 +14,11 @@ from .poly import Poly, PolyRing
 
 
 class ParseError(ValueError):
-    """A positioned syntax or validation error."""
+    """A positioned syntax or validation error; a polynomial is one line."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 0):
-        super().__init__(f"line {line}, column {column}: {message}")
+    def __init__(self, message: str, column: int = 0):
+        super().__init__(f"line 1, column {column}: {message}")
         self.message = message
-        self.line = line
         self.column = column
 
 
@@ -36,22 +35,15 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")
 def _tokenize(text: str) -> list:
     tokens = []
     pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.end() == pos and not text[pos:].strip():
-            break
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", column=pos)
-        if m.group(1) is not None:
-            tokens.append(_Token("int", m.group(1), m.start(1)))
-        elif m.group(2) is not None:
-            tokens.append(_Token("name", m.group(2), m.start(2)))
-        elif m.group(3) is not None:
-            tokens.append(_Token("op", m.group(3), m.start(3)))
+    while (m := _TOKEN_RE.match(text, pos)) is not None:
+        group = m.lastindex  # the one alternative that matched
+        tokens.append(_Token(("int", "name", "op")[group - 1],
+                             m.group(group), m.start(group)))
         pos = m.end()
-    rest = text[pos:].strip()
+    rest = text[pos:].lstrip()
     if rest:
-        raise ParseError(f"unexpected character {rest[0]!r}", column=pos)
+        raise ParseError(f"unexpected character {rest[0]!r}",
+                         column=len(text) - len(rest))
     tokens.append(_Token("end", "", len(text)))
     return tokens
 

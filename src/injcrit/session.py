@@ -35,7 +35,7 @@ class SessionError(ValueError):
         self.errors = list(errors)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SessionFlags:
     domain: bool = False
     degree_bound: int = 10
@@ -80,28 +80,19 @@ CHECKS = {
     "L2.1": (("M",), lambda s, M: criteria.check_lemma_mult_length(
         M, _sop(s, M))),
     "L2.2": (("M", "C"), lambda s, M, C: criteria.check_regseq_transfer(
-        M, C, _sop(s, M), degree_bound=s.flags.degree_bound,
-        cap=s.flags.res_cap)),
+        M, C, _sop(s, M), degree_bound=s.flags.degree_bound)),
     "L2.3": (("M", "C"), lambda s, M, C:
-             criteria.check_finite_length_criterion(M, C,
-                                                    cap=s.flags.res_cap)),
-    "T2.4": (("C", "M"), lambda s, C, M: criteria.check_main_theorem(
-        C, M, cap=s.flags.res_cap)),
+             criteria.check_finite_length_criterion(M, C)),
+    "T2.4": (("C", "M"), lambda s, C, M: criteria.check_main_theorem(C, M)),
     "T2.4-moreover": (("C", "M", "N"), lambda s, C, M, N:
-                      criteria.check_moreover_clause(
-                          C, M, N, cap=s.flags.res_cap)),
-    "Claim": (("C", "M"), lambda s, C, M: criteria.check_claim_multiplicity(
-        C, M, cap=s.flags.res_cap)),
-    "C2.6": (("M",), lambda s, M: criteria.check_gorenstein_criterion(
-        M, cap=s.flags.res_cap)),
-    "C2.7": (("C",), lambda s, C: criteria.check_mcm_inequality(
-        C, cap=s.flags.res_cap)),
-    "C2.8": (("C",), lambda s, C: criteria.check_rank_criterion(
-        C, cap=s.flags.res_cap)),
-    "C2.9": (("C",), lambda s, C: criteria.check_self_ext_criterion(
-        C, cap=s.flags.res_cap)),
-    "Bass": (("C",), lambda s, C: criteria.verify_finite_injdim_bass(
-        C, cap=s.flags.res_cap)),
+                      criteria.check_moreover_clause(C, M, N)),
+    "Claim": (("C", "M"), lambda s, C, M:
+              criteria.check_claim_multiplicity(C, M)),
+    "C2.6": (("M",), lambda s, M: criteria.check_gorenstein_criterion(M)),
+    "C2.7": (("C",), lambda s, C: criteria.check_mcm_inequality(C)),
+    "C2.8": (("C",), lambda s, C: criteria.check_rank_criterion(C)),
+    "C2.9": (("C",), lambda s, C: criteria.check_self_ext_criterion(C)),
+    "Bass": (("C",), lambda s, C: criteria.verify_finite_injdim_bass(C)),
 }
 
 
@@ -121,13 +112,16 @@ def _reject_unknown(doc: dict, allowed, where: str, errors: list):
 NONNEGATIVE_FLAGS = ("degree_bound", "res_cap")
 
 
-def _parse_flags(doc, errors: list) -> SessionFlags:
-    flags = SessionFlags()
+def _parse_flags(doc, overrides: dict, errors: list) -> SessionFlags:
+    """The flags of doc, each key of overrides replacing its value."""
+    defaults = SessionFlags().to_dict()
     if not isinstance(doc, dict):
         errors.append("flags: expected an object")
-        return flags
-    _reject_unknown(doc, flags.to_dict(), "flags.", errors)
-    for key, default in flags.to_dict().items():
+        return SessionFlags()
+    doc = {**doc, **overrides}
+    _reject_unknown(doc, defaults, "flags.", errors)
+    values = {}
+    for key, default in defaults.items():
         value = doc.get(key, default)
         if key == "domain" and not isinstance(value, bool):
             errors.append(f"flags.domain: expected true or false, "
@@ -139,8 +133,8 @@ def _parse_flags(doc, errors: list) -> SessionFlags:
             errors.append(f"flags.{key}: expected a non-negative integer, "
                           f"got {value}")
         else:
-            setattr(flags, key, value)
-    return flags
+            values[key] = value
+    return SessionFlags(**values)
 
 
 def _parse_modules(doc, ring: Optional[RingPresentation],
@@ -245,7 +239,9 @@ def _parse_checks(doc, modules: dict, errors: list) -> list:
     return checks
 
 
-def parse_session(text: str) -> Session:
+def parse_session(text: str, overrides: Optional[dict] = None) -> Session:
+    """The session of a JSON document.  overrides maps flag names to
+    values that replace the document's, before the ring takes them."""
     errors = []
     try:
         doc = json.loads(text)
@@ -267,7 +263,7 @@ def parse_session(text: str) -> Session:
     except ValueError as e:
         errors.append(f"char: {e}")
         char = 32003
-    flags = _parse_flags(doc.get("flags", {}), errors)
+    flags = _parse_flags(doc.get("flags", {}), overrides or {}, errors)
     variables = doc.get("vars", [])
     poly_ring = None
     if (not isinstance(variables, list) or not variables
@@ -301,7 +297,8 @@ def parse_session(text: str) -> Session:
     # or without a ring when the variables are invalid, so that one
     # SessionError lists every error of the document
     ring = (None if poly_ring is None else
-            RingPresentation(poly_ring, ideal, domain_flag=flags.domain))
+            RingPresentation(poly_ring, ideal, domain_flag=flags.domain,
+                             res_cap=flags.res_cap))
     modules = _parse_modules(doc.get("modules", {}), ring, errors)
     checks = _parse_checks(doc.get("checks", []), modules, errors)
     if errors:
@@ -339,9 +336,8 @@ def run_session(session: Session, with_oracle: bool = False) -> dict:
     for name in names:
         M = session.resolve(name)
         try:
-            rep = invariant_report(
-                name, M, with_rank=session.ring.domain_flag,
-                cap=session.flags.res_cap)
+            rep = invariant_report(name, M,
+                                   with_rank=session.ring.domain_flag)
         except criteria.CAPPED as e:
             rep = {"module": name, "undecided": str(e)}
         invariants.append(rep)

@@ -1,6 +1,7 @@
 """Criterion checkers: verdict semantics and worked instances."""
 
 import json
+from importlib import resources
 
 import pytest
 
@@ -207,12 +208,13 @@ def test_every_pass_verdict_is_verified(corpus):
             assert rep.asserted
 
 
-def test_undecided_from_tiny_cap(corpus):
-    session = corpus["gorenstein_node"]
-    rep = check_mcm_inequality(session.resolve("R"), cap=0)
-    assert rep.verdict in ("undecided", "pass")
-    if rep.verdict == "undecided":
-        assert rep.undecided
+def test_undecided_from_tiny_cap():
+    text = (resources.files("injcrit") / "corpus"
+            / "gorenstein_node.json").read_text()
+    session = parse_session(text, {"res_cap": 0})
+    rep = check_mcm_inequality(session.resolve("R"))
+    assert rep.verdict == "undecided"
+    assert rep.undecided == ["resolution needs 2 steps but the cap is 0"]
 
 
 # -- the exits the corpus never reaches, each report pinned whole ----------
@@ -227,17 +229,18 @@ MOREOVER = ("every Cohen-Macaulay module of dimension s satisfies both "
             "conditions, with equality in the multiplicity bound")
 
 
-def fresh(vars, ideal, *names, modules=None):
+def fresh(vars, ideal, *names, modules=None, flags=None):
     """The named modules of a session parsed anew, so that no resolution
     or Ext module is cached on them yet."""
     s = parse_session(json.dumps({"vars": vars, "ideal": ideal,
-                                  "modules": modules or {}}))
+                                  "modules": modules or {},
+                                  "flags": flags or {}}))
     return [s.resolve(n) for n in names]
 
 
-def node():
+def node(flags=None):
     """R, k and A = R/(x) over the node k[x,y]/(xy)."""
-    return fresh(["x", "y"], ["x*y"], "R", "k", "A",
+    return fresh(["x", "y"], ["x*y"], "R", "k", "A", flags=flags,
                  modules={"A": {"degrees": [0], "relations": [["x"]]}})
 
 
@@ -280,8 +283,8 @@ def test_past_the_monomial_limit_the_input_invariants_are_unresolved():
 
 
 def test_capped_type_leaves_l23_unresolved():
-    R, k, _ = node()
-    assert check_finite_length_criterion(k, R, cap=0).to_dict() == unresolved(
+    R, k, _ = node({"res_cap": 0})
+    assert check_finite_length_criterion(k, R).to_dict() == unresolved(
         "L2.3", {"M": "k", "C": "R", "r": 1, "type_C": None, "length_M": 1},
         "resolution needs 2 steps but the cap is 0")
 
@@ -335,8 +338,8 @@ def test_regseq_transfer_capped_verification(monkeypatch, capped):
 def test_capped_bass_number_leaves_l23_undecided():
     """Over k[x]/(x^2), M = C = R meets both hypotheses of L2.3; the Bass
     number Ext^1(k, R) then needs a second resolution step."""
-    R, = fresh(["x"], ["x^2"], "R")
-    assert check_finite_length_criterion(R, R, cap=0).to_dict() == {
+    R, = fresh(["x"], ["x^2"], "R", flags={"res_cap": 0})
+    assert check_finite_length_criterion(R, R).to_dict() == {
         "criterion": "L2.3",
         "inputs": {"M": "R", "C": "R", "r": 0, "type_C": 1, "length_M": 2},
         "hypotheses": [hyp("r(C) l(M) <= l(Ext^r(M,C))", "pass",
@@ -386,7 +389,8 @@ def test_moreover_entry_undecided_or_failed(monkeypatch, fault):
         "hypotheses": [hyp("main criterion verified for M", "pass",
                            verdict="pass")],
         "conclusion": MOREOVER, "asserted": fault == "wrong",
-        "verification": {"status": "fail",
+        "verification": {"status": ("undecided" if fault == "capped"
+                                    else "fail"),
                          "method": "per-module equality + window",
                          "modules": [{"module": "A", "lhs": 1, "rhs": 1,
                                       "equality": True, "window_zero": True},

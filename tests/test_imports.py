@@ -1,5 +1,6 @@
-"""No module of the package imports a name it leaves unused, and nothing
-it defines goes unreferenced.
+"""No module of the package imports a name it leaves unused, nothing it
+defines goes unreferenced, and no parameter has a default that every call
+leaves in place.
 
 There is no linter in the toolchain, so this walks the syntax trees.  An
 import that is kept on purpose (a re-export) carries `# noqa: F401` and a
@@ -7,12 +8,13 @@ comment line right above it that says why.  A function, method or class
 of the package must be read by name somewhere in the package or in
 bench/; a method counts as read only as an attribute or in a dotted
 string, since a local variable of its name reads something else.  The
-few definitions that only tests read are listed, each with its reason.
+few definitions that only tests read are listed, each with its reason,
+and so are the few defaults that only tests vary.
 """
 
 import ast
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import injcrit
@@ -167,3 +169,96 @@ def test_unreferenced_definition_check_catches_leftovers():
         {"m.py": source},
         ["used(), shadow(), Ring().lead()", "WRAPPED = ['Ring.gens']"]) == \
         [("m.py", "helper")]
+
+
+# parameters with a default that no call in the package or in bench/
+# passes, (function, parameter) -> why they stay
+KEPT_DEFAULTS = {
+    ("matlis_dual", "bound"): "the dual's degree bound: tests raise it to "
+                              "dualize modules generated far from degree 0",
+}
+
+
+def call_arguments(trees) -> dict:
+    """For each name that is called, as a plain name or as an attribute,
+    what each call passes: (number of positional arguments, keywords), or
+    None when a * or ** argument may pass anything."""
+    calls = defaultdict(list)
+    for tree in trees:
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            starred = (any(isinstance(a, ast.Starred) for a in node.args)
+                       or any(k.arg is None for k in node.keywords))
+            calls[name].append(None if starred else (
+                len(node.args), {k.arg for k in node.keywords}))
+    return calls
+
+
+def unpassed_defaults(defining: dict, callers=()) -> list:
+    """(file, function, parameter) of every parameter with a default that
+    no call in `defining` (file name -> source) or in `callers` passes, by
+    keyword or by position.  Calls match by name alone, so a call of any
+    function of the same name counts; a call through a class name counts
+    for its __init__, whose self, like any method's, no call passes."""
+    trees = {path: ast.parse(text) for path, text in defining.items()}
+    calls = call_arguments([*trees.values(), *map(ast.parse, callers)])
+    out = []
+    for path, tree in trees.items():
+        owner = {fn: cls for cls in ast.walk(tree)
+                 if isinstance(cls, ast.ClassDef) for fn in cls.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            cls = owner.get(fn)
+            positional = fn.args.posonlyargs + fn.args.args
+            qualname, callee = fn.name, fn.name
+            if cls is not None:
+                positional = positional[1:]
+                qualname = f"{cls.name}.{fn.name}"
+                if fn.name == "__init__":
+                    callee = cls.name
+            first = len(positional) - len(fn.args.defaults)
+            params = [(i, p.arg) for i, p in enumerate(positional)
+                      if i >= first]
+            params += [(None, p.arg) for p, default
+                       in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+                       if default is not None]
+            out += [(path, qualname, arg) for i, arg in params
+                    if not any(call is None or arg in call[1]
+                               or i is not None and i < call[0]
+                               for call in calls[callee])]
+    return sorted(out)
+
+
+def test_package_passes_every_default_somewhere():
+    root = Path(injcrit.__file__).parent
+    bench = root.parents[1] / "bench"
+    found = unpassed_defaults(
+        {path.name: path.read_text() for path in sorted(root.glob("*.py"))},
+        [path.read_text() for path in sorted(bench.glob("*.py"))])
+    assert {(fn, arg) for _, fn, arg in found} == set(KEPT_DEFAULTS)
+
+
+def test_unpassed_default_check_catches_constants():
+    source = ("class Tester:\n"
+              "    def __init__(self, gens, order='pot', cap=9):\n"
+              "        self.gens = gens\n"
+              "    def reduce(self, v, full=True, *, limit=None):\n"
+              "        return v\n"
+              "def search(m, seed=1, tries=50):\n"
+              "    return m\n"
+              "def run(args, opts):\n"
+              "    t = Tester([], 'lex')\n"
+              "    t.reduce(1, limit=3)\n"
+              "    return search(1, seed=2)\n")
+    # Tester([], 'lex') passes order by position, not self; reduce's
+    # full and search's tries keep their defaults at every call
+    assert unpassed_defaults({"m.py": source}) == [
+        ("m.py", "Tester.__init__", "cap"), ("m.py", "Tester.reduce", "full"),
+        ("m.py", "search", "tries")]
+    # a call in another source counts, and * or ** passes everything
+    assert unpassed_defaults(
+        {"m.py": source},
+        ["Tester(*args)", "search(1, 2, 3)", "x.reduce(1, **opts)"]) == []

@@ -50,6 +50,15 @@ def test_malformed(ring):
             parse_polynomial(ring, text)
 
 
+@pytest.mark.parametrize("text,column", [("$", 0), ("x  $y", 3),
+                                         ("x + y &", 6), (" x\t@", 3)])
+def test_unexpected_character_positioned(ring, text, column):
+    """The column is that of the character, not of the blanks before it."""
+    with pytest.raises(ParseError, match="unexpected character") as info:
+        parse_polynomial(ring, text)
+    assert info.value.column == column
+
+
 def test_coefficients_reduced_mod_p(ring):
     assert parse_polynomial(ring, "32003*x").is_zero()
     assert parse_polynomial(ring, "32004*x") == ring.gens()[0]

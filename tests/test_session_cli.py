@@ -136,6 +136,22 @@ def test_cli_rejects_negative_bound_overrides(flag, tmp_path, capsys):
     assert main(["--json", flag, "0", "check", str(f)]) in (0, 2)
 
 
+def test_res_cap_override_bounds_resolutions_over_r_only(tmp_path, capsys):
+    """Over R = k[x,y] with --res-cap 0, A = R/(x) gets its depth from
+    its resolution over S, which is never capped; its type, Ext^1(k, A),
+    needs a second map of the resolution of k over R, past the cap."""
+    f = tmp_path / "ambient.json"
+    f.write_text(json.dumps({
+        "vars": ["x", "y"], "ideal": [],
+        "modules": {"A": {"degrees": [0], "relations": [["x"]]}}}))
+    assert main(["--json", "--res-cap", "0", "check", str(f)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["flags"]["res_cap"] == 0
+    assert report["invariants"][1] == {
+        "module": "A",
+        "undecided": "resolution needs 2 steps but the cap is 0"}
+
+
 def test_parse_reports_type_errors_together():
     doc = dict(json.loads(GOOD), ideal="xy", flags=[1], modules=[],
                checks=["Bass"])
