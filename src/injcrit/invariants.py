@@ -3,8 +3,11 @@
 Hilbert series come from the lead-term module of the relation tester (a
 Groebner basis over the ambient ring), with the usual inclusion-exclusion
 recursion on monomial ideals.  Depth uses the Auslander-Buchsbaum formula
-over the ambient ring; type is the length of Ext^depth(k, M) over the
-quotient, and the socle of a finite-length M is Hom(k, M) = Ext^0(k, M).
+over the ambient ring S, and type is read off the same minimal
+S-resolution: at t = depth M and p = pd_S M, Ext^t(k, M) is Tor^S_p(k, M)
+by the self-duality of the Koszul complex (Bruns-Herzog, Lemma 1.2.4 and
+Section 1.6), so type M is the Betti number beta^S_p(M).  The socle of a
+nonzero finite-length M is beta^S_n(M), its type at depth 0.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Optional
 
 # buchberger is re-exported: bench/tracer.py wraps it under this name too.
 from .groebner import buchberger  # noqa: F401
-from .modules import (GradedModule, RingPresentation, ZeroModuleError, ext,
+from .modules import (GradedModule, RingPresentation, ZeroModuleError,
                       kernel_of_cokernel_map, quotient_by_sequence,
                       resolution)
 from .poly import (Poly, mono_deg, mono_div, mono_divides, mono_lcm,
@@ -204,24 +207,22 @@ def depth(M: GradedModule) -> int:
 
 
 def type_of(M: GradedModule) -> int:
-    """dim_k Ext^t(k, M) at t = depth M, over the quotient ring."""
+    """dim_k Ext^t(k, M) at t = depth M, read as beta^S_p(M) at p = pd_S M:
+    the rank of the last module of the uncapped minimal S-resolution that
+    depth builds (Bruns-Herzog, Lemma 1.2.4 and Section 1.6)."""
     if M.is_zero():
         raise ZeroModuleError("type of the zero module")
-    t = depth(M)
-    k = M.ring.residue_field()
-    E = ext(k, M, t)
-    l = length(E)
-    if l is None:
-        raise RuntimeError("Ext^depth(k, M) has infinite length")  # pragma: no cover
-    return l
+    res = resolution(M, "S", steps=M.ring.poly_ring.n + 2)
+    return res.covers[res.length].rank
 
 
 def socle_dimension(M: GradedModule) -> int:
-    """dim_k of the socle of a finite-length module: Soc M = Hom(k, M) =
-    Ext^0(k, M), so a later type_of(M) reads the same cached Ext."""
-    if length(M) is None:
+    """dim_k of the socle of a finite-length module: a nonzero M has depth
+    0, so Soc M = Ext^0(k, M) has dimension type M = beta^S_n(M)."""
+    l = length(M)
+    if l is None:
         raise ValueError("socle dimension requires finite length")
-    return length(ext(M.ring.residue_field(), M, 0))
+    return type_of(M) if l else 0
 
 
 def is_cohen_macaulay(M: GradedModule) -> bool:

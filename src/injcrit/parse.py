@@ -18,7 +18,6 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, column: int = 0):
         super().__init__(f"line 1, column {column}: {message}")
-        self.message = message
         self.column = column
 
 

@@ -1,14 +1,16 @@
 """Shared fixtures and helpers: the shipped corpus sessions, common rings,
 the image of a vector under a map given by its columns, normal forms
-against a given basis, direct sums of modules, and random presentations."""
+against a given basis, direct sums of modules, type read off Ext over the
+ring, and random presentations."""
 
 import pytest
 from hypothesis import strategies as st
 from importlib import resources
 
 from injcrit.groebner import GBuilder
+from injcrit.invariants import depth, length
 from injcrit.poly import PolyRing, Vec
-from injcrit.modules import GradedModule, RingPresentation
+from injcrit.modules import GradedModule, RingPresentation, ext
 from injcrit.session import parse_session
 
 
@@ -83,6 +85,12 @@ def direct_sum(A: GradedModule, B: GradedModule) -> GradedModule:
         rels.append(Vec(cover, {(pos + off, m): c
                                 for (pos, m), c in r.terms.items()}))
     return GradedModule(A.ring, shifts, rels)
+
+
+def ext_route_type(M: GradedModule) -> int:
+    """type M as it was read before the S-resolution route: the length of
+    Ext^depth(k, M), built over the ring of M from a resolution of k."""
+    return length(ext(M.ring.residue_field(), M, depth(M)))
 
 
 def draw_xyz_ring(data):

@@ -26,7 +26,7 @@ from injcrit.oracle import (oracle_ext_dims, oracle_hilbert, oracle_length,
                             oracle_socle_dimension)
 from injcrit.poly import PolyRing
 
-from conftest import apply_columns, named_modules, normal_form
+from conftest import apply_columns, ext_route_type, named_modules, normal_form
 
 
 @contextmanager
@@ -109,7 +109,7 @@ def test_acceptance_1_oracle_equivalence(corpus):
                 hilbert_series(M).coefficients(16)
             assert oracle_length(M, bound=16) == length(M)
             assert oracle_socle_dimension(M, bound=16) == socle_dimension(M)
-            assert type_of(M) == socle_dimension(M)
+            assert type_of(M) == ext_route_type(M)
             dims = oracle_ext_dims(M, R, i_max=3, bound=16)
             for i in range(4):
                 engine = hilbert_series(ext(M, R, i)).coefficients(6)

@@ -209,12 +209,18 @@ def test_every_pass_verdict_is_verified(corpus):
 
 
 def test_undecided_from_tiny_cap():
+    """At cap 0 the type of R is still read off its resolution over S, so
+    the hypotheses of C2.7 pass on the node; the Bass number Ext^2(k, R)
+    needs a third map of the resolution of k over R, past the cap."""
     text = (resources.files("injcrit") / "corpus"
             / "gorenstein_node.json").read_text()
     session = parse_session(text, {"res_cap": 0})
     rep = check_mcm_inequality(session.resolve("R"))
+    assert rep.inputs["type_C"] == 1
+    assert [h.status for h in rep.hypotheses] == ["pass"] * 3
     assert rep.verdict == "undecided"
-    assert rep.undecided == ["resolution needs 2 steps but the cap is 0"]
+    assert rep.undecided == ["resolution needs 3 steps but the cap is 0",
+                             "bass check"]
 
 
 # -- the exits the corpus never reaches, each report pinned whole ----------
@@ -282,11 +288,22 @@ def test_past_the_monomial_limit_the_input_invariants_are_unresolved():
         "C2.9", {"C": "R", "n": None, "type_C": None}, LIMIT, LIMIT)
 
 
-def test_capped_type_leaves_l23_unresolved():
+def test_capped_ext_of_k_leaves_l23_undecided():
+    """At cap 0 the type of the node is still decided, off its resolution
+    over S; with M = k the hypotheses read Ext^1(k, R) and Ext^{r+1}(k, R)
+    = Ext^2(k, R), which resolve k over R past the cap."""
     R, k, _ = node({"res_cap": 0})
-    assert check_finite_length_criterion(k, R).to_dict() == unresolved(
-        "L2.3", {"M": "k", "C": "R", "r": 1, "type_C": None, "length_M": 1},
-        "resolution needs 2 steps but the cap is 0")
+    assert check_finite_length_criterion(k, R).to_dict() == {
+        "criterion": "L2.3",
+        "inputs": {"M": "k", "C": "R", "r": 1, "type_C": 1, "length_M": 1},
+        "hypotheses": [hyp("r(C) l(M) <= l(Ext^r(M,C))", "undecided",
+                           lhs=1, rhs=None),
+                       hyp("Ext^{r+1}(M,C) = 0", "undecided", length=None)],
+        "conclusion": "Ext^{r+1}(k, C) = 0", "asserted": False,
+        "verification": SKIPPED,
+        "undecided": ["resolution needs 2 steps but the cap is 0",
+                      "resolution needs 3 steps but the cap is 0"],
+        "verdict": "undecided"}
 
 
 def test_regseq_transfer_precondition_and_failed_window():

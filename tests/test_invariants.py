@@ -11,12 +11,13 @@ from injcrit.invariants import (_ip_add, _ip_shift, _mono_ideal_numerator,
                                 is_regular_element, length, multiplicity,
                                 projective_dimension_ambient, rank,
                                 socle_dimension, type_of)
-from injcrit.modules import (GradedModule, RingPresentation,
+from injcrit.modules import (GradedModule, RingPresentation, ZeroModuleError,
                              kernel_of_cokernel_map, quotient_by_sequence)
 from injcrit.oracle import oracle_socle_dimension
 from injcrit.poly import PolyRing, Vec, term_key
 
-from conftest import direct_sum, draw_presentation, draw_xyz_ring
+from conftest import (direct_sum, draw_presentation, draw_xyz_ring,
+                      ext_route_type)
 
 
 def quotient_ring(varnames, rel_strings, domain=False):
@@ -87,8 +88,8 @@ def test_non_cm_example():
 
 
 def test_type_equals_socle_for_finite_length(type2_ring, dual_numbers):
-    """socle_dimension is Ext^0(k, M), which type_of also reads for a
-    finite-length M, so the dense oracle's socle is the independent side."""
+    """For a finite-length M both read beta^S_n(M) off the resolution over
+    the ambient ring, so the dense oracle's socle is the independent side."""
     for ring in (type2_ring, dual_numbers):
         M = ring.as_module()
         assert type_of(M) == socle_dimension(M) == oracle_socle_dimension(M)
@@ -209,7 +210,7 @@ def kernel_route_socle_dimension(M):
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_socle_dimension_matches_the_kernel_route_and_the_oracle(data):
-    """Soc M read as Ext^0(k, M) agrees with the retired kernel route and
+    """Soc M read as beta^S_n(M) agrees with the retired kernel route and
     with the dense oracle, on finite-length quotients M / (x^2, y^2, z^2) M
     over ambient and quotient rings."""
     ring = draw_xyz_ring(data)
@@ -218,6 +219,31 @@ def test_socle_dimension_matches_the_kernel_route_and_the_oracle(data):
                              [x * x, y * y, z * z])
     assert socle_dimension(M) == kernel_route_socle_dimension(M) == \
         oracle_socle_dimension(M)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_type_matches_the_ext_route(data):
+    """type read as beta^S_p(M) at p = pd_S M agrees with the length of
+    Ext^depth(k, M) built over the ring, on ambient and quotient rings; on
+    a zero module both routes refuse."""
+    M = draw_presentation(data, draw_xyz_ring(data))
+    if M.is_zero():
+        for route in (type_of, ext_route_type):
+            with pytest.raises(ZeroModuleError):
+                route(M)
+    else:
+        assert type_of(M) == ext_route_type(M)
+
+
+def test_socle_dimension_of_a_zero_module_is_zero(type2_ring):
+    """A zero module has finite length and no socle: the guard answers 0
+    where type_of would refuse."""
+    for ring in (type2_ring, quotient_ring("xy", [])):
+        F = ring.poly_ring.free_module((0, 1))
+        M = GradedModule(ring, F.shifts, [F.gen(0), F.gen(1)])
+        assert M.is_zero() and length(M) == 0
+        assert socle_dimension(M) == 0
 
 
 def test_hilbert_series_reuses_the_relation_tester(monkeypatch, type2_ring):

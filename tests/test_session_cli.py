@@ -137,19 +137,24 @@ def test_cli_rejects_negative_bound_overrides(flag, tmp_path, capsys):
 
 
 def test_res_cap_override_bounds_resolutions_over_r_only(tmp_path, capsys):
-    """Over R = k[x,y] with --res-cap 0, A = R/(x) gets its depth from
-    its resolution over S, which is never capped; its type, Ext^1(k, A),
-    needs a second map of the resolution of k over R, past the cap."""
+    """Over R = k[x,y] with --res-cap 0, A = R/(x) gets its depth and its
+    type from its resolution over S, which is never capped, so its row is
+    decided; its Bass number Ext^3(k, A) needs a fourth map of the
+    resolution of k over R, past the cap."""
     f = tmp_path / "ambient.json"
     f.write_text(json.dumps({
         "vars": ["x", "y"], "ideal": [],
-        "modules": {"A": {"degrees": [0], "relations": [["x"]]}}}))
+        "modules": {"A": {"degrees": [0], "relations": [["x"]]}},
+        "checks": [{"id": "Bass", "C": "A"}]}))
     assert main(["--json", "--res-cap", "0", "check", str(f)]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["flags"]["res_cap"] == 0
     assert report["invariants"][1] == {
-        "module": "A",
-        "undecided": "resolution needs 2 steps but the cap is 0"}
+        "module": "A", "dim": 1, "depth": 1, "e": 1, "length": "infinite",
+        "type": 1, "is_cm": True}
+    bass, = report["checks"]
+    assert bass["verdict"] == "undecided"
+    assert bass["undecided"] == ["resolution needs 4 steps but the cap is 0"]
 
 
 def test_parse_reports_type_errors_together():
