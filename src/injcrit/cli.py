@@ -16,8 +16,8 @@ import argparse
 import sys
 from importlib import resources
 
-from .session import (NONNEGATIVE_FLAGS, SessionError, emit_report,
-                      has_undecided, parse_session, run_session)
+from .session import (SessionError, emit_report, has_undecided,
+                      parse_session, run_session)
 
 
 def _corpus_files():
@@ -64,12 +64,6 @@ def main(argv=None) -> int:
     spc.add_argument("action", choices=["list", "run"])
     spc.add_argument("name", nargs="?", default=None)
     args = parser.parse_args(argv)
-    for key in NONNEGATIVE_FLAGS:
-        value = getattr(args, key)
-        if value is not None and value < 0:
-            print(f"error: --{key.replace('_', '-')}: expected a "
-                  f"non-negative integer, got {value}", file=sys.stderr)
-            return 1
 
     try:
         if args.command == "corpus":

@@ -520,31 +520,6 @@ def ext(M: GradedModule, C: GradedModule, i: int) -> GradedModule:
     return E
 
 
-def hom_module(M: GradedModule, C: GradedModule) -> GradedModule:
-    """Hom(M, C) from the raw presentation of M, via a single kernel.
-
-    Independent of the minimal-resolution route used by ext(M, C, 0):
-    a hom is an assignment on the raw generators of M killing the raw
-    relations.
-    """
-    ring = M.ring
-    hom0 = hom_cover_into(M.cover, C)
-    if not M.relations:
-        return hom0.minimal_model()
-    rel_cover = ring.poly_ring.free_module(
-        tuple(r.degree() for r in M.relations))
-    delta = induced_hom_map(list(M.relations), M.cover, rel_cover, C)
-    hom1 = hom_cover_into(rel_cover, C)
-    kernel = kernel_of_cokernel_map(delta, hom0.cover, hom1)
-    if not kernel:
-        return ring.zero_module()
-    gen_degs = tuple(v.degree() for v in kernel)
-    sub_cover = ring.poly_ring.free_module(gen_degs)
-    rel_cols = syzygies_over(ring, kernel, sub_cover, hom0.cover,
-                             hom0.relations)
-    return GradedModule(ring, gen_degs, rel_cols).minimal_model()
-
-
 # ---------------------------------------------------------------------------
 # quotients
 

@@ -56,6 +56,7 @@ class RingTable:
         self._mono_index = []   # degree -> {mono of S_d: row of proj}
         self._basis = []        # degree -> standard monomial list
         self._proj = []         # degree -> (dim S_d, len(basis)) matrix
+        self._act = {}          # (variable, degree) -> action matrix
 
     def _ensure(self, d: int):
         while len(self._basis) <= d:
@@ -96,6 +97,16 @@ class RingTable:
         d = mono_deg(m)
         self._ensure(d)
         return self._proj[d][self._mono_index[d][m]]
+
+    def act(self, i: int, e: int) -> np.ndarray:
+        """x_i from R_e to R_{e+1}, one column per basis monomial."""
+        if (i, e) not in self._act:
+            unit = tuple(int(j == i) for j in range(self.n))
+            self._act[i, e] = _columns(
+                [self.mono_coords(mono_mul(b, unit))
+                 for b in (self.basis(e) if e >= 0 else ())],
+                self.dim(e + 1))
+        return self._act[i, e]
 
     def top_degree(self, bound: int) -> int:
         """Largest d with R_d nonzero, certified artinian within bound."""
@@ -142,7 +153,8 @@ class FreeTable(_ActionTable):
     """A free module over R with prescribed generator degrees.
 
     Its degree-d coordinates run through the generators in order, one
-    block of ring basis monomials of degree d - gen_degrees[g] each.
+    block of ring basis monomials of degree d - gen_degrees[g] each, so
+    x_i acts block-diagonally, by the ring's own action on each block.
     """
 
     def __init__(self, rt: RingTable, gen_degrees):
@@ -185,12 +197,16 @@ class FreeTable(_ActionTable):
         return vec
 
     def act(self, i: int, d: int) -> np.ndarray:
-        """x_i on each coordinate of degree d, one column each."""
+        """x_i from degree d: the ring's block rt.act(i, d - a) at the
+        offsets of each generator of degree a."""
         if (i, d) not in self._act:
-            unit = tuple(int(j == i) for j in range(self.nvars))
-            self._act[i, d] = _columns(
-                [self.coords(g, mono_mul(b, unit))
-                 for g, b in self.basis(d)], self.dims(d + 1))
+            (src, cols), (dst, rows) = self.layout(d), self.layout(d + 1)
+            mat = np.zeros((rows, cols), dtype=np.int64)
+            for g, a in enumerate(self.gen_degrees):
+                block = self.rt.act(i, d - a)
+                mat[dst[g]:dst[g] + block.shape[0],
+                    src[g]:src[g] + block.shape[1]] = block
+            self._act[i, d] = mat
         return self._act[i, d]
 
 
@@ -275,6 +291,43 @@ class OracleMap:
         return self._mats[d]
 
 
+def _reduce(rows: np.ndarray, E: np.ndarray, pivots: list, p: int):
+    """(free, residual): the columns that are not pivots of E, a reduced
+    echelon matrix with the given pivots, and rows modulo the row space
+    of E on those columns.  On the pivot columns the residual vanishes."""
+    taken = set(pivots)
+    free = [c for c in range(E.shape[1]) if c not in taken]
+    if not pivots:
+        return free, rows
+    residual = rows[:, free]
+    residual -= matmul(rows[:, pivots], E[:, free], p)
+    residual %= p
+    return free, residual
+
+
+def _fold(E: np.ndarray, pivots: list, rows: np.ndarray, p: int):
+    """rref(np.vstack([E, rows]), p), given E = rref(E, p) and its pivots.
+
+    Only the residual of rows modulo E is row reduced, on the columns
+    that are not pivots of E.  Its pivots are the new ones; E is cleared
+    on them, and the rows of both are placed in pivot order.
+    """
+    if not pivots:
+        return rref(rows, p)
+    free, residual = _reduce(rows, E, pivots, p)
+    N, found = rref(residual, p)
+    if not found:
+        return E, pivots
+    new = [free[j] for j in found]
+    merged = sorted(pivots + new)
+    at_old = np.searchsorted(merged, pivots)[:, None]
+    out = np.zeros((len(merged), E.shape[1]), dtype=np.int64)
+    out[at_old, pivots] = E[:, pivots]
+    out[at_old, free] = (E[:, free] - matmul(E[:, new], N, p)) % p
+    out[np.searchsorted(merged, new)[:, None], free] = N
+    return out, merged
+
+
 def _minimal_generators_degreewise(table: _ActionTable, lo: int, top: int,
                                    candidates):
     """(degree, vector) minimal generators, by graded Nakayama.
@@ -284,14 +337,14 @@ def _minimal_generators_degreewise(table: _ActionTable, lo: int, top: int,
     is independent of the span of one degree lower, pushed up by the
     variables, plus the candidates before it: the greedy choice.
 
-    Each degree takes one row reduction of [E^T | candidates^T], where
-    the rows of E are an echelon basis of the pushed span, folded in one
-    variable at a time so that no matrix is wider than the piece plus
-    the candidates.  The pivot columns of a reduced matrix are exactly
-    the columns independent of those to their left, so E's k columns
-    are all pivots and candidate j is kept iff column k + j is one.  A
-    degree without candidates, or whose pushed span fills the piece,
-    keeps none and needs no reduction.
+    The pushed span is kept as E in reduced echelon form, and each
+    variable's pushed rows are folded in by _fold, so only their
+    residual modulo E, on the columns that are not pivots of E, is row
+    reduced.  The candidates are then reduced modulo E with one product:
+    candidate j is kept iff its residual is independent of the residuals
+    before it, that is iff column j of the transposed residuals is a
+    pivot column.  A degree without candidates, or whose pushed span
+    fills the piece, keeps none and needs no reduction.
     """
     p = table.p
     gens = []
@@ -299,17 +352,16 @@ def _minimal_generators_degreewise(table: _ActionTable, lo: int, top: int,
     for d in range(lo, top + 1):
         cands = candidates(d)
         dim = cands.shape[1]
-        E = np.zeros((0, dim), dtype=np.int64)
+        E, pivots = np.zeros((0, dim), dtype=np.int64), []
         if prev is not None and prev.shape[1] and cands.shape[0]:
             for i in range(table.nvars):
-                if E.shape[0] == dim:
+                if len(pivots) == dim:
                     break
                 pushed = matmul(table.act(i, d - 1), prev, p)
-                E = rref(np.vstack([E, pushed.T]), p)[0]
-        k = E.shape[0]
-        if k < dim and cands.shape[0]:
-            pivots = rref(np.hstack([E.T, cands.T]), p)[1]
-            gens.extend((d, cands[c - k]) for c in pivots[k:])
+                E, pivots = _fold(E, pivots, pushed.T, p)
+        if len(pivots) < dim and cands.shape[0]:
+            residual = _reduce(cands, E, pivots, p)[1]
+            gens.extend((d, cands[c]) for c in rref(residual.T, p)[1])
         prev = cands.T
     return gens
 

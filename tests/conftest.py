@@ -1,7 +1,7 @@
 """Shared fixtures and helpers: the shipped corpus sessions, common rings,
 the image of a vector under a map given by its columns, normal forms
-against a given basis, direct sums of modules, type read off Ext over the
-ring, and random presentations."""
+against a given basis, direct sums of modules, Hom built from a raw
+presentation, type read off Ext over the ring, and random presentations."""
 
 import pytest
 from hypothesis import strategies as st
@@ -10,7 +10,9 @@ from importlib import resources
 from injcrit.groebner import GBuilder
 from injcrit.invariants import depth, length
 from injcrit.poly import PolyRing, Vec
-from injcrit.modules import GradedModule, RingPresentation, ext
+from injcrit.modules import (GradedModule, RingPresentation, ext,
+                             hom_cover_into, induced_hom_map,
+                             kernel_of_cokernel_map, syzygies_over)
 from injcrit.session import parse_session
 
 
@@ -85,6 +87,31 @@ def direct_sum(A: GradedModule, B: GradedModule) -> GradedModule:
         rels.append(Vec(cover, {(pos + off, m): c
                                 for (pos, m), c in r.terms.items()}))
     return GradedModule(A.ring, shifts, rels)
+
+
+def hom_module(M: GradedModule, C: GradedModule) -> GradedModule:
+    """Hom(M, C) from the raw presentation of M, via a single kernel.
+
+    Independent of the minimal-resolution route used by ext(M, C, 0):
+    a hom is an assignment on the raw generators of M killing the raw
+    relations.
+    """
+    ring = M.ring
+    hom0 = hom_cover_into(M.cover, C)
+    if not M.relations:
+        return hom0.minimal_model()
+    rel_cover = ring.poly_ring.free_module(
+        tuple(r.degree() for r in M.relations))
+    delta = induced_hom_map(list(M.relations), M.cover, rel_cover, C)
+    hom1 = hom_cover_into(rel_cover, C)
+    kernel = kernel_of_cokernel_map(delta, hom0.cover, hom1)
+    if not kernel:
+        return ring.zero_module()
+    gen_degs = tuple(v.degree() for v in kernel)
+    sub_cover = ring.poly_ring.free_module(gen_degs)
+    rel_cols = syzygies_over(ring, kernel, sub_cover, hom0.cover,
+                             hom0.relations)
+    return GradedModule(ring, gen_degs, rel_cols).minimal_model()
 
 
 def ext_route_type(M: GradedModule) -> int:

@@ -75,7 +75,6 @@ DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 # definitions that only tests read, and why they stay
 TEST_REFERENCES = {
-    "hom_module": "Hom(M, C) built directly, the reference for ext(M, C, 0)",
     "betti_numbers": "engine and oracle Betti numbers, compared with each "
                      "other in the oracle's Betti agreement test",
     "vec": "a free-module element from a dict of terms, checked and "

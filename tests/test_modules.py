@@ -5,13 +5,13 @@ from hypothesis import given, settings, strategies as st
 
 from injcrit.invariants import hilbert_series, length
 from injcrit.modules import (GradedModule, RingPresentation, ext,
-                             hom_module, kernel_of_cokernel_map,
-                             minimal_generators, minimalize_presentation,
-                             quotient_by_sequence, resolution)
+                             kernel_of_cokernel_map, minimal_generators,
+                             minimalize_presentation, quotient_by_sequence,
+                             resolution)
 from injcrit.poly import PolyRing
 
 from conftest import (apply_columns, direct_sum, draw_presentation,
-                      draw_xyz_ring)
+                      draw_xyz_ring, hom_module)
 
 
 def test_relations_reduced_modulo_ideal(dual_numbers):

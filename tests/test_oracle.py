@@ -15,9 +15,10 @@ from injcrit.field import ORACLE_PRIME_LIMIT
 from injcrit.invariants import hilbert_series, length, socle_dimension
 from injcrit.linalg import complement, matmul, nullspace, rref
 from injcrit.modules import GradedModule, RingPresentation, ext, resolution
-from injcrit.oracle import (DualTable, ModuleTable, TruncationError,
-                            matlis_dual, oracle_ext_dims, oracle_hilbert,
-                            oracle_length, oracle_socle_dimension, ring_table)
+from injcrit.oracle import (DualTable, FreeTable, ModuleTable,
+                            TruncationError, matlis_dual, oracle_ext_dims,
+                            oracle_hilbert, oracle_length,
+                            oracle_socle_dimension, ring_table)
 from injcrit.poly import PolyRing, mono_mul
 
 from conftest import named_modules
@@ -314,6 +315,38 @@ def test_module_actions_match_the_column_loop(type2_ring, dual_numbers):
     assert nonzero >= 20
 
 
+def _free_act_by_columns(ft, i, d):
+    """x_i from degree d as the per-column loop built it: each coordinate
+    m * e_g pushed up to m x_i * e_g and written in degree d + 1."""
+    unit = tuple(int(j == i) for j in range(ft.nvars))
+    cols = [ft.coords(g, mono_mul(b, unit)) for g, b in ft.basis(d)]
+    return (np.stack(cols, axis=1) if cols
+            else np.zeros((ft.dims(d + 1), 0), dtype=np.int64))
+
+
+def test_free_actions_match_the_column_loop(type2_ring, dual_numbers):
+    """Repeated, mixed and negative generator degrees, from below the
+    lowest generator to above the ring's top degree."""
+    S = PolyRing(["w", "x", "y", "z"], p=32003)
+    ci = RingPresentation(S, [S.linear_form(row) ** 2 for row in (
+        [1, 2, 3, 4], [0, 1, 5, 6], [7, 0, 1, 8], [0, 0, 9, 1])])
+    nonzero = 0
+    for ring in (type2_ring, dual_numbers, ci):
+        rt = ring_table(ring)
+        ring_top = rt.top_degree(12)
+        for degrees in ([0], [1, 1], [-2, 0, 0, 3], [2, -1, 2], []):
+            ft = FreeTable(rt, degrees)
+            lo = min(degrees, default=0) - 2
+            hi = max(degrees, default=0) + ring_top + 2
+            for d in range(lo, hi + 1):
+                for i in range(ft.nvars):
+                    got = ft.act(i, d)
+                    assert np.array_equal(got,
+                                          _free_act_by_columns(ft, i, d))
+                    nonzero += bool(got.any())
+    assert nonzero >= 40
+
+
 def _greedy_sieve(table, lo, top, candidates):
     """The vector-at-a-time sieve the batched one replaced: each pushed
     vector, then each candidate, reduced against the rows kept so far."""
@@ -435,6 +468,41 @@ def test_sieve_matches_the_greedy_one_on_oracle_tables(type2_ring,
                 assert gens
                 kernels += kernel
     assert kernels
+
+
+def _random_rows(rng, p, m, n):
+    """An m x n matrix of residues mod p, about half of them zero."""
+    return np.array([rng.choice((0, rng.randrange(p))) for _ in range(m * n)],
+                    dtype=np.int64).reshape(m, n)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from([2, 3, 32003, ORACLE_PRIME_LIMIT - 1]),
+       st.sampled_from(("empty", "random")),
+       st.sampled_from(("none", "random", "in span", "mixed", "fill")))
+def test_fold_is_the_row_reduction_of_the_stack(rng, p, start, kind):
+    """The reduced row echelon form of a row space is unique, so folding
+    rows into E gives rref of E stacked over them, pivots included."""
+    n = rng.randrange(1, 7)
+    E, pivots = rref(_random_rows(rng, p, 0 if start == "empty"
+                                  else rng.randrange(1, n + 2), n), p)
+    m = rng.randrange(1, 5)
+    span = matmul(_random_rows(rng, p, m, E.shape[0]), E, p)
+    rows = {"none": np.zeros((0, n), dtype=np.int64),
+            "random": _random_rows(rng, p, m, n),
+            "in span": span,
+            "mixed": np.vstack([span, _random_rows(rng, p, m, n)]),
+            "fill": np.vstack([_random_rows(rng, p, m, n),
+                               np.eye(n, dtype=np.int64)])}[kind]
+    got, got_pivots = oracle._fold(E, pivots, rows, p)
+    want, want_pivots = rref(np.vstack([E, rows]), p)
+    assert got_pivots == want_pivots
+    assert np.array_equal(got, want)
+    if kind == "fill":
+        assert got_pivots == list(range(n))
+    if kind in ("none", "in span"):
+        assert got_pivots == pivots
 
 
 def _ci_hilbert_function(degrees):

@@ -131,8 +131,9 @@ def test_cli_rejects_negative_bound_overrides(flag, tmp_path, capsys):
     assert main(["--json", flag, "-50", "check", str(f)]) == 1
     out = capsys.readouterr()
     assert out.out == ""
+    key = flag[2:].replace("-", "_")
     assert out.err == \
-        f"error: {flag}: expected a non-negative integer, got -50\n"
+        f"error: flags.{key}: expected a non-negative integer, got -50\n"
     assert main(["--json", flag, "0", "check", str(f)]) in (0, 2)
 
 
