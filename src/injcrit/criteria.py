@@ -260,8 +260,7 @@ def check_lemma_mult_length(M: GradedModule,
 # regular-sequence transfer for Ext modules
 
 def check_regseq_transfer(M: GradedModule, C: GradedModule,
-                          cert: RegularSequenceCertificate,
-                          degree_bound: int = 8) -> CriterionReport:
+                          cert: RegularSequenceCertificate) -> CriterionReport:
     """Transfer of a regular sequence on M to Ext^{r-s}(M, C), with the
     base-change isomorphism and the vanishing one step further
     (criterion id L2.2)."""
@@ -310,12 +309,10 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
         if ER is None:
             return report
         delta = sum(x.degree() for x in cert.elements)
-        ha = hilbert_series(ER).coefficients(degree_bound)
-        hb = hilbert_series(N).coefficients(degree_bound)
-        hilbert_match = ({d: v for d, v in ha.items()
-                          if d + delta <= degree_bound}
-                         == {d - delta: v for d, v in hb.items()
-                             if d <= degree_bound})
+        # both series are exact, so their numerators compare in full
+        hilbert_match = (hilbert_series(ER).numerator
+                         == {e - delta: c for e, c
+                             in hilbert_series(N).numerator.items()})
         ga = sorted(ER.minimal_model().shifts)
         gb = sorted(a - delta for a in N.minimal_model().shifts)
         iso_ok = hilbert_match and ga == gb

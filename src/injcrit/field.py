@@ -32,12 +32,6 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0 in GF(p)")
         return pow(a, self.p - 2, self.p)
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and self.p == other.p
-
-    def __hash__(self):
-        return hash(("PrimeField", self.p))
-
     def __repr__(self):
         return f"PrimeField({self.p})"
 

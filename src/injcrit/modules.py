@@ -73,8 +73,6 @@ class RingPresentation:
         return not self.ideal_gens
 
     def ambient(self) -> "RingPresentation":
-        if self.is_ambient:
-            return self
         if "ambient" not in self._cache:
             self._cache["ambient"] = RingPresentation(self.poly_ring, ())
         return self._cache["ambient"]
@@ -158,9 +156,6 @@ class RingPresentation:
     def __eq__(self, other):
         return (isinstance(other, RingPresentation)
                 and self.cache_key() == other.cache_key())
-
-    def __hash__(self):
-        return hash(self.cache_key())
 
     def __repr__(self):
         if self.is_ambient:
@@ -446,25 +441,22 @@ def hom_cover_into(cover: FreeModule, C: GradedModule) -> GradedModule:
     return GradedModule(ring, shifts, rels)
 
 
-def induced_hom_map(diff_columns, src_cover: FreeModule,
-                    dst_cover: FreeModule, C: GradedModule) -> list:
+def induced_hom_map(diff_columns, src_rank: int, hom_dst_cover: FreeModule,
+                    gC: int) -> list:
     """Columns of Hom(d, C): Hom(F_i, C) -> Hom(F_{i+1}, C).
 
-    diff_columns are the columns of d: F_{i+1} -> F_i (elements of
-    src_cover = F_i's cover, one per generator of dst_cover = F_{i+1}).
+    diff_columns are the columns of d: F_{i+1} -> F_i, one per generator
+    of F_{i+1}; src_rank is the rank of F_i, hom_dst_cover the cover of
+    hom_cover_into(F_{i+1}, C) and gC the number of generators of C.  The
+    hom (j, k) goes to sum_l d_jl * (l, k), so one pass over the terms of
+    d fills every column.
     """
-    gC = C.cover.rank
-    hom_dst = hom_cover_into(dst_cover, C).cover
-    cols = []
-    for j in range(src_cover.rank):
-        for k in range(gC):
-            terms = {}
-            for l, col in enumerate(diff_columns):
-                for (row, m), c in col.terms.items():
-                    if row == j:
-                        terms[(l * gC + k, m)] = c
-            cols.append(Vec(hom_dst, terms))
-    return cols
+    terms = [{} for _ in range(src_rank * gC)]
+    for l, col in enumerate(diff_columns):
+        for (j, m), c in col.terms.items():
+            for k in range(gC):
+                terms[j * gC + k][(l * gC + k, m)] = c
+    return [Vec(hom_dst_cover, t) for t in terms]
 
 
 def ext(M: GradedModule, C: GradedModule, i: int) -> GradedModule:
@@ -472,11 +464,13 @@ def ext(M: GradedModule, C: GradedModule, i: int) -> GradedModule:
 
     Presented as ker/im of the dualized minimal free resolution of M over
     R, resolved to i + 1 steps under the ring's res_cap and re-minimalized
-    so that the zero module has no generators; cached on M per (C, i).  The
-    kernel K of Hom(d_i, C) comes from kernel_of_cokernel_map, and the
-    relations on K are the preimage of im Hom(d_{i-1}, C) plus the
-    relations of Hom(F_i, C): one syzygy run in which only K's columns
-    are tagged.
+    so that the zero module has no generators; cached on M per (C, i).
+    Hom(F_i, C) and Hom(F_{i+1}, C) are each presented once.  The kernel K
+    of Hom(d_i, C) comes from kernel_of_cokernel_map; past the end of the
+    resolution (F_{i+1} = 0) it is all of Hom(F_i, C), generated by its
+    unit vectors.  The relations on K are the preimage of
+    im Hom(d_{i-1}, C) plus the relations of Hom(F_i, C): one syzygy run
+    in which only K's columns are tagged.
     """
     if i < 0:
         raise ValueError("cohomological index must be nonnegative")
@@ -487,35 +481,29 @@ def ext(M: GradedModule, C: GradedModule, i: int) -> GradedModule:
     if key in M._cache:
         return M._cache[key]
     res = resolution(M, "R", steps=i + 1)
-    if res.complete and i > res.num_diffs:
-        E = ring.zero_module()
-        M._cache[key] = E
-        return E
-    F_i = res.covers[i]
-    hom_i = hom_cover_into(F_i, C)
-    # kernel of delta^i
-    if i < res.num_diffs:
-        F_ip1 = res.covers[i + 1]
-        delta = induced_hom_map(res.diffs[i], F_i, F_ip1, C)
-        hom_ip1 = hom_cover_into(F_ip1, C)
-        kernel = kernel_of_cokernel_map(delta, hom_i.cover, hom_ip1)
-    else:
-        kernel = [hom_i.cover.gen(j) for j in range(hom_i.cover.rank)]
-        kernel = minimal_generators(ring, kernel, hom_i.cover)
-    if not kernel:
-        E = ring.zero_module()
-        M._cache[key] = E
-        return E
-    # image of delta^{i-1}
-    psi = []
-    if i >= 1:
-        psi = induced_hom_map(res.diffs[i - 1], res.covers[i - 1], F_i, C)
-    # relations of the subquotient: coefficients c with K c in <psi> + <P>
-    gen_degs = tuple(v.degree() for v in kernel)
-    sub_cover = ring.poly_ring.free_module(gen_degs)
-    rel_cols = syzygies_over(ring, kernel, sub_cover, hom_i.cover,
-                             psi + list(hom_i.relations))
-    E = GradedModule(ring, gen_degs, rel_cols).minimal_model()
+    E = ring.zero_module()
+    if i <= res.num_diffs:
+        gC = C.cover.rank
+        hom_i = hom_cover_into(res.covers[i], C)
+        if i < res.num_diffs:
+            hom_ip1 = hom_cover_into(res.covers[i + 1], C)
+            delta = induced_hom_map(res.diffs[i], res.covers[i].rank,
+                                    hom_ip1.cover, gC)
+            kernel = kernel_of_cokernel_map(delta, hom_i.cover, hom_ip1)
+        else:  # F_{i+1} = 0: the unit vectors are minimal generators
+            kernel = [hom_i.cover.gen(j) for j in range(hom_i.cover.rank)]
+        if kernel:
+            # image of delta^{i-1}
+            psi = []
+            if i >= 1:
+                psi = induced_hom_map(res.diffs[i - 1],
+                                      res.covers[i - 1].rank, hom_i.cover, gC)
+            # relations on K: coefficients c with K c in <psi> + <P>
+            gen_degs = tuple(v.degree() for v in kernel)
+            sub_cover = ring.poly_ring.free_module(gen_degs)
+            rel_cols = syzygies_over(ring, kernel, sub_cover, hom_i.cover,
+                                     psi + list(hom_i.relations))
+            E = GradedModule(ring, gen_degs, rel_cols).minimal_model()
     M._cache[key] = E
     return E
 

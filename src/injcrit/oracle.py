@@ -127,18 +127,12 @@ def ring_table(ring: RingPresentation) -> RingTable:
 class _ActionTable:
     """A graded coordinate table with variable actions.
 
-    act(i, d) is the matrix of x_i from degree d to degree d + 1;
-    subclasses build it once and keep it in self._act.
+    Subclasses define dims(d) and act(i, d), the matrix of x_i from degree
+    d to degree d + 1, which they build once and keep in self._act.
     """
 
     p: int
     nvars: int
-
-    def dims(self, d: int) -> int:
-        raise NotImplementedError
-
-    def act(self, i: int, d: int) -> np.ndarray:
-        raise NotImplementedError
 
     def apply_mono(self, vec: np.ndarray, m, d: int) -> np.ndarray:
         cur, deg = vec, d

@@ -160,9 +160,6 @@ class PolyRing:
         return (isinstance(other, PolyRing) and self.p == other.p
                 and self.variables == other.variables)
 
-    def __hash__(self):
-        return hash((self.p, self.variables))
-
     def __repr__(self):
         return f"GF({self.p})[{','.join(self.variables)}]"
 
@@ -218,15 +215,6 @@ class Poly:
             return Poly(self.ring, {})
         return Poly(self.ring, {m: (c * v) % p for m, v in self.terms.items()})
 
-    def mono_mul(self, mono: Mono, coeff: int = 1) -> "Poly":
-        p = self.ring.p
-        coeff %= p
-        if coeff == 0:
-            return Poly(self.ring, {})
-        return Poly(self.ring,
-                    {mono_mul(m, mono): (c * coeff) % p
-                     for m, c in self.terms.items()})
-
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
         p = self.ring.p
@@ -267,9 +255,6 @@ class Poly:
     def __eq__(self, other):
         return (isinstance(other, Poly) and self.ring == other.ring
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
 
     def __str__(self):
         if not self.terms:
@@ -336,9 +321,6 @@ class FreeModule:
     def __eq__(self, other):
         return (isinstance(other, FreeModule) and self.ring == other.ring
                 and self.shifts == other.shifts)
-
-    def __hash__(self):
-        return hash((self.ring, self.shifts))
 
     def __repr__(self):
         return f"FreeModule({self.ring}, shifts={self.shifts})"
@@ -421,9 +403,6 @@ class Vec:
     def __eq__(self, other):
         return (isinstance(other, Vec) and self.module == other.module
                 and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.module, frozenset(self.terms.items())))
 
     def __str__(self):
         return "(" + ", ".join(str(f) for f in self.to_polys()) + ")"

@@ -80,7 +80,7 @@ CHECKS = {
     "L2.1": (("M",), lambda s, M: criteria.check_lemma_mult_length(
         M, _sop(s, M))),
     "L2.2": (("M", "C"), lambda s, M, C: criteria.check_regseq_transfer(
-        M, C, _sop(s, M), degree_bound=s.flags.degree_bound)),
+        M, C, _sop(s, M))),
     "L2.3": (("M", "C"), lambda s, M, C:
              criteria.check_finite_length_criterion(M, C)),
     "T2.4": (("C", "M"), lambda s, C, M: criteria.check_main_theorem(C, M)),
@@ -107,8 +107,8 @@ def _reject_unknown(doc: dict, allowed, where: str, errors: list):
                   for key in doc if key not in allowed)
 
 
-# A negative bound would leave the degree window or the resolution empty,
-# and a check over an empty window passes vacuously.
+# Neither bound means anything below 0: degree_bound is the oracle's
+# degree window, and res_cap counts the maps of a resolution over R.
 NONNEGATIVE_FLAGS = ("degree_bound", "res_cap")
 
 
@@ -355,7 +355,7 @@ def run_session(session: Session, with_oracle: bool = False) -> dict:
 
 def run_oracle(session: Session) -> list:
     """Dense-linear-algebra values for each finite-length named module."""
-    from .oracle import (TruncationError, oracle_hilbert, oracle_length,
+    from .oracle import (TruncationError, oracle_hilbert,
                          oracle_socle_dimension)
     out = []
     bound = max(session.flags.degree_bound, 4)
@@ -363,10 +363,11 @@ def run_oracle(session: Session) -> list:
     for name in names:
         M = session.resolve(name)
         try:
+            hilbert = oracle_hilbert(M, bound)
             out.append({"module": name,
-                        "hilbert": {str(d): v for d, v in
-                                    sorted(oracle_hilbert(M, bound).items())},
-                        "length": oracle_length(M, bound),
+                        "hilbert": {str(d): v
+                                    for d, v in sorted(hilbert.items())},
+                        "length": sum(hilbert.values()),
                         "socle": oracle_socle_dimension(M, bound)})
         except TruncationError as e:
             out.append({"module": name, "truncated": str(e)})

@@ -102,8 +102,9 @@ def hom_module(M: GradedModule, C: GradedModule) -> GradedModule:
         return hom0.minimal_model()
     rel_cover = ring.poly_ring.free_module(
         tuple(r.degree() for r in M.relations))
-    delta = induced_hom_map(list(M.relations), M.cover, rel_cover, C)
     hom1 = hom_cover_into(rel_cover, C)
+    delta = induced_hom_map(M.relations, M.cover.rank, hom1.cover,
+                            C.cover.rank)
     kernel = kernel_of_cokernel_map(delta, hom0.cover, hom1)
     if not kernel:
         return ring.zero_module()

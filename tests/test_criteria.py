@@ -15,8 +15,8 @@ from injcrit.criteria import (check_claim_multiplicity,
                               check_self_ext_criterion,
                               verify_finite_injdim_bass)
 from injcrit.groebner import MonomialLimitError
-from injcrit.invariants import (RegularSequenceCertificate, find_regular_sop,
-                                multiplicity)
+from injcrit.invariants import (HilbertSeries, RegularSequenceCertificate,
+                                find_regular_sop, multiplicity)
 from injcrit.modules import ResolutionCapError
 from injcrit.session import CHECKS, parse_session
 
@@ -57,6 +57,37 @@ def test_regseq_transfer_on_node(corpus):
     assert rep.verification["status"] == "pass"
     # the base-change comparison is taken up to a grading shift
     assert rep.verification["iso_report"]["shift"] == -1
+
+
+def test_regseq_transfer_compares_the_whole_hilbert_series(corpus,
+                                                          monkeypatch):
+    """The base-change comparison reads the exact Hilbert series, so a
+    difference far above any degree window still shows: adding t^20 to
+    the series of the quotients N = E/xE breaks the match."""
+    R = corpus["gorenstein_node"].resolve("R")
+    cert = find_regular_sop(R, seed=1)
+    quotients = []
+    real_quotient, real_series = (criteria.quotient_by_sequence,
+                                  criteria.hilbert_series)
+
+    def quotient(M, xs):
+        quotients.append(real_quotient(M, xs))
+        return quotients[-1]
+
+    def series(M):
+        hs = real_series(M)
+        if not any(M is N for N in quotients):
+            return hs
+        num = dict(hs.numerator)
+        num[20] = num.get(20, 0) + 1
+        return HilbertSeries(num, hs.nvars)
+
+    monkeypatch.setattr(criteria, "quotient_by_sequence", quotient)
+    monkeypatch.setattr(criteria, "hilbert_series", series)
+    rep = check_regseq_transfer(R, R, cert)
+    assert rep.verification["iso_report"] == {
+        "hilbert_match": False, "generator_match": True, "shift": -1}
+    assert rep.verification["status"] == "fail"
 
 
 def test_regseq_transfer_base_case(corpus):

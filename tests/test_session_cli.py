@@ -114,8 +114,9 @@ REGULAR_PLANE = (resources.files("injcrit") / "corpus"
 
 @pytest.mark.parametrize("key", ["degree_bound", "res_cap"])
 def test_parse_rejects_negative_bounds(key):
-    """With degree_bound -50, L2.2 on regular_plane used to compare
-    Hilbert functions over an empty window and report a match."""
+    """A negative bound is rejected: degree_bound is the oracle's degree
+    window and res_cap counts the maps of a resolution over R.  (No check
+    reads degree_bound; L2.2 compares exact Hilbert series.)"""
     doc = json.loads(REGULAR_PLANE)
     doc["flags"][key] = -50
     with pytest.raises(SessionError) as info:
@@ -196,6 +197,12 @@ def test_parse_rejects_bad_json():
     with pytest.raises(SessionError) as info:
         parse_session("{ not json")
     assert "line 1" in str(info.value)
+
+
+def test_parse_rejects_a_top_level_array():
+    with pytest.raises(SessionError) as info:
+        parse_session(json.dumps([{"vars": ["x"]}]))
+    assert info.value.errors == ["top-level document must be an object"]
 
 
 def test_parse_rejects_inhomogeneous_ideal():
@@ -381,6 +388,78 @@ def test_cli_corpus_run_single(capsys):
     assert code == 0
     assert all(c["verdict"] in ("pass", "not_applicable")
                for c in doc["checks"])
+
+
+def test_cli_corpus_run_unknown_entry(capsys):
+    assert main(["--json", "corpus", "run", "nosuch"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "unknown corpus entry 'nosuch'\n"
+
+
+TYPE2_CHECK_LINES = [
+    "ring: GF(32003)[x,y] / (x^2, x*y, y^2)",
+    "",
+    "invariants:",
+    "  module  dim  depth  e  length  type  is_cm  rank",
+    "  R       0    0      3  3       2     yes    -   ",
+    "  E       0    0      3  3       1     yes    -   ",
+    "",
+    "checks:",
+    "  C2.7(C=E): pass",
+    "    - R Cohen-Macaulay: pass",
+    "    - C maximal Cohen-Macaulay: pass",
+    "    - r(C) e(R) <= e(C): pass",
+    "    verification: pass (bass number vanishing)",
+    "  C2.7(C=R): not_applicable",
+    "    - R Cohen-Macaulay: pass",
+    "    - C maximal Cohen-Macaulay: pass",
+    "    - r(C) e(R) <= e(C): fail",
+    "  C2.9(C=E): pass",
+    "    - C Cohen-Macaulay: pass",
+    "    - r(C) e(C) <= e(End(C)): pass",
+    "    - Ext^i(C,C) = 0 for 1 <= i <= n+1: pass",
+    "    verification: pass (bass number vanishing)",
+    "  C2.9(C=R): not_applicable",
+    "    - C Cohen-Macaulay: pass",
+    "    - r(C) e(C) <= e(End(C)): fail",
+    "    - Ext^i(C,C) = 0 for 1 <= i <= n+1: pass",
+    "  L2.3(C=E, M=k): pass",
+    "    - r(C) l(M) <= l(Ext^r(M,C)): pass",
+    "    - Ext^{r+1}(M,C) = 0: pass",
+    "    verification: pass (direct Bass-number computation)",
+    "  L2.3(C=R, M=k): not_applicable",
+    "    - r(C) l(M) <= l(Ext^r(M,C)): pass",
+    "    - Ext^{r+1}(M,C) = 0: fail",
+    "  Bass(C=E): pass",
+    "    - R Cohen-Macaulay: pass",
+    "    - C maximal Cohen-Macaulay: pass",
+    "    - Ext^{dim R + 1}(k, C) = 0: pass",
+    "    verification: pass (bass number vanishing)",
+    "  Bass(C=R): not_applicable",
+    "    - R Cohen-Macaulay: pass",
+    "    - C maximal Cohen-Macaulay: pass",
+    "    - Ext^{dim R + 1}(k, C) = 0: fail",
+]
+TYPE2_ORACLE_LINES = [
+    "",
+    "oracle:",
+    "  R: length 3, socle 2, hilbert {'0': 1, '1': 2}",
+    "  E: length 3, socle 1, hilbert {'0': 2, '1': 1}",
+]
+
+
+def test_cli_human_check_and_oracle_output(tmp_path, capsys):
+    """The human report lists each check's hypotheses and, when one ran,
+    its verification; `oracle` appends the dense values per module."""
+    f = tmp_path / "type2_artinian.json"
+    f.write_text((resources.files("injcrit") / "corpus"
+                  / "type2_artinian.json").read_text())
+    assert main(["check", str(f)]) == 0
+    assert capsys.readouterr().out == "\n".join(TYPE2_CHECK_LINES) + "\n\n"
+    assert main(["oracle", str(f)]) == 0
+    assert capsys.readouterr().out == "\n".join(
+        TYPE2_CHECK_LINES + TYPE2_ORACLE_LINES) + "\n\n"
 
 
 def test_cli_seed_override(tmp_path, capsys):
