@@ -17,13 +17,21 @@ from .field import ORACLE_PRIME_LIMIT
 _HALF = 16
 
 
+def _check_prime(p: int):
+    """Refuse a modulus whose products could wrap int64.  A raise, not an
+    assert, so that the check also holds under python -O."""
+    if p >= ORACLE_PRIME_LIMIT:
+        raise OverflowError(f"modulus {p} overflows int64 products")
+
+
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """A @ B mod p, exact for residues A, B and any p below the limit."""
-    assert p < ORACLE_PRIME_LIMIT, f"modulus {p} overflows int64 products"
+    _check_prime(p)
     inner = A.shape[1]
     if inner * (p - 1) ** 2 < 2 ** 63:
         return A @ B % p
-    assert inner < 2 ** (63 - 31 - _HALF), "inner dimension too large"
+    if inner >= 2 ** (63 - 31 - _HALF):
+        raise OverflowError("inner dimension too large")
     lo = A @ (B & ((1 << _HALF) - 1)) % p
     hi = A @ (B >> _HALF) % p
     return ((hi << _HALF) + lo) % p
@@ -31,7 +39,7 @@ def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 
 def rref(A: np.ndarray, p: int):
     """Reduced row echelon form; returns (R, pivot column list)."""
-    assert p < ORACLE_PRIME_LIMIT, f"modulus {p} overflows int64 products"
+    _check_prime(p)
     R = A % p
     m, n = R.shape
     pivots = []

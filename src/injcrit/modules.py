@@ -360,9 +360,6 @@ class FreeResolution:
             raise ValueError("resolution is truncated; length unknown")
         return len(self.diffs)
 
-    def betti_numbers(self) -> list:
-        return [c.rank for c in self.covers]
-
     def extend_to(self, steps: int):
         while not self.complete and len(self.diffs) < steps:
             if self.cap is not None and len(self.diffs) >= self.cap:

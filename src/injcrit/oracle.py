@@ -396,6 +396,14 @@ class OracleResolution:
 
     maps[0] covers the module; maps[i] for i >= 1 maps F_i onto the
     kernel of maps[i-1].  complete means the next kernel was zero.
+
+    Once built, it keeps only what the Hom complex of oracle_ext_dims
+    reads: the generator degrees and images of each map, and the basis of
+    each source.  The per-degree matrices of each map (OracleMap._mats),
+    the variable actions of each source (FreeTable._act) and the pieces
+    and actions of the module table, which the kernels and the sieve
+    needed, are dropped, so a resolution kept on its module holds no
+    more than that.
     """
 
     def __init__(self, mtable: ModuleTable, steps: int, bound: int):
@@ -415,9 +423,11 @@ class OracleResolution:
             if gens:
                 phi = _covering_map(rt, phi.source, gens)
                 self.maps.append(phi)
-
-    def betti_numbers(self) -> list:
-        return [len(phi.images) for phi in self.maps]
+        for phi in self.maps:
+            phi._mats.clear()
+            phi.source._act.clear()
+        mtable._piece.clear()
+        mtable._act.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -461,13 +471,22 @@ def oracle_ext_dims(M: GradedModule, C: GradedModule, i_max: int,
     Hom(F_i, C) pieces are coordinate spaces indexed by (generator of
     F_i, basis of C in the shifted degree); the Ext dimension in each
     degree is ker minus im of the explicit coboundary matrices.
+
+    The OracleResolution of M is kept on M._cache under
+    ("oracle_res", i_max + 2, bound), as ring_table keeps its table on
+    the ring, so Ext(M, k) and Ext(M, R) resolve M once.  A
+    TruncationError is raised again on every call; nothing is cached
+    for it.  The block of each monomial acting on a piece of C is built
+    once per call, in a dict freed when the call returns.
     """
     if M.ring != C.ring:
         raise ValueError("modules live over different rings")
-    mt, ct = ModuleTable(M), ModuleTable(C)
-    rt = mt.rt
-    p = rt.p
-    res = OracleResolution(mt, i_max + 2, bound)
+    key = ("oracle_res", i_max + 2, bound)
+    if key not in M._cache:
+        M._cache[key] = OracleResolution(ModuleTable(M), i_max + 2, bound)
+    res = M._cache[key]
+    ct = ModuleTable(C)
+    p = ct.p
     ctop = ct.certified_top(bound)
     clo = ct.min_degree
 
@@ -489,6 +508,15 @@ def oracle_ext_dims(M: GradedModule, C: GradedModule, i_max: int,
             total += ct.dims(a + t)
         return offsets, total
 
+    blocks = {}
+
+    def mono_block(b, d):
+        # x^b from C_d, shared by every i, t and generator of F_{i+1}
+        if (b, d) not in blocks:
+            blocks[b, d] = ct.apply_mono(
+                np.eye(ct.dims(d), dtype=np.int64), b, d)
+        return blocks[b, d]
+
     def delta_matrix(i, t):
         # Hom(F_i, C)_t -> Hom(F_{i+1}, C)_t induced by d_{i+1}
         gd_i, gd_n = gen_degrees(i), gen_degrees(i + 1)
@@ -505,8 +533,7 @@ def oracle_ext_dims(M: GradedModule, C: GradedModule, i_max: int,
                 nc = ct.dims(gd_i[g] + t) if coeff else 0
                 if nc == 0:
                     continue
-                block = ct.apply_mono(np.eye(nc, dtype=np.int64), b,
-                                      gd_i[g] + t)
+                block = mono_block(b, gd_i[g] + t)
                 rows = slice(off_n[l], off_n[l] + block.shape[0])
                 cols = slice(off_i[g], off_i[g] + nc)
                 mat[rows, cols] = (mat[rows, cols] + coeff * block) % p

@@ -70,13 +70,12 @@ def test_unused_import_check_catches_leftovers():
     assert unused_imports("# re-exported for callers\n" + marked) == []
 
 
-DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+DEFS = (*FUNCTIONS, ast.ClassDef)
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 # definitions that only tests read, and why they stay
 TEST_REFERENCES = {
-    "betti_numbers": "engine and oracle Betti numbers, compared with each "
-                     "other in the oracle's Betti agreement test",
     "vec": "a free-module element from a dict of terms, checked and "
            "reduced mod p, the way tests write their inputs",
 }
@@ -168,6 +167,65 @@ def test_unreferenced_definition_check_catches_leftovers():
         {"m.py": source},
         ["used(), shadow(), Ring().lead()", "WRAPPED = ['Ring.gens']"]) == \
         [("m.py", "helper")]
+
+
+# method names that another class of the package, or a module-level
+# function, also defines.  unreferenced_definitions counts a method as read
+# when any attribute of its name is read, so one of these can be dead while
+# its homonym is live: a new name here is traced by hand before it is added
+HOMONYMS = {"_ensure", "act", "basis", "cache_key", "contains", "degree",
+            "dimension", "dims", "is_homogeneous", "is_zero", "length",
+            "mono_mul", "multiplicity", "scale", "to_dict", "zero"}
+
+
+def method_homonyms(defining: dict) -> set:
+    """Every non-dunder method name that two or more classes of `defining`
+    (file name -> source) define, or that a module-level function of it
+    also has."""
+    owners, functions = defaultdict(set), set()
+    for path, text in defining.items():
+        tree = ast.parse(text)
+        functions |= {node.name for node in tree.body
+                      if isinstance(node, FUNCTIONS)}
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if (isinstance(node, FUNCTIONS)
+                            and not node.name.startswith("__")):
+                        owners[node.name].add((path, cls.name))
+    return {name for name, classes in owners.items()
+            if len(classes) > 1 or name in functions}
+
+
+def test_package_method_homonyms_are_pinned():
+    root = Path(injcrit.__file__).parent
+    assert method_homonyms(
+        {path.name: path.read_text()
+         for path in sorted(root.glob("*.py"))}) == HOMONYMS
+
+
+def test_method_homonym_check_catches_shared_names():
+    source = ("class Poly:\n"
+              "    def degree(self):\n"
+              "        return 1\n"
+              "    def lead(self):\n"
+              "        return 1\n"
+              "    def __eq__(self, other):\n"
+              "        return True\n"
+              "class Vec:\n"
+              "    def degree(self):\n"
+              "        return 2\n"
+              "    def __eq__(self, other):\n"
+              "        return True\n"
+              "def lead(p):\n"
+              "    return p.lead()\n")
+    # degree is defined by two classes, lead by a class and a function;
+    # dunders are the language's, and a module-level function alone is none
+    assert method_homonyms({"m.py": source}) == {"degree", "lead"}
+    # the classes may live in different files
+    assert method_homonyms({"a.py": "class A:\n    def f(self): pass\n",
+                            "b.py": "class B:\n    def f(self): pass\n"}) \
+        == {"f"}
 
 
 # parameters with a default that no call in the package or in bench/

@@ -114,7 +114,7 @@ def test_minimalize_clears_earlier_relations_at_the_first_unit():
 
 def betti(M, base, steps):
     res = resolution(M, base, steps=steps)
-    return res.betti_numbers()
+    return [c.rank for c in res.covers]
 
 
 def test_residue_field_over_polynomial_ring():
@@ -125,7 +125,7 @@ def test_residue_field_over_polynomial_ring():
 
 def test_residue_field_over_dual_numbers(dual_numbers):
     res = resolution(dual_numbers.residue_field(), "R", steps=4)
-    assert res.betti_numbers() == [1, 1, 1, 1, 1]
+    assert [c.rank for c in res.covers] == [1, 1, 1, 1, 1]
     x, = dual_numbers.poly_ring.gens()
     for cols in res.diffs:
         assert [c.to_polys() for c in cols] == [[x]]

@@ -1,7 +1,10 @@
 """The dense linear-algebra oracle against the symbolic engine."""
 
 import ast
+import os
 import random
+import subprocess
+import sys
 from math import comb
 from pathlib import Path
 from unittest import mock
@@ -60,11 +63,12 @@ def test_length_and_socle_agreement(corpus):
 def test_betti_numbers_agreement(type2_ring, dual_numbers):
     for ring, steps in ((type2_ring, 3), (dual_numbers, 4)):
         k = ring.residue_field()
-        engine = resolution(k, "R", steps=steps).betti_numbers()
+        engine = [c.rank for c in resolution(k, "R", steps=steps).covers]
         mt = ModuleTable(k)
         from injcrit.oracle import OracleResolution
         orc = OracleResolution(mt, steps=steps + 1, bound=12)
-        assert orc.betti_numbers()[:steps + 1] == engine[:steps + 1]
+        oracle = [len(phi.images) for phi in orc.maps]
+        assert oracle[:steps + 1] == engine[:steps + 1]
 
 
 def test_ext_dimensions_agreement(corpus):
@@ -142,12 +146,33 @@ def test_linalg_exact_below_and_refuses_above_the_prime_limit():
             assert sum(a * c[k] for a, c in zip(r, cols)) % p == 0
     big = 4294967311
     assert big > ORACLE_PRIME_LIMIT
-    with pytest.raises(AssertionError):
+    with pytest.raises(OverflowError):
         rref(A, big)
-    with pytest.raises(AssertionError):
+    with pytest.raises(OverflowError):
         nullspace(A, big)
-    with pytest.raises(AssertionError):
+    with pytest.raises(OverflowError):
         matmul(A, K, big)
+
+
+def test_prime_limit_holds_under_python_optimize():
+    """python -O strips asserts; the limit must still refuse the prime
+    whose products wrap int64 and make a rank-1 matrix look invertible."""
+    code = ("import numpy as np\n"
+            "from injcrit.linalg import rref\n"
+            "p = 1099511627791\n"
+            "x, y, k = 123456789012, 987654321098, 1000003\n"
+            "A = np.array([[x, y], [k * x % p, k * y % p]], dtype=np.int64)\n"
+            "try:\n"
+            "    print(rref(A, p)[1])\n"
+            "except OverflowError as e:\n"
+            "    print('OverflowError', e)\n")
+    src = str(Path(oracle.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == ("OverflowError modulus 1099511627791 overflows int64 "
+                   "products\n")
 
 
 def test_matmul_is_exact_at_the_largest_oracle_prime():
@@ -517,18 +542,26 @@ def _ci_hilbert_function(degrees):
     return {i: c for i, c in enumerate(coeffs) if c}
 
 
-@pytest.mark.parametrize("degrees, forms", [
+CI_PATTERNS = [
     ((2, 2, 2), [[1, 5, 7], [0, 1, 3], [2, 0, 1]]),
     ((3, 2, 3), [[4, 1, 0], [1, 9, 2], [0, 3, 1]]),
     ((2, 3, 2, 2), [[1, 2, 3, 4], [0, 1, 5, 6], [7, 0, 1, 8], [0, 0, 9, 1]]),
-])
+]
+
+
+def _ci_ring(degrees, forms) -> RingPresentation:
+    """k[x_1..x_n]/(l_1^d_1, ..., l_n^d_n), the l_i the rows of forms."""
+    S = PolyRing([f"x{i}" for i in range(len(degrees))], p=32003)
+    return RingPresentation(
+        S, [S.linear_form(row) ** e for row, e in zip(forms, degrees)])
+
+
+@pytest.mark.parametrize("degrees, forms", CI_PATTERNS)
 def test_closed_forms_of_complete_intersections(degrees, forms):
     """R = k[x_1..x_n]/(l_1^d_1, ..., l_n^d_n) with independent linear
     forms l_i is an artinian complete intersection, hence Gorenstein."""
     n = len(degrees)
-    S = PolyRing([f"x{i}" for i in range(n)], p=32003)
-    ring = RingPresentation(
-        S, [S.linear_form(row) ** e for row, e in zip(forms, degrees)])
+    ring = _ci_ring(degrees, forms)
     R, k = ring.as_module(), ring.residue_field()
     hilbert = _ci_hilbert_function(degrees)
     assert oracle_hilbert(R) == hilbert
@@ -540,6 +573,72 @@ def test_closed_forms_of_complete_intersections(degrees, forms):
     assert [sum(e.values()) for e in oracle_ext_dims(k, R, 2)] == [1, 0, 0]
     assert oracle_hilbert(matlis_dual(R)) == \
         {-d: c for d, c in hilbert.items()}
+
+
+def _fresh(M: GradedModule) -> GradedModule:
+    """The same presentation as M, as a new object with an empty cache."""
+    return GradedModule(M.ring, M.shifts, M.relations)
+
+
+def _count_builds():
+    """Patch oracle.OracleResolution with a wrapper that counts builds."""
+    return mock.patch.object(oracle, "OracleResolution",
+                             wraps=oracle.OracleResolution)
+
+
+def test_ext_dims_resolve_each_module_once():
+    k = _ci_ring(*CI_PATTERNS[0]).residue_field()
+    R = k.ring.as_module()
+    with _count_builds() as built:
+        oracle_ext_dims(k, k, 2)
+        oracle_ext_dims(k, R, 2)
+        assert built.call_count == 1
+        # another number of steps, or another window, is another key
+        oracle_ext_dims(k, R, 3)
+        oracle_ext_dims(k, R, 2, bound=12)
+        assert built.call_count == 3
+        oracle_ext_dims(k, k, 3)
+        assert built.call_count == 3
+
+
+def test_ext_dims_cache_no_truncation_error(node_ring):
+    k = _fresh(node_ring.residue_field())
+    with _count_builds() as built:
+        for _ in range(2):
+            with pytest.raises(TruncationError):
+                oracle_ext_dims(k, k, 2, bound=6)
+        assert built.call_count == 2
+    assert not [key for key in k._cache if key[0] == "oracle_res"]
+
+
+def test_cached_ext_dims_equal_those_of_fresh_modules(corpus):
+    pairs = []
+    for pattern in CI_PATTERNS:
+        ring = _ci_ring(*pattern)
+        k = ring.residue_field()
+        pairs += [(k, k), (k, ring.as_module())]
+    session = corpus["type2_artinian"]
+    k, R, E = (session.resolve(name) for name in ("k", "R", "E"))
+    pairs += [(k, R), (k, E), (R, E)]
+    for M, C in pairs:
+        # after the first pair of each M, the first call reads the cache
+        cached = oracle_ext_dims(M, C, 2, bound=12)
+        assert oracle_ext_dims(M, C, 2, bound=12) == cached
+        assert cached == oracle_ext_dims(_fresh(M), _fresh(C), 2, bound=12)
+
+
+def test_cached_resolution_keeps_no_build_matrices():
+    k = _ci_ring(*CI_PATTERNS[2]).residue_field()
+    oracle_ext_dims(k, k, 2)
+    res = k._cache["oracle_res", 4, oracle.DEFAULT_DEGREE_BOUND]
+    assert len(res.maps) == 4
+    for phi in res.maps:
+        assert phi._mats == {}
+        assert phi.source._act == {}
+    assert res.maps[0].target._piece == res.maps[0].target._act == {}
+    # what the Hom complex reads is still there
+    assert [len(phi.images) for phi in res.maps] == [1, 4, 10, 20]
+    assert res.maps[1].source.basis(1) == [(g, (0,) * 4) for g in range(4)]
 
 
 # relative module -> the names it may give, or None for any
