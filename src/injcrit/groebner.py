@@ -54,12 +54,13 @@ Every field below the position is WIDTH bits wide, and its top bit is a
 guard, clear in every valid code.  Integer order is then the term order,
 so a lead term is max() of the codes; multiplying a reducer by m / lead
 adds m - lead to each of its packed terms; and lead | m is one subtraction
-and mask on the exponent guards (Packing.divides).  Terms are encoded
+and mask on the exponent guards (Packing.divides).  A basis element is
+kept only packed, as its lead code and monic tail.  Terms are encoded
 where they enter (normal_form, _append, the lcm of an S-pair) and decoded
 where they leave (normal_form's result, the S-vector handed to it, the
-(pos, mono) leads in _lead) through two tables per variable count that
-fill themselves on first use.  Poly, Vec and every signature keep
-exponent tuples.
+elements reduced_basis returns, the (pos, mono) leads in _lead) through
+two tables per variable count that fill themselves on first use.  Poly,
+Vec and every signature keep exponent tuples.
 
 A term of degree above LIMIT = 2^15 - 1 does not fit, and raises
 MonomialLimitError instead of wrapping; the session layer reports it as a
@@ -174,7 +175,6 @@ class GBuilder:
 
     def __init__(self, module: FreeModule):
         self.module = module
-        self.basis = []          # monic Vecs
         self._lead = []          # (pos, mono) per basis element
         self._by_pos = {}        # pos -> list of basis indices
         self._pairs = []         # heap of (degree, i, j, lcm term), i < j
@@ -193,10 +193,16 @@ class GBuilder:
         """
         pk = self._packing
         code, term = pk.code, pk.term
+        rem = self._remainder({code[t]: c for t, c in v.terms.items()})
+        return Vec(self.module, {term[t]: c for t, c in rem.items()})
+
+    def _remainder(self, work: dict) -> dict:
+        """normal_form on packed terms: work, {code: coeff}, is consumed,
+        and the remainder comes back with its codes in decreasing order."""
+        pk = self._packing
         p = self.module.ring.p
         guards, exp_guards, pos_shift = pk.guards, pk.exp_guards, pk.pos_shift
         reducers = self._reducers
-        work = {code[t]: c for t, c in v.terms.items()}
         rem = {}
         while work:
             t = max(work)
@@ -216,7 +222,7 @@ class GBuilder:
                     break
             else:
                 rem[t] = c
-        return Vec(self.module, {term[t]: c for t, c in rem.items()})
+        return rem
 
     # -- completion --------------------------------------------------------
     def _push_pairs(self, new_index: int):
@@ -242,21 +248,19 @@ class GBuilder:
         if c != 1:
             p = self.module.ring.p
             inv = self.module.ring.field.inv(c)
-            v = v.scale(inv)
             terms = {t: d * inv % p for t, d in terms.items()}
-        return self._register(v, self._packing.term[lead], lead,
-                              list(terms.items()))
+        return self._register(lead, list(terms.items()))
 
-    def _register(self, v: Vec, lead_term, lead: int, tail: list) -> int:
-        """Register the monic v, its lead as a term and as a code, and its
-        packed tail."""
-        idx = len(self.basis)
-        self.basis.append(v)
+    def _register(self, lead: int, tail: list) -> int:
+        """Register a monic element by its lead code and packed tail."""
+        pk = self._packing
+        idx = len(self._packed)
+        lead_term = pk.term[lead]
         self._lead.append(lead_term)
         self._packed.append((lead, tail))
         self._by_pos.setdefault(lead_term[0], []).append(idx)
-        self._reducers.setdefault(lead >> self._packing.pos_shift, []).append(
-            (lead | self._packing.exp_guards, lead, tail))
+        self._reducers.setdefault(lead >> pk.pos_shift, []).append(
+            (lead | pk.exp_guards, lead, tail))
         return idx
 
     def install(self, v: Vec):
@@ -321,14 +325,15 @@ class GBuilder:
         its tail meets, lives on positions >= from_pos alone, so the
         result is the matching sublist of the full reduced basis.
 
-        The tail of each element of the minimal basis (the element minus
-        its lead term) is reduced against one builder holding all of
-        them, the element itself included.  That element never fires on
-        its own tail: it is monic, every term met while reducing the tail
-        is smaller than its lead, and a term divisible by the lead at the
-        same position is at least the lead in any module term order.  The
-        other reducers keep their relative order, so each element comes
-        out exactly as if it were reduced against the others alone.
+        The packed tail of each element of the minimal basis is reduced
+        against one builder holding all of them, the element itself
+        included, and only the result is decoded.  That element never
+        fires on its own tail: it is monic, every term met while reducing
+        the tail is smaller than its lead, and a term divisible by the
+        lead at the same position is at least the lead in any module term
+        order.  The other reducers keep their relative order, so each
+        element comes out exactly as if it were reduced against the others
+        alone.
         """
         # minimalize: drop elements whose lead is divisible by another
         # lead; the kept ones enter the tail builder packed as they are
@@ -342,13 +347,13 @@ class GBuilder:
             if not any(j != i and divides(packed[j][0], lead)
                        and (packed[j][0] != lead or j < i)
                        for j in self._by_pos[lead_term[0]]):
-                tails._register(self.basis[i], lead_term, *packed[i])
+                tails._register(*packed[i])
+        term = self._packing.term
         reduced = []
-        for g, lead in zip(tails.basis, tails._lead):
-            tail = Vec(self.module, {t: c for t, c in g.terms.items()
-                                     if t != lead})
-            rest = tails.normal_form(tail).terms
-            reduced.append((lead, Vec(self.module, {lead: 1, **rest})))
+        for lead, (_, tail) in zip(tails._lead, tails._packed):
+            rest = tails._remainder(dict(tail))
+            reduced.append((lead, Vec(self.module, {
+                lead: 1, **{term[t]: c for t, c in rest.items()}})))
         reduced.sort(key=lambda e: (_max_degree(e[1]), term_key(e[0])))
         return [g for _, g in reduced]
 

@@ -298,36 +298,37 @@ def minimalize_presentation(M: GradedModule) -> GradedModule:
 
     The result presents the same module with a minimal generating set and
     minimal relations (all relation entries in the irrelevant ideal).
-    One forward pass suffices: by homogeneity, a relation without a unit
-    entry at the pivot's row gets a multiple of positive degree of the
-    pivot relation, so a relation already passed never gains a unit.
+    A unit entry is a term at the zero monomial, the pivot the one at the
+    lowest position; the positions are renumbered once, at the end.  One
+    forward pass suffices: by homogeneity, a relation without a unit
+    entry at the pivot's position gets a multiple of positive degree of
+    the pivot relation, so a relation already passed never gains a unit.
     """
     ring = M.ring
-    shifts = list(M.shifts)
-    cols = [list(c.to_polys()) for c in M.relations]
+    zero, inv = ring.poly_ring._zero_mono, ring.poly_ring.field.inv
+    rels = list(M.relations)
+    gone = set()
     l = 0
-    while l < len(cols):
-        j = next((j for j, entry in enumerate(cols[l])
-                  if entry.constant_coeff()), None)
+    while l < len(rels):
+        j = min((pos for pos, m in rels[l].terms if m == zero), default=None)
         if j is None:
             l += 1
             continue
-        uinv = ring.poly_ring.field.inv(cols[l][j].constant_coeff())
-        for l2 in range(len(cols)):
-            c2 = cols[l2][j]
-            if l2 != l and not c2.is_zero():
-                factor = c2.scale(uinv)
-                cols[l2] = [ring.nf_poly(a - factor * b)
-                            for a, b in zip(cols[l2], cols[l])]
-        del cols[l]
-        del shifts[j]
-        for col2 in cols:
-            del col2[j]
-    cover = ring.poly_ring.free_module(tuple(shifts))
-    rels = [cover.from_polys(col) for col in cols]
-    rels = [r for r in rels if not r.is_zero()]
+        pivot = rels.pop(l)
+        uinv = inv(pivot.terms[j, zero])
+        for l2, r in enumerate(rels):
+            entry = r.component(j)
+            if not entry.is_zero():
+                rels[l2] = ring.nf_vec(r - pivot.poly_mul(entry.scale(uinv)))
+        gone.add(j)
+    keep = [j for j in range(len(M.shifts)) if j not in gone]
+    new_pos = {j: i for i, j in enumerate(keep)}
+    cover = ring.poly_ring.free_module(M.shifts[j] for j in keep)
+    rels = [Vec(cover, {(new_pos[pos], m): c for (pos, m), c in
+                        sorted(r.terms.items(), key=lambda e: e[0][0])})
+            for r in rels if not r.is_zero()]
     rels = minimal_generators(ring, rels, cover)
-    return GradedModule(ring, shifts, rels, name=M.name)
+    return GradedModule(ring, cover.shifts, rels, name=M.name)
 
 
 # ---------------------------------------------------------------------------

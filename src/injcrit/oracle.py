@@ -128,7 +128,9 @@ class _ActionTable:
     """A graded coordinate table with variable actions.
 
     Subclasses define dims(d) and act(i, d), the matrix of x_i from degree
-    d to degree d + 1, which they build once and keep in self._act.
+    d to degree d + 1.  FreeTable and ModuleTable build each action once
+    and keep it in self._act; DualTable transposes its module's on every
+    call.
     """
 
     p: int
@@ -273,16 +275,13 @@ class OracleMap:
         self.source = source
         self.target = target
         self.images = images  # per generator: target coords at its degree
-        self._mats = {}
 
     def matrix(self, d: int) -> np.ndarray:
-        if d not in self._mats:
-            self._mats[d] = _columns(
-                [self.target.apply_mono(self.images[g], b,
-                                        self.source.gen_degrees[g])
-                 for g, b in self.source.basis(d)],
-                self.target.dims(d))
-        return self._mats[d]
+        return _columns(
+            [self.target.apply_mono(self.images[g], b,
+                                    self.source.gen_degrees[g])
+             for g, b in self.source.basis(d)],
+            self.target.dims(d))
 
 
 def _reduce(rows: np.ndarray, E: np.ndarray, pivots: list, p: int):
@@ -394,16 +393,12 @@ def _kernel_generators(phi: OracleMap, ring_top: int) -> list:
 class OracleResolution:
     """A truncated minimal free resolution computed degree by degree.
 
-    maps[0] covers the module; maps[i] for i >= 1 maps F_i onto the
-    kernel of maps[i-1].  complete means the next kernel was zero.
-
-    Once built, it keeps only what the Hom complex of oracle_ext_dims
-    reads: the generator degrees and images of each map, and the basis of
-    each source.  The per-degree matrices of each map (OracleMap._mats),
-    the variable actions of each source (FreeTable._act) and the pieces
-    and actions of the module table, which the kernels and the sieve
-    needed, are dropped, so a resolution kept on its module holds no
-    more than that.
+    F_0 covers the module, F_{-1}, and each F_i for i >= 1 covers the
+    kernel of F_{i-1} -> F_{i-2}.  Only what the Hom complex of
+    oracle_ext_dims reads is kept: degrees[i], the generator degrees of
+    F_i, and images[i], the coordinate vector each generator of F_i maps
+    to in F_{i-1}.  complete means the next kernel was zero.  The tables
+    and matrices the build used are not kept.
     """
 
     def __init__(self, mtable: ModuleTable, steps: int, bound: int):
@@ -412,9 +407,10 @@ class OracleResolution:
         top = mtable.certified_top(bound)
         phi = _covering_map(rt, mtable, _piece_generators(
             mtable, mtable.min_degree, top))
-        self.maps = [phi]
+        self.degrees = [phi.source.gen_degrees]
+        self.images = [phi.images]
         self.complete = not phi.images
-        while not self.complete and len(self.maps) < steps:
+        while not self.complete and len(self.images) < steps:
             if max(phi.source.gen_degrees) > bound:
                 raise TruncationError("resolution generators exceed window",
                                       bound)
@@ -422,12 +418,8 @@ class OracleResolution:
             self.complete = not gens
             if gens:
                 phi = _covering_map(rt, phi.source, gens)
-                self.maps.append(phi)
-        for phi in self.maps:
-            phi._mats.clear()
-            phi.source._act.clear()
-        mtable._piece.clear()
-        mtable._act.clear()
+                self.degrees.append(phi.source.gen_degrees)
+                self.images.append(phi.images)
 
 
 # ---------------------------------------------------------------------------
@@ -491,15 +483,7 @@ def oracle_ext_dims(M: GradedModule, C: GradedModule, i_max: int,
     clo = ct.min_degree
 
     def gen_degrees(i):
-        if i < len(res.maps):
-            return res.maps[i].source.gen_degrees
-        return []
-
-    def images(i):
-        # columns of d_i : F_i -> F_{i-1}, as coordinate vectors
-        if i < len(res.maps):
-            return res.maps[i].images
-        return []
+        return res.degrees[i] if i < len(res.degrees) else []
 
     def hom_layout(gd, t):
         offsets, total = [], 0
@@ -525,8 +509,9 @@ def oracle_ext_dims(M: GradedModule, C: GradedModule, i_max: int,
         mat = np.zeros((dim_n, dim_i), dtype=np.int64)
         if dim_i == 0 or dim_n == 0:
             return mat
-        img = images(i + 1)
-        F_i = res.maps[i].source
+        # columns of d_{i+1} : F_{i+1} -> F_i, as coordinate vectors
+        img = res.images[i + 1]
+        F_i = FreeTable(ct.rt, gd_i)
         for l, a_l in enumerate(gd_n):
             for idx, (g, b) in enumerate(F_i.basis(a_l)):
                 coeff = int(img[l][idx])

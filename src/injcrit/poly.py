@@ -185,9 +185,6 @@ class Poly:
         degs = set(map(mono_deg, self.terms))
         return len(degs) <= 1
 
-    def constant_coeff(self) -> int:
-        return self.terms.get(self.ring._zero_mono, 0)
-
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)

@@ -180,7 +180,12 @@ def reference_reduced_basis(builder):
                 break
         if not redundant:
             kept.append(i)
-    minimal = [builder.basis[i] for i in kept]
+    term = builder._packing.term
+    minimal = []
+    for i in kept:
+        lead, tail = builder._packed[i]
+        minimal.append(Vec(builder.module, {
+            term[lead]: 1, **{term[t]: c for t, c in tail}}))
     reduced = []
     for i, g in enumerate(minimal):
         others = GBuilder(builder.module)

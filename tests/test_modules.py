@@ -1,14 +1,18 @@
 """Presentations, minimal free resolutions, and Ext modules."""
 
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from injcrit import modules
 from injcrit.invariants import hilbert_series, length
 from injcrit.modules import (GradedModule, RingPresentation, ext,
                              kernel_of_cokernel_map, minimal_generators,
                              minimalize_presentation, quotient_by_sequence,
                              resolution)
 from injcrit.poly import PolyRing
+from injcrit.session import parse_session, run_session
 
 from conftest import (apply_columns, direct_sum, draw_presentation,
                       draw_xyz_ring, hom_module)
@@ -54,7 +58,7 @@ def restart_loop_minimalize(M):
         changed = False
         for l, col in enumerate(cols):
             for j, entry in enumerate(col):
-                const = entry.constant_coeff()
+                const = entry.terms.get(ring.poly_ring._zero_mono, 0)
                 if const:
                     uinv = ring.poly_ring.field.inv(const)
                     for l2 in range(len(cols)):
@@ -93,6 +97,32 @@ def test_single_pass_minimalize_matches_the_restart_loop(data):
     assert new.shifts == old.shifts
     assert [list(r.terms.items()) for r in new.relations] == \
         [list(r.terms.items()) for r in old.relations]
+
+
+def test_single_pass_minimalize_matches_the_restart_loop_on_ext_traffic(
+        monkeypatch):
+    """The Ext presentations a real session minimalizes are wider than the
+    drawn ones: segre_quadric_modules passes 14, with up to 24 generators
+    and 30 relations, and each must come out as the restart loop's."""
+    seen = []
+    sparse = minimalize_presentation
+
+    def spy(M):
+        seen.append((M, sparse(M)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(modules, "minimalize_presentation", spy)
+    path = (Path(__file__).resolve().parents[1] / "bench" / "sessions"
+            / "segre_quadric_modules.json")
+    run_session(parse_session(path.read_text()))
+    assert len(seen) == 14
+    assert max(len(M.shifts) for M, _ in seen) == 24
+    assert max(len(M.relations) for M, _ in seen) == 30
+    for M, new in seen:
+        old = restart_loop_minimalize(M)
+        assert new.shifts == old.shifts
+        assert [list(r.terms.items()) for r in new.relations] == \
+            [list(r.terms.items()) for r in old.relations]
 
 
 def test_minimalize_clears_earlier_relations_at_the_first_unit():
@@ -144,7 +174,7 @@ def test_resolution_minimality(type2_ring):
     for cols in res.diffs:
         for col in cols:
             for entry in col.to_polys():
-                assert entry.constant_coeff() == 0
+                assert entry.terms.get(entry.ring._zero_mono, 0) == 0
 
 
 def test_kernel_of_identity_is_relations(node_ring):
