@@ -12,6 +12,7 @@ the residue field.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -248,6 +249,14 @@ def parse_session(text: str, overrides: Optional[dict] = None) -> Session:
     except json.JSONDecodeError as e:
         raise SessionError(
             [f"line {e.lineno}, column {e.colno}: {e.msg}"]) from None
+    except RecursionError:
+        raise SessionError(["arrays and objects nested too deeply"]) from None
+    except ValueError:
+        # the only other ValueError of json.loads: an integer literal
+        # longer than the interpreter's int-to-string digit limit
+        limit = sys.get_int_max_str_digits()
+        raise SessionError(
+            [f"an integer has more than {limit} digits"]) from None
     if not isinstance(doc, dict):
         raise SessionError(["top-level document must be an object"])
     _reject_unknown(doc, TOP_LEVEL_KEYS, "", errors)

@@ -1,7 +1,11 @@
 """Session files, JSON reports, and the command-line entry point."""
 
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -375,6 +379,71 @@ def test_cli_error_exit_code(tmp_path, capsys):
     assert main(["check", str(tmp_path / "absent.json")]) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["check"],
+    ["--seed", "x", "check", "FILE"],
+    ["frobnicate", "FILE"],
+    [],
+    # an abbreviation of an option is not the option
+    ["--deg", "3", "check", "FILE"],
+])
+def test_cli_usage_error_exit_code(argv, tmp_path, capsys):
+    """A malformed command line is an input error (1), never the exit
+    code of an undecided verdict (2)."""
+    f = tmp_path / "s.json"
+    f.write_text(GOOD)
+    assert main([str(f) if a == "FILE" else a for a in argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: injcrit ")
+    assert out.err.splitlines()[-1].startswith("error: ")
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_cli_help(flag, capsys):
+    assert main([flag]) == 0
+    out = capsys.readouterr()
+    assert out.out.startswith("usage: injcrit ") and out.err == ""
+    assert all(name in out.out for name in (
+        "--json", "--seed", "--degree-bound", "--res-cap", "corpus run"))
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"\xff\xfe{", "{path}: not UTF-8 text (byte 0: invalid start byte)"),
+    (b"[" * 100000 + b"]" * 100000, "arrays and objects nested too deeply"),
+    (b'{"char": 1' + b"0" * 5000,
+     f"an integer has more than {sys.get_int_max_str_digits()} digits"),
+], ids=["not_utf8", "deep_nesting", "long_integer"])
+def test_cli_malformed_file_is_one_error_line(content, message, tmp_path,
+                                              capsys):
+    f = tmp_path / "bad.json"
+    f.write_bytes(content)
+    assert main(["check", str(f)]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: {message.format(path=f)}\n"
+
+
+def test_cli_check_imports_no_argparse_locale_or_numpy():
+    """A check call stays lean: no argument-parsing or locale machinery,
+    and the dense oracle's numpy only when the oracle runs."""
+    session = resources.files("injcrit") / "corpus" / "regular_line.json"
+    code = ("import contextlib, io, sys\n"
+            "before = set(sys.modules)\n"
+            "from injcrit.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['--json', 'check', sys.argv[1]])\n"
+            "added = set(sys.modules) - before\n"
+            "print(code, sorted(added & {'argparse', 'gettext', 'locale',\n"
+            "                            'numpy'}))\n")
+    src = str(Path(main.__code__.co_filename).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code, str(session)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "0 []\n"
+
+
 def test_cli_corpus_list(capsys):
     assert main(["corpus", "list"]) == 0
     names = capsys.readouterr().out.split()
@@ -470,9 +539,11 @@ def test_cli_seed_override(tmp_path, capsys):
         "checks": [{"id": "L2.1", "M": "R"}],
     }))
     outs = []
-    for seed in (1, 2):
-        assert main(["--json", "--seed", str(seed), "check", str(f)]) == 0
+    # --name N and --name=N both work, and a repeated option's last wins
+    for options in (["--seed", "1"], ["--seed", "2"], ["--seed=2"],
+                    ["--seed", "1", "--seed=2"]):
+        assert main(["--json", *options, "check", str(f)]) == 0
         outs.append(json.loads(capsys.readouterr().out))
     for doc in outs:
         assert doc["checks"][0]["verdict"] == "pass"
-    assert outs[0]["flags"]["seed"] == 1 and outs[1]["flags"]["seed"] == 2
+    assert [doc["flags"]["seed"] for doc in outs] == [1, 2, 2, 2]
