@@ -17,15 +17,13 @@ Ext^{d+1}(k, C) vanishes.  No injective resolution is ever built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from math import prod
 from typing import Optional
 
 from .groebner import MonomialLimitError
-from .invariants import (RegularSequenceCertificate, UndecidedError,
-                         depth, dimension, hilbert_series, is_cohen_macaulay,
-                         is_regular_element, length, multiplicity, rank,
-                         type_of)
+from .invariants import (UndecidedError, depth, dimension, hilbert_series,
+                         is_cohen_macaulay, is_regular_element, length,
+                         multiplicity, rank, type_of)
 from .modules import (GradedModule, ResolutionCapError, ext,
                       quotient_by_sequence)
 
@@ -34,26 +32,27 @@ _MCM_FINITE_INJDIM = ("R is Cohen-Macaulay and C is maximal Cohen-Macaulay "
                       "with finite injective dimension")
 
 
-@dataclass
 class Hypothesis:
-    name: str
-    status: str            # "pass" | "fail" | "undecided"
-    values: dict = field(default_factory=dict)
+    def __init__(self, name: str, status: str, values: Optional[dict] = None):
+        self.name = name
+        self.status = status            # "pass" | "fail" | "undecided"
+        self.values = {} if values is None else values
 
     def to_dict(self) -> dict:
         return {"name": self.name, "status": self.status,
                 "values": self.values}
 
 
-@dataclass
 class CriterionReport:
-    criterion: str
-    inputs: dict
-    hypotheses: list
-    conclusion: str
-    verification: dict = field(default_factory=lambda: {"status": "skipped",
-                                                        "method": "none"})
-    undecided: list = field(default_factory=list)
+    def __init__(self, criterion: str, inputs: dict, hypotheses: list,
+                 conclusion: str, undecided: Optional[list] = None):
+        self.criterion = criterion
+        self.inputs = inputs
+        self.hypotheses = hypotheses
+        self.conclusion = conclusion
+        self.verification = {"status": "skipped", "method": "none"}
+        # a passed list is kept, not copied: _Check.report shares its own
+        self.undecided = [] if undecided is None else undecided
 
     @property
     def asserted(self) -> bool:
@@ -232,22 +231,18 @@ def _certify_by_bass(report: CriterionReport, C: GradedModule, method: str,
 # ---------------------------------------------------------------------------
 # multiplicity = length of the parameter quotient
 
-def check_lemma_mult_length(M: GradedModule,
-                            cert: RegularSequenceCertificate
-                            ) -> CriterionReport:
-    """e(M) equals the length of M cut by a verified linear parameter
-    system (criterion id L2.1)."""
-    if not cert.verified:
-        raise ValueError("certificate is not verified for this module")
+def check_lemma_mult_length(M: GradedModule, xs: list,
+                            seed: int) -> CriterionReport:
+    """e(M) equals the length of M cut by the linear parameter system
+    xs, as find_regular_sop(M, seed) verifies it (criterion id L2.1)."""
     chk = _Check("L2.1", "e(M) = l(M / xM)")
     hyps = [Hypothesis("certificate verified", "pass",
-                       {"elements": [str(x) for x in cert.elements],
-                        "seed": cert.seed}),
+                       {"elements": [str(x) for x in xs], "seed": seed}),
             _cohen_macaulay(chk, M, "M")]
     e = chk.get(multiplicity, M)
-    l = chk.get(length, quotient_by_sequence(M, cert.elements))
-    report = chk.report({"M": M.name or "M",
-                         "sequence_length": len(cert.elements)}, hyps)
+    l = chk.get(length, quotient_by_sequence(M, xs))
+    report = chk.report({"M": M.name or "M", "sequence_length": len(xs)},
+                        hyps)
     report.verification = {"status": "skipped",
                            "method": "two-sided computation"}
     if e is not None and l is not None:
@@ -260,18 +255,16 @@ def check_lemma_mult_length(M: GradedModule,
 # regular-sequence transfer for Ext modules
 
 def check_regseq_transfer(M: GradedModule, C: GradedModule,
-                          cert: RegularSequenceCertificate) -> CriterionReport:
-    """Transfer of a regular sequence on M to Ext^{r-s}(M, C), with the
-    base-change isomorphism and the vanishing one step further
+                          xs: list) -> CriterionReport:
+    """Transfer of the regular sequence xs on M to Ext^{r-s}(M, C), with
+    the base-change isomorphism and the vanishing one step further
     (criterion id L2.2)."""
-    if not cert.verified:
-        raise ValueError("certificate is not verified for this module")
     chk = _Check("L2.2", "the sequence transfers to Ext^{r-s}(M,C), "
                  "base-changes Ext^r, and Ext^{r+1}(M/xM, C) = 0")
     r = chk.get(depth, C)
     s = chk.get(dimension, M)
     inputs = {"M": M.name or "M", "C": C.name or "C", "r": r, "s": s,
-              "sequence": [str(x) for x in cert.elements]}
+              "sequence": [str(x) for x in xs]}
     if r is None or s is None:
         return chk.unresolved(inputs)
     if s > r:
@@ -280,8 +273,7 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
                           r=r, s=s)
     hyps = [_cohen_macaulay(chk, M, "M"),
             Hypothesis("sequence length = dim M",
-                       _status(len(cert.elements) == s),
-                       {"length": len(cert.elements), "s": s}),
+                       _status(len(xs) == s), {"length": len(xs), "s": s}),
             _vanishing_window(chk, M, C, r - s + 1, r + 1)]
     report = chk.report(inputs, hyps)
     if not report.asserted:
@@ -297,18 +289,18 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
         # (i) successive regularity on the Ext module
         flags = []
         N = E
-        for x in cert.elements:
+        for x in xs:
             flags.append(is_regular_element(N, x))
             N = quotient_by_sequence(N, [x])
         checks["regular_on_ext"] = flags
         # (ii) Ext^r(M/xM, C) matches Ext^{r-s}(M,C) / x, up to the
         # grading shift contributed by the connecting maps (one per
         # element, by its degree)
-        MX = quotient_by_sequence(M, cert.elements)
+        MX = quotient_by_sequence(M, xs)
         ER = chk.get(ext, MX, C, r)
         if ER is None:
             return report
-        delta = sum(x.degree() for x in cert.elements)
+        delta = sum(x.degree() for x in xs)
         # both series are exact, so their numerators compare in full
         hilbert_match = (hilbert_series(ER).numerator
                          == {e - delta: c for e, c

@@ -13,7 +13,6 @@ nonzero finite-length M is beta^S_n(M), its type at depth 0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from math import comb
 from typing import Optional
 
@@ -62,12 +61,12 @@ def _ip_eval_one(a: dict) -> int:
 # ---------------------------------------------------------------------------
 # Hilbert series
 
-@dataclass
 class HilbertSeries:
     """numerator(t) / (1 - t)^nvars, with exact integer coefficients."""
 
-    numerator: dict
-    nvars: int
+    def __init__(self, numerator: dict, nvars: int):
+        self.numerator = numerator
+        self.nvars = nvars
 
     def reduced(self) -> tuple:
         """(q, d) with the series equal to q(t)/(1-t)^d and q(1) != 0."""
@@ -308,22 +307,6 @@ def _det(m) -> Poly:
 SOP_TRIES = 50  # random linear systems find_regular_sop tries
 
 
-@dataclass
-class RegularSequenceCertificate:
-    """A verified homogeneous linear system of parameters for a module."""
-
-    elements: list
-    module_name: Optional[str]
-    seed: int
-    regular_flags: list = field(default_factory=list)
-    reduction_flag: bool = False
-    tries: int = 1
-
-    @property
-    def verified(self) -> bool:
-        return all(self.regular_flags) and self.reduction_flag
-
-
 def is_regular_element(M: GradedModule, x: Poly) -> bool:
     """True iff multiplication by x on coker(M) has zero kernel."""
     ring = M.ring
@@ -335,21 +318,21 @@ def is_regular_element(M: GradedModule, x: Poly) -> bool:
     return all(shifted.contains(k) for k in K)
 
 
-def find_regular_sop(M: GradedModule,
-                     seed: int = 1) -> RegularSequenceCertificate:
-    """Random degree-1 forms, each verified regular on the successive
-    quotient, jointly cutting M to finite length."""
+def find_regular_sop(M: GradedModule, seed: int = 1) -> list:
+    """A homogeneous linear system of parameters for M: dim M random
+    degree-1 forms, each verified regular on the quotient by the forms
+    before it, jointly cutting M to finite length ([] when dim M = 0)."""
     if M.is_zero():
         raise ZeroModuleError("sop search on the zero module")
     ring = M.ring
     s = dimension(M)
     rng = random.Random(seed)
     if s == 0:
-        return RegularSequenceCertificate([], M.name, seed, [], True)
+        return []
     n = ring.poly_ring.n
     p = ring.poly_ring.p
-    for attempt in range(1, SOP_TRIES + 1):
-        elements, flags = [], []
+    for _ in range(SOP_TRIES):
+        elements = []
         N = M
         ok = True
         for _ in range(s):
@@ -361,13 +344,11 @@ def find_regular_sop(M: GradedModule,
                 ok = False
                 break
             elements.append(x)
-            flags.append(True)
             N = quotient_by_sequence(N, [x])
         if not ok:
             continue
         if hilbert_series(N).finite_length:
-            return RegularSequenceCertificate(elements, M.name, seed, flags,
-                                              True, attempt)
+            return elements
     raise UndecidedError(
         f"no regular system of parameters found in {SOP_TRIES} tries "
         f"(enlarge the prime or check the CM hypothesis)")

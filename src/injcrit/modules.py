@@ -16,7 +16,6 @@ basis, its relation tester over S; the ring's is that of R as a module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 # buchberger is re-exported: bench/tracer.py wraps it under this name too.
@@ -334,9 +333,9 @@ def minimalize_presentation(M: GradedModule) -> GradedModule:
 # ---------------------------------------------------------------------------
 # free resolutions
 
-@dataclass
 class FreeResolution:
-    """A (truncated) minimal graded free resolution.
+    """A (truncated) minimal graded free resolution of a module whose
+    minimal model is mm, over mm's ring.
 
     covers[i] is the i-th free module; diffs[i] lists the columns of the
     differential covers[i+1] -> covers[i].  complete means the last
@@ -344,11 +343,12 @@ class FreeResolution:
     bounds the number of maps; None leaves it unbounded.
     """
 
-    ring: RingPresentation
-    covers: list
-    diffs: list
-    complete: bool
-    cap: Optional[int]
+    def __init__(self, mm: GradedModule, cap: Optional[int]):
+        self.ring = mm.ring
+        self.covers = [mm.cover]
+        self.diffs = []
+        self.cap = cap
+        self._add_map(list(mm.relations))
 
     @property
     def num_diffs(self) -> int:
@@ -368,18 +368,17 @@ class FreeResolution:
             self._step()
 
     def _step(self):
-        ring = self.ring
-        if not self.diffs:
-            raise RuntimeError("resolution was not seeded")
-        syz = syzygies_over(ring, self.diffs[-1], self.covers[-1],
+        syz = syzygies_over(self.ring, self.diffs[-1], self.covers[-1],
                             self.covers[-2])
-        gens = minimal_generators(ring, syz, self.covers[-1])
-        if not gens:
-            self.complete = True
-            return
-        self.diffs.append(gens)
-        self.covers.append(ring.poly_ring.free_module(
-            tuple(g.degree() for g in gens)))
+        self._add_map(minimal_generators(self.ring, syz, self.covers[-1]))
+
+    def _add_map(self, gens: list):
+        """The next map, with columns gens; none ends the resolution."""
+        self.complete = not gens
+        if gens:
+            self.diffs.append(gens)
+            self.covers.append(self.ring.poly_ring.free_module(
+                tuple(g.degree() for g in gens)))
 
 
 def resolution(M: GradedModule, base: str = "R",
@@ -400,18 +399,8 @@ def resolution(M: GradedModule, base: str = "R",
             work = GradedModule(  # M over the ambient polynomial ring
                 M.ring.ambient(), M.shifts,
                 list(M.relations) + M.ring.ideal_columns(M.cover))
-        mm = work.minimal_model()
-        ring = work.ring
-        covers = [mm.cover]
-        diffs = []
-        complete = not mm.relations
-        if mm.relations:
-            diffs.append(list(mm.relations))
-            covers.append(ring.poly_ring.free_module(
-                tuple(r.degree() for r in mm.relations)))
         M._cache[key] = FreeResolution(
-            ring, covers, diffs, complete,
-            M.ring.res_cap if base == "R" else None)
+            work.minimal_model(), M.ring.res_cap if base == "R" else None)
     res = M._cache[key]
     res.extend_to(steps)
     return res

@@ -259,9 +259,11 @@ class ModuleTable(_ActionTable):
     def certified_top(self, bound: int) -> int:
         """A degree at or above the largest one with a nonzero piece,
         certified within bound: above the largest generator degree, a
-        vanishing piece forces all higher pieces to vanish."""
+        vanishing piece forces all higher pieces to vanish.  The scan
+        stops before it needs a ring piece of degree above bound: the
+        piece of degree d reads R_{d-a} for each generator degree a."""
         top = max(self.shifts, default=0) - 1
-        while top < bound:
+        while top < min(bound, bound + min(self.shifts, default=0)):
             if self.dims(top + 1) == 0:
                 return top
             top += 1

@@ -8,7 +8,7 @@ Example: ``3*x^2*y - y^3``.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .poly import Poly, PolyRing
 
@@ -21,11 +21,8 @@ class ParseError(ValueError):
         self.column = column
 
 
-@dataclass
-class _Token:
-    kind: str  # "int" | "name" | "op" | "end"
-    text: str
-    column: int
+# kind is "int", "name", "op" or "end"
+_Token = namedtuple("_Token", "kind text column")
 
 
 _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z_][A-Za-z_0-9]*)|([-+*^()]))")

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
 from typing import Optional
 
 from . import criteria
@@ -36,24 +35,18 @@ class SessionError(ValueError):
         self.errors = list(errors)
 
 
-@dataclass(frozen=True)
-class SessionFlags:
-    domain: bool = False
-    degree_bound: int = 10
-    res_cap: Optional[int] = None
-    seed: int = 1
-
-    def to_dict(self) -> dict:
-        return {"domain": self.domain, "degree_bound": self.degree_bound,
-                "res_cap": self.res_cap, "seed": self.seed}
+# each session flag and its value when the document leaves it out
+DEFAULT_FLAGS = {"domain": False, "degree_bound": 10, "res_cap": None,
+                 "seed": 1}
 
 
-@dataclass
 class Session:
-    ring: RingPresentation
-    modules: dict
-    flags: SessionFlags
-    checks: list = field(default_factory=list)
+    def __init__(self, ring: RingPresentation, modules: dict, flags: dict,
+                 checks: list):
+        self.ring = ring
+        self.modules = modules
+        self.flags = flags
+        self.checks = checks
 
     def resolve(self, name: str) -> GradedModule:
         if name == "R":
@@ -69,19 +62,15 @@ class Session:
         raise SessionError([f"unknown module name {name!r}"])
 
 
-def _sop(session: Session, M: GradedModule):
-    return find_regular_sop(M, seed=session.flags.seed)
-
-
 # criterion id -> (argument names, runner(session, *modules)).  Every
 # argument names one module, except "N", which names a list of them and
 # defaults to every module.  Runners look their checker up in criteria
 # at call time, so a wrapper installed there (bench/tracer.py) sees it.
 CHECKS = {
     "L2.1": (("M",), lambda s, M: criteria.check_lemma_mult_length(
-        M, _sop(s, M))),
+        M, find_regular_sop(M, s.flags["seed"]), s.flags["seed"])),
     "L2.2": (("M", "C"), lambda s, M, C: criteria.check_regseq_transfer(
-        M, C, _sop(s, M))),
+        M, C, find_regular_sop(M, s.flags["seed"]))),
     "L2.3": (("M", "C"), lambda s, M, C:
              criteria.check_finite_length_criterion(M, C)),
     "T2.4": (("C", "M"), lambda s, C, M: criteria.check_main_theorem(C, M)),
@@ -113,16 +102,16 @@ def _reject_unknown(doc: dict, allowed, where: str, errors: list):
 NONNEGATIVE_FLAGS = ("degree_bound", "res_cap")
 
 
-def _parse_flags(doc, overrides: dict, errors: list) -> SessionFlags:
-    """The flags of doc, each key of overrides replacing its value."""
-    defaults = SessionFlags().to_dict()
+def _parse_flags(doc, overrides: dict, errors: list) -> dict:
+    """The flags of doc, each key of overrides replacing its value; an
+    invalid value keeps its default."""
+    flags = dict(DEFAULT_FLAGS)
     if not isinstance(doc, dict):
         errors.append("flags: expected an object")
-        return SessionFlags()
+        return flags
     doc = {**doc, **overrides}
-    _reject_unknown(doc, defaults, "flags.", errors)
-    values = {}
-    for key, default in defaults.items():
+    _reject_unknown(doc, DEFAULT_FLAGS, "flags.", errors)
+    for key, default in DEFAULT_FLAGS.items():
         value = doc.get(key, default)
         if key == "domain" and not isinstance(value, bool):
             errors.append(f"flags.domain: expected true or false, "
@@ -134,8 +123,8 @@ def _parse_flags(doc, overrides: dict, errors: list) -> SessionFlags:
             errors.append(f"flags.{key}: expected a non-negative integer, "
                           f"got {value}")
         else:
-            values[key] = value
-    return SessionFlags(**values)
+            flags[key] = value
+    return flags
 
 
 def _parse_modules(doc, ring: Optional[RingPresentation],
@@ -306,8 +295,8 @@ def parse_session(text: str, overrides: Optional[dict] = None) -> Session:
     # or without a ring when the variables are invalid, so that one
     # SessionError lists every error of the document
     ring = (None if poly_ring is None else
-            RingPresentation(poly_ring, ideal, domain_flag=flags.domain,
-                             res_cap=flags.res_cap))
+            RingPresentation(poly_ring, ideal, domain_flag=flags["domain"],
+                             res_cap=flags["res_cap"]))
     modules = _parse_modules(doc.get("modules", {}), ring, errors)
     checks = _parse_checks(doc.get("checks", []), modules, errors)
     if errors:
@@ -351,7 +340,7 @@ def run_session(session: Session, with_oracle: bool = False) -> dict:
             rep = {"module": name, "undecided": str(e)}
         invariants.append(rep)
     checks = [run_check(session, chk).to_dict() for chk in session.checks]
-    out = {"flags": session.flags.to_dict(),
+    out = {"flags": session.flags,
            "ring": {"char": session.ring.poly_ring.p,
                     "vars": list(session.ring.poly_ring.variables),
                     "ideal": [str(g) for g in session.ring.ideal_gens]},
@@ -367,7 +356,7 @@ def run_oracle(session: Session) -> list:
     from .oracle import (TruncationError, oracle_hilbert,
                          oracle_socle_dimension)
     out = []
-    bound = max(session.flags.degree_bound, 4)
+    bound = max(session.flags["degree_bound"], 4)
     names = ["R"] + sorted(session.modules)
     for name in names:
         M = session.resolve(name)
@@ -415,6 +404,9 @@ def emit_human(report: dict) -> str:
     lines.append("  " + "  ".join(c.ljust(w) for c, w in zip(cols, widths)))
     for r in rows:
         lines.append("  " + "  ".join(v.ljust(w) for v, w in zip(r, widths)))
+    for inv in report["invariants"]:
+        if "undecided" in inv:
+            lines.append(f"  {inv['module']}: undecided ({inv['undecided']})")
     if report.get("checks"):
         lines.append("")
         lines.append("checks:")

@@ -125,8 +125,8 @@ def test_acceptance_2_multiplicity_equals_cut_length(corpus):
                 if M.is_zero() or not is_cohen_macaulay(M):
                     continue
                 for seed in range(1, 11):
-                    cert = find_regular_sop(M, seed=seed)
-                    rep = check_lemma_mult_length(M, cert)
+                    rep = check_lemma_mult_length(
+                        M, find_regular_sop(M, seed=seed), seed)
                     assert rep.verdict == "pass", (session, _name, seed)
                     assert rep.verification["status"] == "pass"
                     checked += 1

@@ -15,8 +15,7 @@ from injcrit.criteria import (check_claim_multiplicity,
                               check_self_ext_criterion,
                               verify_finite_injdim_bass)
 from injcrit.groebner import MonomialLimitError
-from injcrit.invariants import (HilbertSeries, RegularSequenceCertificate,
-                                find_regular_sop, multiplicity)
+from injcrit.invariants import HilbertSeries, find_regular_sop, multiplicity
 from injcrit.modules import ResolutionCapError
 from injcrit.session import CHECKS, parse_session
 
@@ -34,25 +33,16 @@ def test_criterion_id_registry():
 def test_lemma_mult_length_pass(corpus):
     for name in ("gorenstein_node", "three_lines", "regular_plane"):
         M = corpus[name].resolve("R")
-        cert = find_regular_sop(M, seed=3)
-        rep = check_lemma_mult_length(M, cert)
+        rep = check_lemma_mult_length(M, find_regular_sop(M, seed=3), 3)
         assert rep.verdict == "pass" and rep.asserted
         vals = rep.verification
         assert vals["status"] == "pass"
 
 
-def test_lemma_rejects_unverified_certificate(corpus):
-    M = corpus["gorenstein_node"].resolve("R")
-    bogus = RegularSequenceCertificate([], None, 1, [False], False)
-    with pytest.raises(ValueError):
-        check_lemma_mult_length(M, bogus)
-
-
 def test_regseq_transfer_on_node(corpus):
     session = corpus["gorenstein_node"]
     R = session.resolve("R")
-    cert = find_regular_sop(R, seed=1)
-    rep = check_regseq_transfer(R, R, cert)
+    rep = check_regseq_transfer(R, R, find_regular_sop(R, seed=1))
     assert rep.verdict == "pass"
     assert rep.verification["status"] == "pass"
     # the base-change comparison is taken up to a grading shift
@@ -65,7 +55,7 @@ def test_regseq_transfer_compares_the_whole_hilbert_series(corpus,
     difference far above any degree window still shows: adding t^20 to
     the series of the quotients N = E/xE breaks the match."""
     R = corpus["gorenstein_node"].resolve("R")
-    cert = find_regular_sop(R, seed=1)
+    xs = find_regular_sop(R, seed=1)
     quotients = []
     real_quotient, real_series = (criteria.quotient_by_sequence,
                                   criteria.hilbert_series)
@@ -84,7 +74,7 @@ def test_regseq_transfer_compares_the_whole_hilbert_series(corpus,
 
     monkeypatch.setattr(criteria, "quotient_by_sequence", quotient)
     monkeypatch.setattr(criteria, "hilbert_series", series)
-    rep = check_regseq_transfer(R, R, cert)
+    rep = check_regseq_transfer(R, R, xs)
     assert rep.verification["iso_report"] == {
         "hilbert_match": False, "generator_match": True, "shift": -1}
     assert rep.verification["status"] == "fail"
@@ -95,8 +85,7 @@ def test_regseq_transfer_base_case(corpus):
     session = corpus["type2_artinian"]
     E = session.resolve("E")
     k = session.resolve("k")
-    cert = RegularSequenceCertificate([], None, 1, [], True)
-    rep = check_regseq_transfer(k, E, cert)
+    rep = check_regseq_transfer(k, E, [])
     assert rep.verdict == "pass"
 
 
@@ -258,7 +247,6 @@ def test_undecided_from_tiny_cap():
 
 SKIPPED = {"status": "skipped", "method": "none"}
 LIMIT = str(MonomialLimitError())
-NO_SEQUENCE = RegularSequenceCertificate([], None, 1, [], True)
 T24_WINDOW = "Ext^i(M,C) = 0 for r-s+1 <= i <= r+1"
 L22 = ("the sequence transfers to Ext^{r-s}(M,C), base-changes Ext^r, "
        "and Ext^{r+1}(M/xM, C) = 0")
@@ -310,7 +298,7 @@ def test_past_the_monomial_limit_the_input_invariants_are_unresolved():
     """Over k[x]/(x^40000) depth and dimension hit the packed-term limit,
     so L2.2, C2.6 and C2.9 stop before any hypothesis."""
     R, = fresh(["x"], ["x^40000"], "R")
-    assert check_regseq_transfer(R, R, NO_SEQUENCE).to_dict() == unresolved(
+    assert check_regseq_transfer(R, R, []).to_dict() == unresolved(
         "L2.2", {"M": "R", "C": "R", "r": None, "s": None, "sequence": []},
         LIMIT, LIMIT)
     assert check_gorenstein_criterion(R).to_dict() == unresolved(
@@ -339,17 +327,17 @@ def test_capped_ext_of_k_leaves_l23_undecided():
 
 def test_regseq_transfer_precondition_and_failed_window():
     R, k, _ = node()
-    cert = find_regular_sop(R, seed=1)
-    assert check_regseq_transfer(R, k, cert).to_dict() == {
+    xs = find_regular_sop(R, seed=1)
+    assert check_regseq_transfer(R, k, xs).to_dict() == {
         "criterion": "L2.2",
         "inputs": {"M": "R", "C": "k", "r": 0, "s": 1,
-                   "sequence": [str(x) for x in cert.elements]},
+                   "sequence": [str(x) for x in xs]},
         "hypotheses": [hyp("s <= r", "fail", r=0, s=1)],
         "conclusion": "transfer of the sequence to the Ext module",
         "asserted": False, "verification": SKIPPED, "undecided": [],
         "verdict": "not_applicable"}
     R, k = fresh(["x", "y"], ["x^2", "x*y"], "R", "k")
-    assert check_regseq_transfer(k, R, NO_SEQUENCE).to_dict() == {
+    assert check_regseq_transfer(k, R, []).to_dict() == {
         "criterion": "L2.2",
         "inputs": {"M": "k", "C": "R", "r": 0, "s": 0, "sequence": []},
         "hypotheses": [hyp("M Cohen-Macaulay", "pass"),
@@ -364,7 +352,7 @@ def test_regseq_transfer_capped_verification(monkeypatch, capped):
     """Over k[x] the hypotheses of L2.2 hold for M = C = R; a cap met by
     the Ext module the verification reads makes the report undecided."""
     R, = fresh(["x"], [], "R")
-    cert = find_regular_sop(R, seed=1)
+    xs = find_regular_sop(R, seed=1)
     error = ResolutionCapError(3, 2)
     if capped == "Ext^{r-s}(M,C)":
         intercept(monkeypatch, "ext", lambda M, C, i, *_: M is R and i == 0,
@@ -372,10 +360,10 @@ def test_regseq_transfer_capped_verification(monkeypatch, capped):
     else:
         intercept(monkeypatch, "ext",
                   lambda M, C, i, *_: M is not R and i == 2, error)
-    assert check_regseq_transfer(R, R, cert).to_dict() == {
+    assert check_regseq_transfer(R, R, xs).to_dict() == {
         "criterion": "L2.2",
         "inputs": {"M": "R", "C": "R", "r": 1, "s": 1,
-                   "sequence": [str(x) for x in cert.elements]},
+                   "sequence": [str(x) for x in xs]},
         "hypotheses": [hyp("M Cohen-Macaulay", "pass"),
                        hyp("sequence length = dim M", "pass", length=1, s=1),
                        hyp(T24_WINDOW, "pass", window={1: 0, 2: 0})],

@@ -133,6 +133,17 @@ def test_truncation_error_on_positive_dimension(node_ring):
         matlis_dual(M, bound=6)
 
 
+def test_vanishing_scan_reads_no_ring_piece_above_the_bound():
+    """The piece of degree d of a module generated in degree -300 is the
+    ring piece of degree d + 300, so the scan stops at degree bound - 300
+    and builds only the ring pieces of degree <= bound."""
+    ring = RingPresentation(PolyRing(["x", "y"]))
+    mt = ModuleTable(GradedModule(ring, (-300,)))
+    with pytest.raises(TruncationError):
+        mt.certified_top(10)
+    assert len(ring_table(ring)._basis) <= 11
+
+
 def test_linalg_exact_below_and_refuses_above_the_prime_limit():
     p = 2 ** 31 - 1
     rng = random.Random(7)

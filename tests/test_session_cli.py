@@ -295,6 +295,10 @@ def test_packed_monomial_limit_is_undecided(tmp_path, capsys):
         assert reason in chk["undecided"]
     assert main(["check", str(f)]) == 2
     assert "undecided: " + reason in capsys.readouterr().out
+    # the human invariant table says why its row is undecided
+    assert main(["invariants", str(f)]) == 2
+    assert (f"  R: undecided ({reason})"
+            in capsys.readouterr().out.splitlines())
     doc["modules"] = {"M": {"degrees": [0], "relations": [["x"]]}}
     with pytest.raises(SessionError) as e:
         parse_session(json.dumps(doc))
@@ -425,8 +429,9 @@ def test_cli_malformed_file_is_one_error_line(content, message, tmp_path,
 
 
 def test_cli_check_imports_no_argparse_locale_or_numpy():
-    """A check call stays lean: no argument-parsing or locale machinery,
-    and the dense oracle's numpy only when the oracle runs."""
+    """A check call stays lean: no argument-parsing, locale or dataclass
+    machinery (dataclasses pulls in inspect), and the dense oracle's numpy
+    only when the oracle runs."""
     session = resources.files("injcrit") / "corpus" / "regular_line.json"
     code = ("import contextlib, io, sys\n"
             "before = set(sys.modules)\n"
@@ -434,7 +439,8 @@ def test_cli_check_imports_no_argparse_locale_or_numpy():
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = main(['--json', 'check', sys.argv[1]])\n"
             "added = set(sys.modules) - before\n"
-            "print(code, sorted(added & {'argparse', 'gettext', 'locale',\n"
+            "print(code, sorted(added & {'argparse', 'dataclasses',\n"
+            "                            'gettext', 'inspect', 'locale',\n"
             "                            'numpy'}))\n")
     src = str(Path(main.__code__.co_filename).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
