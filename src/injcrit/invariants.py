@@ -7,7 +7,9 @@ over the ambient ring S, and type is read off the same minimal
 S-resolution: at t = depth M and p = pd_S M, Ext^t(k, M) is Tor^S_p(k, M)
 by the self-duality of the Koszul complex (Bruns-Herzog, Lemma 1.2.4 and
 Section 1.6), so type M is the Betti number beta^S_p(M).  The socle of a
-nonzero finite-length M is beta^S_n(M), its type at depth 0.
+nonzero finite-length M is beta^S_n(M), its type at depth 0.  Regularity
+of x of degree e on M is the identity HS(M/xM) = (1 - t^e) HS(M), read
+off the quotient M/xM that its callers go on to use.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from typing import Optional
 # buchberger is re-exported: bench/tracer.py wraps it under this name too.
 from .groebner import buchberger  # noqa: F401
 from .modules import (GradedModule, RingPresentation, ZeroModuleError,
-                      kernel_of_cokernel_map, quotient_by_sequence,
-                      resolution)
+                      quotient_by_sequence, resolution)
 from .poly import (Poly, mono_deg, mono_div, mono_divides, mono_lcm,
                    monomials_of_degree)
 
@@ -97,10 +98,6 @@ class HilbertSeries:
         if not q:
             raise ZeroModuleError("multiplicity of the zero module")
         return _ip_eval_one(q)
-
-    @property
-    def finite_length(self) -> bool:
-        return not self.numerator or self.reduced()[1] <= 0
 
     @property
     def length(self) -> Optional[int]:
@@ -307,21 +304,22 @@ def _det(m) -> Poly:
 SOP_TRIES = 50  # random linear systems find_regular_sop tries
 
 
-def is_regular_element(M: GradedModule, x: Poly) -> bool:
-    """True iff multiplication by x on coker(M) has zero kernel."""
-    ring = M.ring
-    # GradedModule moves the relations into the shifted cover
-    shifted = GradedModule(
-        ring, tuple(a + (x.degree() or 0) for a in M.shifts), M.relations)
-    cols = [M.cover.gen(j).poly_mul(x) for j in range(M.cover.rank)]
-    K = kernel_of_cokernel_map(cols, shifted.cover, M)
-    return all(shifted.contains(k) for k in K)
+def regular_cut(M: GradedModule, x: Poly) -> tuple:
+    """(M/xM, whether x is regular on M): 0 -> (0:_M x)(-e) -> M(-e) -> M
+    -> M/xM -> 0 is exact for e = deg x (Bruns-Herzog, Ch. 4), so x is
+    regular iff HS(M/xM) = (1 - t^e) HS(M); a zero or constant x has e = 0."""
+    N = quotient_by_sequence(M, [x])
+    num = hilbert_series(M).numerator
+    cut = _ip_sub(num, _ip_shift(num, x.degree() or 0))
+    return N, hilbert_series(N).numerator == cut
 
 
 def find_regular_sop(M: GradedModule, seed: int = 1) -> list:
     """A homogeneous linear system of parameters for M: dim M random
     degree-1 forms, each verified regular on the quotient by the forms
-    before it, jointly cutting M to finite length ([] when dim M = 0)."""
+    before it ([] when dim M = 0).  Each regular linear cut multiplies
+    the Hilbert series by 1 - t and so lowers the dimension by one: the
+    dim M forms cut M to finite length without a further check."""
     if M.is_zero():
         raise ZeroModuleError("sop search on the zero module")
     ring = M.ring
@@ -334,20 +332,16 @@ def find_regular_sop(M: GradedModule, seed: int = 1) -> list:
     for _ in range(SOP_TRIES):
         elements = []
         N = M
-        ok = True
         for _ in range(s):
             coeffs = [rng.randrange(p) for _ in range(n)]
             if all(c == 0 for c in coeffs):
                 coeffs[rng.randrange(n)] = 1
             x = ring.poly_ring.linear_form(coeffs)
-            if not is_regular_element(N, x):
-                ok = False
+            N, regular = regular_cut(N, x)
+            if not regular:
                 break
             elements.append(x)
-            N = quotient_by_sequence(N, [x])
-        if not ok:
-            continue
-        if hilbert_series(N).finite_length:
+        else:
             return elements
     raise UndecidedError(
         f"no regular system of parameters found in {SOP_TRIES} tries "

@@ -3,21 +3,21 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from injcrit import groebner
+from injcrit import groebner, modules
 from injcrit.groebner import buchberger
-from injcrit.invariants import (_ip_add, _ip_shift, _mono_ideal_numerator,
-                                depth, dimension, find_regular_sop,
-                                hilbert_series, is_cohen_macaulay,
-                                is_regular_element, length, multiplicity,
+from injcrit.invariants import (UndecidedError, _ip_add, _ip_shift,
+                                _mono_ideal_numerator, depth, dimension,
+                                find_regular_sop, hilbert_series,
+                                is_cohen_macaulay, length, multiplicity,
                                 projective_dimension_ambient, rank,
-                                socle_dimension, type_of)
+                                regular_cut, socle_dimension, type_of)
 from injcrit.modules import (GradedModule, RingPresentation, ZeroModuleError,
                              kernel_of_cokernel_map, quotient_by_sequence)
 from injcrit.oracle import oracle_socle_dimension
 from injcrit.poly import PolyRing, Vec, term_key
 
 from conftest import (direct_sum, draw_presentation, draw_xyz_ring,
-                      ext_route_type)
+                      ext_route_type, named_modules)
 
 
 def quotient_ring(varnames, rel_strings, domain=False):
@@ -42,7 +42,7 @@ def test_hilbert_series_node(node_ring):
 def test_hilbert_series_artinian(type2_ring):
     hs = hilbert_series(type2_ring.as_module())
     assert hs.coefficients(5) == {0: 1, 1: 2}
-    assert hs.finite_length and hs.length == 3
+    assert hs.length == 3  # None for an infinite length
 
 
 def test_auslander_buchsbaum_formula():
@@ -127,22 +127,23 @@ def test_rank_refused_off_domains(node_ring):
 def test_regular_element_detection(node_ring):
     x, y = node_ring.poly_ring.gens()
     M = node_ring.as_module()
-    assert is_regular_element(M, x + y)
-    assert not is_regular_element(M, x)  # zerodivisor on R/(xy)
+    assert regular_cut(M, x + y)[1]
+    assert not regular_cut(M, x)[1]  # zerodivisor on R/(xy)
 
 
 @settings(max_examples=10, deadline=None)
 @given(st.integers(1, 10 ** 6))
 def test_sop_certificate_properties(seed):
-    """dim M linear forms, each regular on M cut by the forms before it,
-    cutting M to finite length."""
+    """dim M linear forms, each regular on M cut by the forms before it
+    by the kernel route, cutting M to finite length."""
     for ring in (quotient_ring("xy", ["x*y"]), quotient_ring("xyz", ["x*y"])):
         M = ring.as_module()
         xs = find_regular_sop(M, seed=seed)
         assert len(xs) == dimension(M)
         assert all(f.degree() == 1 for f in xs)
         for i, x in enumerate(xs):
-            assert is_regular_element(quotient_by_sequence(M, xs[:i]), x)
+            assert kernel_route_is_regular(quotient_by_sequence(M, xs[:i]),
+                                           x)
         assert length(quotient_by_sequence(M, xs)) is not None
 
 
@@ -208,6 +209,61 @@ def kernel_route_socle_dimension(M):
     images = [Vec(M.cover, dict(k.terms)) for k in K]
     return lM - length(GradedModule(ring, M.shifts,
                                     list(M.relations) + images))
+
+
+def kernel_route_is_regular(M, x):
+    """Regularity as it was decided before regular_cut: x is regular on M
+    iff every element of the kernel K of M(-e) -> M, m -> x m, with
+    e = deg x, already vanishes in M(-e)."""
+    ring = M.ring
+    shifted = GradedModule(
+        ring, tuple(a + (x.degree() or 0) for a in M.shifts), M.relations)
+    cols = [M.cover.gen(j).poly_mul(x) for j in range(M.cover.rank)]
+    K = kernel_of_cokernel_map(cols, shifted.cover, M)
+    return all(shifted.contains(k) for k in K)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_regular_cut_matches_the_kernel_route(data):
+    """The Hilbert identity HS(M/xM) = (1 - t^e) HS(M) decides regularity
+    as the retired kernel route does, for a random linear form, a
+    variable, x*y, a nonzero constant and 0, and the quotient it returns
+    is M/xM."""
+    ring = draw_xyz_ring(data)
+    M = draw_presentation(data, ring)
+    S = ring.poly_ring
+    x, y, _ = S.gens()
+    f = data.draw(st.sampled_from([
+        S.linear_form([data.draw(st.integers(0, S.p - 1))
+                       for _ in range(S.n)]),
+        data.draw(st.sampled_from(S.gens())), x * y,
+        S.constant(data.draw(st.integers(1, S.p - 1))), S.zero()]))
+    N, regular = regular_cut(M, f)
+    assert regular == kernel_route_is_regular(M, f)
+    assert N.cache_key() == quotient_by_sequence(M, [f]).cache_key()
+
+
+def test_sop_search_runs_no_syzygy_computation(monkeypatch, corpus):
+    """A work guard: find_regular_sop decides each candidate from the
+    Hilbert series of the quotient it cuts, so over every named module
+    of the corpus sessions it runs no syzygy computation."""
+    runs = [0]
+    syzygies = modules.syzygies
+
+    def counted(*args):
+        runs[0] += 1
+        return syzygies(*args)
+
+    targets = [M for session in corpus.values()
+               for _, M in named_modules(session) if not M.is_zero()]
+    monkeypatch.setattr(modules, "syzygies", counted)
+    for M in targets:
+        try:
+            find_regular_sop(M)
+        except UndecidedError:      # no sop is regular on a non-CM module
+            pass
+    assert targets and runs[0] == 0
 
 
 @settings(max_examples=40, deadline=None)
