@@ -16,7 +16,7 @@ from __future__ import annotations
 import sys
 from importlib import resources
 
-from .session import (SessionError, emit_report, has_undecided,
+from .session import (SessionError, emit_human, emit_json, has_undecided,
                       parse_session, run_session)
 
 USAGE = ("usage: injcrit [--json] [--seed N] [--degree-bound N] "
@@ -109,9 +109,10 @@ def _run_file(text: str, as_json: bool, overrides: dict,
     if not include_checks:
         session.checks = []
     report = run_session(session, with_oracle=with_oracle)
-    sys.stdout.write(emit_report(report, "json" if as_json else "human"))
-    if not as_json:
-        sys.stdout.write("\n")
+    if as_json:
+        sys.stdout.write(emit_json(report))
+    else:
+        sys.stdout.write(emit_human(report) + "\n")
     return 2 if has_undecided(report) else 0
 
 

@@ -44,15 +44,51 @@ class Hypothesis:
 
 
 class CriterionReport:
-    def __init__(self, criterion: str, inputs: dict, hypotheses: list,
-                 conclusion: str, undecided: Optional[list] = None):
+    """One checker's report on one criterion.
+
+    A checker makes it first, from the id and the conclusion, and runs
+    each capped computation through get, which keeps the reason in
+    undecided; report, failed or unresolved then set the inputs and the
+    hypotheses.  Later steps, the verification included, extend that one
+    list, so a cap met late leaves the report undecided.
+    """
+
+    def __init__(self, criterion: str, conclusion: str):
         self.criterion = criterion
-        self.inputs = inputs
-        self.hypotheses = hypotheses
         self.conclusion = conclusion
+        self.inputs = {}
+        self.hypotheses = []
         self.verification = {"status": "skipped", "method": "none"}
-        # a passed list is kept, not copied: _Check.report shares its own
-        self.undecided = [] if undecided is None else undecided
+        self.undecided = []
+
+    def get(self, fn, *args, **kwargs):
+        """fn(*args, **kwargs), or None, keeping the reason, if capped."""
+        try:
+            return fn(*args, **kwargs)
+        except CAPPED as e:
+            self.undecided.append(str(e))
+            return None
+
+    def report(self, inputs: dict, hyps: list) -> CriterionReport:
+        """The full report, with the reasons kept so far."""
+        self.inputs = inputs
+        self.hypotheses = hyps
+        return self
+
+    def failed(self, inputs: dict, name: str, conclusion: Optional[str] = None,
+               **values) -> CriterionReport:
+        """A failed precondition: one failing hypothesis, no reasons."""
+        self.undecided.clear()
+        if conclusion:
+            self.conclusion = conclusion
+        return self.report(inputs, [Hypothesis(name, "fail", values)])
+
+    def unresolved(self, inputs: dict, *reasons) -> CriterionReport:
+        """The report of a checker stopped by a capped input computation,
+        with reasons added to those kept so far."""
+        self.conclusion = ""
+        self.undecided.extend(reasons)
+        return self.report(inputs, [])
 
     @property
     def asserted(self) -> bool:
@@ -84,42 +120,6 @@ class CriterionReport:
 # the errors of a computation that hit a cap or a limit: each makes the
 # check it belongs to "undecided", with the error as the reason
 CAPPED = (UndecidedError, ResolutionCapError, MonomialLimitError)
-
-
-class _Check:
-    """One checker's criterion id and conclusion, the reasons its capped
-    computations gave, and the three kinds of report it builds."""
-
-    def __init__(self, cid: str, conclusion: str):
-        self.cid = cid
-        self.conclusion = conclusion
-        self.undecided = []
-
-    def get(self, fn, *args, **kwargs):
-        """fn(*args, **kwargs), or None, keeping the reason, if capped."""
-        try:
-            return fn(*args, **kwargs)
-        except CAPPED as e:
-            self.undecided.append(str(e))
-            return None
-
-    def report(self, inputs: dict, hyps: list) -> CriterionReport:
-        """The full report.  It shares the reasons, so a verification
-        step that hits a cap later leaves it undecided."""
-        return CriterionReport(self.cid, inputs, hyps, self.conclusion,
-                               undecided=self.undecided)
-
-    def failed(self, inputs: dict, name: str, conclusion: Optional[str] = None,
-               **values) -> CriterionReport:
-        """A failed precondition: one failing hypothesis, no reasons."""
-        return CriterionReport(self.cid, inputs,
-                               [Hypothesis(name, "fail", values)],
-                               conclusion or self.conclusion)
-
-    def unresolved(self, inputs: dict) -> CriterionReport:
-        """The report of a checker stopped by a capped input computation."""
-        return CriterionReport(self.cid, inputs, [], "",
-                               undecided=self.undecided)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def _vanishing(name: str, E: Optional[GradedModule], key: str) -> Hypothesis:
 _WINDOW = "Ext^i(M,C) = 0 for r-s+1 <= i <= r+1"
 
 
-def _vanishing_window(chk: _Check, M: GradedModule, C: GradedModule,
+def _vanishing_window(chk: CriterionReport, M: GradedModule, C: GradedModule,
                       lo: int, hi: int, name: str = _WINDOW) -> Hypothesis:
     """Ext^i(M,C) = 0 for lo <= i <= hi, recording the window {i: length
     or dimension marker}; undecided if any computation was capped."""
@@ -179,7 +179,7 @@ def _vanishing_window(chk: _Check, M: GradedModule, C: GradedModule,
                       {"window": window})
 
 
-def _main_conditions(chk: _Check, M: GradedModule, C: GradedModule,
+def _main_conditions(chk: CriterionReport, M: GradedModule, C: GradedModule,
                      t: Optional[int], lo: int, hi: int,
                      bound: str = "r(C) e(M) <= e(Ext^{r-s}(M,C))",
                      window: str = _WINDOW) -> list:
@@ -193,12 +193,13 @@ def _main_conditions(chk: _Check, M: GradedModule, C: GradedModule,
             _vanishing_window(chk, M, C, lo + 1, hi, window)]
 
 
-def _cohen_macaulay(chk: _Check, X: GradedModule, label: str) -> Hypothesis:
+def _cohen_macaulay(chk: CriterionReport, X: GradedModule,
+                    label: str) -> Hypothesis:
     return Hypothesis(f"{label} Cohen-Macaulay",
                       _status(chk.get(is_cohen_macaulay, X)), {})
 
 
-def _mcm_preamble(chk: _Check, R: GradedModule, d: Optional[int],
+def _mcm_preamble(chk: CriterionReport, R: GradedModule, d: Optional[int],
                   X: GradedModule, label: str, **extra) -> list:
     """R Cohen-Macaulay and X maximal Cohen-Macaulay, dim X = depth X =
     dim R = d; extra goes into the values of the second hypothesis."""
@@ -220,7 +221,7 @@ def _certify_by_bass(report: CriterionReport, C: GradedModule, method: str,
         return report
     bass = verify_finite_injdim_bass(C)
     if bass.verdict == "undecided" or ok is None:
-        report.undecided = report.undecided + bass.undecided + ["bass check"]
+        report.undecided += bass.undecided + ["bass check"]
         return report
     report.verification = {"status": _status(ok and bass.verdict == "pass"),
                            "method": method, **values,
@@ -235,7 +236,7 @@ def check_lemma_mult_length(M: GradedModule, xs: list,
                             seed: int) -> CriterionReport:
     """e(M) equals the length of M cut by the linear parameter system
     xs, as find_regular_sop(M, seed) verifies it (criterion id L2.1)."""
-    chk = _Check("L2.1", "e(M) = l(M / xM)")
+    chk = CriterionReport("L2.1", "e(M) = l(M / xM)")
     hyps = [Hypothesis("certificate verified", "pass",
                        {"elements": [str(x) for x in xs], "seed": seed}),
             _cohen_macaulay(chk, M, "M")]
@@ -259,7 +260,7 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
     """Transfer of the regular sequence xs on M to Ext^{r-s}(M, C), with
     the base-change isomorphism and the vanishing one step further
     (criterion id L2.2)."""
-    chk = _Check("L2.2", "the sequence transfers to Ext^{r-s}(M,C), "
+    chk = CriterionReport("L2.2", "the sequence transfers to Ext^{r-s}(M,C), "
                  "base-changes Ext^r, and Ext^{r+1}(M/xM, C) = 0")
     r = chk.get(depth, C)
     s = chk.get(dimension, M)
@@ -333,7 +334,7 @@ def check_finite_length_criterion(M: GradedModule,
                                   C: GradedModule) -> CriterionReport:
     """Length inequality plus one Ext vanishing forces the next Bass
     number of C to vanish (criterion id L2.3)."""
-    chk = _Check("L2.3", "Ext^{r+1}(k, C) = 0")
+    chk = CriterionReport("L2.3", "Ext^{r+1}(k, C) = 0")
     lM = length(M)
     if not lM:
         return chk.failed({"M": M.name or "M", "C": C.name or "C",
@@ -368,7 +369,7 @@ def check_finite_length_criterion(M: GradedModule,
 def verify_finite_injdim_bass(C: GradedModule) -> CriterionReport:
     """Finite injective dimension via vanishing of Ext^{dim R + 1}(k, C)
     (criterion id Bass)."""
-    chk = _Check("Bass", _FINITE_INJDIM)
+    chk = CriterionReport("Bass", _FINITE_INJDIM)
     R = C.ring.as_module()
     d = chk.get(dimension, R)
     inputs = {"C": C.name or "C", "dim_R": d}
@@ -392,7 +393,7 @@ def check_main_theorem(C: GradedModule, M: GradedModule) -> CriterionReport:
     """Multiplicity inequality plus a finite Ext vanishing window imply
     R Cohen-Macaulay and C maximal Cohen-Macaulay of finite injective
     dimension (criterion id T2.4)."""
-    chk = _Check("T2.4", _MCM_FINITE_INJDIM)
+    chk = CriterionReport("T2.4", _MCM_FINITE_INJDIM)
     if C.is_zero():
         return chk.failed({"C": C.name or "C", "M": M.name or "M"},
                           "C nonzero")
@@ -418,7 +419,7 @@ def check_moreover_clause(C: GradedModule, M_verified: GradedModule,
     same dimension satisfies both conditions, with the multiplicity
     inequality sharpened to an equality (criterion id T2.4-moreover)."""
     base = check_main_theorem(C, M_verified)
-    chk = _Check("T2.4-moreover",
+    chk = CriterionReport("T2.4-moreover",
                  "every Cohen-Macaulay module of dimension s satisfies both "
                  "conditions, with equality in the multiplicity bound")
     if C.is_zero():
@@ -467,7 +468,7 @@ def check_claim_multiplicity(C: GradedModule,
     """Multiplicity is preserved by dualizing into C, scaled by the type
     of C: r(C) e(M) = e(Hom(M, C)) for M maximal Cohen-Macaulay over a
     Cohen-Macaulay ring (criterion id Claim)."""
-    chk = _Check("Claim", "r(C) e(M) = e(Hom(M, C))")
+    chk = CriterionReport("Claim", "r(C) e(M) = e(Hom(M, C))")
     R = C.ring.as_module()
     d = chk.get(dimension, R)
     t = chk.get(type_of, C)
@@ -496,7 +497,7 @@ def check_claim_multiplicity(C: GradedModule,
 def check_gorenstein_criterion(M: GradedModule) -> CriterionReport:
     """Gorensteinness of R from a Cohen-Macaulay witness module: the main
     theorem's conditions with C = R (criterion id C2.6)."""
-    chk = _Check("C2.6", "R is Gorenstein")
+    chk = CriterionReport("C2.6", "R is Gorenstein")
     R = M.ring.as_module()
     r = chk.get(depth, R)
     tR = chk.get(type_of, R)
@@ -515,7 +516,9 @@ def check_gorenstein_criterion(M: GradedModule) -> CriterionReport:
     if not report.asserted:
         return report
     rcm = chk.get(is_cohen_macaulay, R)
-    report.verification = {"status": _status(rcm is True and tR == 1),
+    if rcm is None:
+        return report
+    report.verification = {"status": _status(rcm and tR == 1),
                            "method": "type(R) = 1 and R Cohen-Macaulay",
                            "type_R": tR, "R_cm": rcm}
     return report
@@ -524,7 +527,7 @@ def check_gorenstein_criterion(M: GradedModule) -> CriterionReport:
 def check_mcm_inequality(C: GradedModule) -> CriterionReport:
     """Finite injective dimension of a maximal Cohen-Macaulay module from
     the inequality r(C) e(R) <= e(C) (criterion id C2.7)."""
-    chk = _Check("C2.7", _FINITE_INJDIM)
+    chk = CriterionReport("C2.7", _FINITE_INJDIM)
     R = C.ring.as_module()
     d = chk.get(dimension, R)
     t = chk.get(type_of, C)
@@ -541,7 +544,7 @@ def check_rank_criterion(C: GradedModule) -> CriterionReport:
     """Finite injective dimension from type bounded by rank over a
     flagged domain, with the exact identity e(C) = e(R) rank(C) as a
     cross-check (criterion id C2.8)."""
-    chk = _Check("C2.8", _FINITE_INJDIM)
+    chk = CriterionReport("C2.8", _FINITE_INJDIM)
     ring = C.ring
     R = ring.as_module()
     d = chk.get(dimension, R)
@@ -574,7 +577,7 @@ def check_self_ext_criterion(C: GradedModule) -> CriterionReport:
     """The case M = C: self-Ext vanishing plus an endomorphism-ring
     multiplicity bound, the main theorem's conditions with M = C
     (criterion id C2.9)."""
-    chk = _Check("C2.9", _MCM_FINITE_INJDIM)
+    chk = CriterionReport("C2.9", _MCM_FINITE_INJDIM)
     n = chk.get(dimension, C)
     t = chk.get(type_of, C)
     inputs = {"C": C.name or "C", "n": n, "type_C": t}

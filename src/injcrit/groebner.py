@@ -241,19 +241,15 @@ class GBuilder:
 
     def _append(self, v: Vec) -> int:
         """Register v, made monic, as a reducer; push no S-pairs."""
-        code = self._packing.code
-        terms = {code[t]: c for t, c in v.terms.items()}
+        pk = self._packing
+        terms = {pk.code[t]: c for t, c in v.terms.items()}
         lead = max(terms)
         c = terms.pop(lead)
         if c != 1:
             p = self.module.ring.p
             inv = self.module.ring.field.inv(c)
             terms = {t: d * inv % p for t, d in terms.items()}
-        return self._register(lead, list(terms.items()))
-
-    def _register(self, lead: int, tail: list) -> int:
-        """Register a monic element by its lead code and packed tail."""
-        pk = self._packing
+        tail = list(terms.items())
         idx = len(self._packed)
         lead_term = pk.term[lead]
         self._lead.append(lead_term)
@@ -325,35 +321,33 @@ class GBuilder:
         its tail meets, lives on positions >= from_pos alone, so the
         result is the matching sublist of the full reduced basis.
 
-        The packed tail of each element of the minimal basis is reduced
-        against one builder holding all of them, the element itself
-        included, and only the result is decoded.  That element never
-        fires on its own tail: it is monic, every term met while reducing
-        the tail is smaller than its lead, and a term divisible by the
-        lead at the same position is at least the lead in any module term
-        order.  The other reducers keep their relative order, so each
-        element comes out exactly as if it were reduced against the others
-        alone.
+        Each element of the minimal basis keeps its lead, and its packed
+        tail is reduced against this builder; only the result is decoded.
+        The builder's elements form a Groebner basis, so the fully reduced
+        remainder of the tail is the one with no term in the lead module,
+        whichever reducer fires first, a redundant one included: the
+        result is what reducing against the other minimal elements alone
+        gives.  The element never fires on its own tail: every term met
+        while reducing the tail is smaller than its lead, and a term
+        divisible by the lead at the same position is at least the lead
+        in any module term order.
         """
-        # minimalize: drop elements whose lead is divisible by another
-        # lead; the kept ones enter the tail builder packed as they are
         divides = self._packing.divides
         packed = self._packed
-        tails = GBuilder(self.module)
+        term = self._packing.term
+        reduced = []
         for i, lead_term in enumerate(self._lead):
             if lead_term[0] < from_pos:
                 continue
-            lead = packed[i][0]
-            if not any(j != i and divides(packed[j][0], lead)
-                       and (packed[j][0] != lead or j < i)
-                       for j in self._by_pos[lead_term[0]]):
-                tails._register(*packed[i])
-        term = self._packing.term
-        reduced = []
-        for lead, (_, tail) in zip(tails._lead, tails._packed):
-            rest = tails._remainder(dict(tail))
-            reduced.append((lead, Vec(self.module, {
-                lead: 1, **{term[t]: c for t, c in rest.items()}})))
+            lead, tail = packed[i]
+            # minimalize: skip an element whose lead another lead divides
+            if any(j != i and divides(packed[j][0], lead)
+                   and (packed[j][0] != lead or j < i)
+                   for j in self._by_pos[lead_term[0]]):
+                continue
+            rest = self._remainder(dict(tail))
+            reduced.append((lead_term, Vec(self.module, {
+                lead_term: 1, **{term[t]: c for t, c in rest.items()}})))
         reduced.sort(key=lambda e: (_max_degree(e[1]), term_key(e[0])))
         return [g for _, g in reduced]
 

@@ -63,49 +63,35 @@ def _ip_eval_one(a: dict) -> int:
 # Hilbert series
 
 class HilbertSeries:
-    """numerator(t) / (1 - t)^nvars, with exact integer coefficients."""
+    """numerator(t) / (1 - t)^nvars, with exact integer coefficients.
+
+    The series is reduced once, when it is made, to q(t) / (1 - t)^d with
+    q(1) != 0: d is the Krull dimension and q(1) the multiplicity.
+    dimension (-1 for the zero module, by convention) and length (None
+    when infinite) are read off it then.
+    """
 
     def __init__(self, numerator: dict, nvars: int):
         self.numerator = numerator
         self.nvars = nvars
-
-    def reduced(self) -> tuple:
-        """(q, d) with the series equal to q(t)/(1-t)^d and q(1) != 0."""
-        num = dict(self.numerator)
-        d = self.nvars
-        while num and _ip_eval_one(num) == 0 and d >= 0:
+        q, d = numerator, nvars
+        while q and _ip_eval_one(q) == 0 and d >= 0:
             # divide by (1 - t): q_e = sum_{e' <= e} num_{e'}
-            lo, hi = min(num), max(num)
-            q, acc = {}, 0
-            for e in range(lo, hi + 1):
+            num, q, acc = q, {}, 0
+            for e in range(min(num), max(num) + 1):
                 acc += num.get(e, 0)
                 if acc:
                     q[e] = acc
-            num = q
             d -= 1
-        return num, d
-
-    @property
-    def dimension(self) -> int:
-        """Krull dimension; -1 for the zero module by convention."""
-        if not self.numerator:
-            return -1
-        return self.reduced()[1]
+        self._e = _ip_eval_one(q)
+        self.dimension = d if q else -1
+        self.length = self._e if d <= 0 or not q else None
 
     @property
     def multiplicity(self) -> int:
-        q, _ = self.reduced()
-        if not q:
-            raise ZeroModuleError("multiplicity of the zero module")
-        return _ip_eval_one(q)
-
-    @property
-    def length(self) -> Optional[int]:
-        """Total length, or None when infinite."""
         if not self.numerator:
-            return 0
-        q, d = self.reduced()
-        return _ip_eval_one(q) if d <= 0 else None
+            raise ZeroModuleError("multiplicity of the zero module")
+        return self._e
 
     def coefficients(self, D: int) -> dict:
         """Graded dimensions for all degrees <= D, as {degree: dim}."""

@@ -197,12 +197,9 @@ class GradedModule:
                 self.cover)
         return self._cache["rel_mt"]
 
-    def nf(self, v: Vec) -> Vec:
-        return self.rel_tester.normal_form(v)
-
     def contains(self, v: Vec) -> bool:
         """True iff v (in the free cover) maps to zero in the module."""
-        return self.nf(v).is_zero()
+        return self.rel_tester.normal_form(v).is_zero()
 
     def is_zero(self) -> bool:
         return all(self.contains(self.cover.gen(j))

@@ -313,16 +313,14 @@ def run_check(session: Session, chk: dict) -> criteria.CriterionReport:
             [session.resolve(nm) for nm in chk[a]] if a == "N"
             else session.resolve(chk[a]) for a in arg_names))
     except criteria.CAPPED as e:
-        return criteria.CriterionReport(cid, inputs, [], "",
-                                        undecided=[str(e)])
+        return criteria.CriterionReport(cid, "").unresolved(inputs, str(e))
     except ZeroModuleError:
         # the zero module has no depth, type or parameter system: the
         # first zero argument fails its precondition
         for a in arg_names:
             if a != "N" and session.resolve(chk[a]).is_zero():
-                return criteria.CriterionReport(
-                    cid, inputs, [criteria.Hypothesis(f"{a} nonzero", "fail")],
-                    "")
+                return criteria.CriterionReport(cid, "").failed(
+                    inputs, f"{a} nonzero")
         raise
 
 
@@ -433,12 +431,6 @@ def emit_human(report: dict) -> str:
                 lines.append(f"  {o['module']}: length {o['length']}, "
                              f"socle {o['socle']}, hilbert {o['hilbert']}")
     return "\n".join(lines) + "\n"
-
-
-def emit_report(report: dict, fmt: str = "human") -> str:
-    if fmt == "json":
-        return emit_json(report)
-    return emit_human(report)
 
 
 def has_undecided(report: dict) -> bool:

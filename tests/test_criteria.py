@@ -405,6 +405,48 @@ def test_capped_hom_leaves_the_claim_undecided(monkeypatch):
         "verdict": "undecided"}
 
 
+def test_capped_cm_test_of_r_leaves_c26_undecided(monkeypatch):
+    """On the node, A = R/(x) meets every hypothesis of C2.6; a cap met by
+    the Cohen-Macaulay test of R in the verification leaves the report
+    undecided, its verification skipped rather than failed."""
+    R, _, A = node()
+    intercept(monkeypatch, "is_cohen_macaulay", lambda X: X is R,
+              MonomialLimitError())
+    assert check_gorenstein_criterion(A).to_dict() == {
+        "criterion": "C2.6",
+        "inputs": {"M": "A", "depth_R": 1, "type_R": 1},
+        "hypotheses": [hyp("M Cohen-Macaulay", "pass"),
+                       hyp("dim M = depth R", "pass", dim_M=1, depth_R=1),
+                       hyp("r(R) e(M) <= e(Hom(M,R))", "pass", lhs=1, rhs=1),
+                       hyp("Ext^i(M,R) = 0 for 1 <= i <= depth R + 1",
+                           "pass", window={1: 0, 2: 0})],
+        "conclusion": "R is Gorenstein", "asserted": False,
+        "verification": SKIPPED, "undecided": [LIMIT],
+        "verdict": "undecided"}
+
+
+def test_capped_multiplicity_leaves_c28_undecided(monkeypatch):
+    """On the quadric cone, C = R meets all four hypotheses of C2.8; the
+    identity e(C) = e(R) rank(C) then reads e(R) twice, as e(R) and as
+    e(C), and a cap on it leaves both reasons and no verification."""
+    doc = json.loads((resources.files("injcrit") / "corpus"
+                      / "quadric_cone.json").read_text())
+    R, = fresh(doc["vars"], doc["ideal"], "R", flags={"domain": True})
+    intercept(monkeypatch, "multiplicity", lambda X: X is R,
+              MonomialLimitError())
+    assert check_rank_criterion(R).to_dict() == {
+        "criterion": "C2.8",
+        "inputs": {"C": "R", "dim_R": 2, "type_C": 1, "domain_flag": True},
+        "hypotheses": [hyp("R Cohen-Macaulay", "pass"),
+                       hyp("C maximal Cohen-Macaulay", "pass",
+                           dim=2, depth=2),
+                       hyp("C has a rank (flagged domain)", "pass", rank=1),
+                       hyp("r(C) <= rank(C)", "pass", type=1, rank=1)],
+        "conclusion": "C has finite injective dimension", "asserted": False,
+        "verification": SKIPPED, "undecided": [LIMIT, LIMIT],
+        "verdict": "undecided"}
+
+
 @pytest.mark.parametrize("fault", ["capped", "wrong"])
 def test_moreover_entry_undecided_or_failed(monkeypatch, fault):
     """An N whose Ext hits a cap gets an undecided entry; an N whose

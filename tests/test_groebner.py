@@ -85,6 +85,28 @@ def test_syzygies_of_square_monomials():
         assert apply_columns(cols, s).is_zero()
 
 
+def test_buchberger_and_syzygies_build_one_builder_each(monkeypatch):
+    """reduced_basis reduces the tails in the builder that holds them, so
+    a Groebner basis run and a syzygy run each construct one GBuilder."""
+    built = []
+    init = GBuilder.__init__
+
+    def counted(self, module):
+        built.append(module)
+        init(self, module)
+
+    monkeypatch.setattr(GBuilder, "__init__", counted)
+    ring = ring2()
+    x, y = ring.gens()
+    F = ring.free_module((0,))
+    cols = [F.from_polys([x * x]), F.from_polys([x * y]),
+            F.from_polys([y * y])]
+    assert len(buchberger(cols, F)) == 3
+    assert len(built) == 1
+    assert len(syzygies(cols, source_of(cols), F)) == 2
+    assert len(built) == 2
+
+
 def test_zero_columns_get_unit_syzygies():
     """syzygies_over gives a column that vanishes, or vanishes mod I, its
     unit syzygy, in the degree of its source generator."""

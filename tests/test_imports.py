@@ -174,8 +174,8 @@ def test_unreferenced_definition_check_catches_leftovers():
 # when any attribute of its name is read, so one of these can be dead while
 # its homonym is live: a new name here is traced by hand before it is added
 HOMONYMS = {"_ensure", "act", "basis", "cache_key", "contains", "degree",
-            "dimension", "dims", "is_homogeneous", "is_zero", "length",
-            "mono_mul", "multiplicity", "scale", "to_dict", "zero"}
+            "dims", "is_homogeneous", "is_zero", "length", "mono_mul",
+            "multiplicity", "scale", "to_dict", "zero"}
 
 
 def method_homonyms(defining: dict) -> set:
