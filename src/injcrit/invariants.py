@@ -22,7 +22,7 @@ from typing import Optional
 from .groebner import buchberger  # noqa: F401
 from .modules import (GradedModule, RingPresentation, ZeroModuleError,
                       quotient_by_sequence, resolution)
-from .poly import (Poly, mono_deg, mono_div, mono_divides, mono_lcm,
+from .poly import (Poly, Vec, mono_deg, mono_div, mono_divides, mono_lcm,
                    monomials_of_degree)
 
 
@@ -196,6 +196,27 @@ def type_of(M: GradedModule) -> int:
         raise ZeroModuleError("type of the zero module")
     res = resolution(M, "S", steps=M.ring.poly_ring.n + 2)
     return res.covers[res.length].rank
+
+
+def canonical_module(ring: RingPresentation) -> GradedModule:
+    """omega_R = Ext^c_S(R, S)(-n) at c = pd_S R, the canonical module of
+    a Cohen-Macaulay R (Bruns-Herzog, Sections 3.3 and 3.6): the cokernel
+    of the transposed last map of the uncapped minimal S-resolution of R
+    that depth builds, its generators, dual to the last module's
+    S(-b_j), in degrees n - b_j (for R = S, S(-n)); cached on the ring."""
+    if "omega" not in ring._cache:
+        n = ring.poly_ring.n
+        res = resolution(ring.as_module(), "S", steps=n + 2)
+        c = res.length
+        shifts = tuple(n - b for b in res.covers[c].shifts)
+        cover = ring.poly_ring.free_module(shifts)
+        rows = {}
+        for j, col in enumerate(res.diffs[c - 1] if c else ()):
+            for (i, m), coef in col.terms.items():
+                rows.setdefault(i, {})[j, m] = coef
+        ring._cache["omega"] = GradedModule(
+            ring, shifts, [Vec(cover, rows[i]) for i in sorted(rows)])
+    return ring._cache["omega"]
 
 
 def socle_dimension(M: GradedModule) -> int:

@@ -1,19 +1,26 @@
 """Shared fixtures and helpers: the shipped corpus sessions, common rings,
 the image of a vector under a map given by its columns, normal forms
 against a given basis, direct sums of modules, Hom built from a raw
-presentation, type read off Ext over the ring, and random presentations."""
+presentation, type read off Ext over the ring, random presentations,
+and the stress sessions."""
+
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
 from importlib import resources
 
 from injcrit.groebner import GBuilder
-from injcrit.invariants import depth, length
+from injcrit.invariants import depth, dimension, is_cohen_macaulay, length
 from injcrit.poly import PolyRing, Vec
 from injcrit.modules import (GradedModule, RingPresentation, ext,
                              hom_cover_into, induced_hom_map,
                              kernel_of_cokernel_map, syzygies_over)
 from injcrit.session import parse_session
+
+# (name, path) of the stress sessions, whose golden bytes tests/golden holds
+STRESS = sorted((path.stem, path) for path in
+                (Path(__file__).resolve().parent / "sessions").glob("*.json"))
 
 
 def load_corpus():
@@ -113,6 +120,15 @@ def hom_module(M: GradedModule, C: GradedModule) -> GradedModule:
     rel_cols = syzygies_over(ring, kernel, sub_cover, hom0.cover,
                              hom0.relations)
     return GradedModule(ring, gen_degs, rel_cols).minimal_model()
+
+
+def mcm_over_cm(C: GradedModule) -> bool:
+    """C is nonzero and maximal Cohen-Macaulay over a Cohen-Macaulay ring:
+    the case in which the Bass number is read off Hom(C, omega)."""
+    R = C.ring.as_module()
+    if C.is_zero() or R.is_zero() or not is_cohen_macaulay(R):
+        return False
+    return dimension(C) == depth(C) == dimension(R)
 
 
 def ext_route_type(M: GradedModule) -> int:

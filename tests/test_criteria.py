@@ -17,7 +17,9 @@ from injcrit.criteria import (check_claim_multiplicity,
 from injcrit.groebner import MonomialLimitError
 from injcrit.invariants import HilbertSeries, find_regular_sop, multiplicity
 from injcrit.modules import ResolutionCapError
-from injcrit.session import CHECKS, parse_session
+from injcrit.session import CHECKS, parse_session, run_check
+
+from conftest import STRESS, mcm_over_cm
 
 
 def test_criterion_id_registry():
@@ -228,19 +230,66 @@ def test_every_pass_verdict_is_verified(corpus):
             assert rep.asserted
 
 
+def test_bass_number_of_an_mcm_module_builds_no_ext_of_k(monkeypatch,
+                                                          corpus):
+    """A work guard: over the corpus and the stress sessions, no check
+    builds Ext^{dim R + 1}(k, C) for C maximal Cohen-Macaulay over a
+    Cohen-Macaulay R; its Bass number is read off Hom(C, omega).  L2.3
+    with M = k names that module in its own hypothesis, so it may."""
+    calls = []
+    real = criteria.ext
+
+    def spy(M, C, i):
+        calls.append((M, C, i))
+        return real(M, C, i)
+
+    def mcm_bass_ext(M, C, i):
+        return (M is C.ring.residue_field() and mcm_over_cm(C)
+                and i == invariants.dimension(C.ring.as_module()) + 1)
+
+    sessions = list(corpus.values()) + [
+        parse_session(path.read_text()) for _, path in STRESS]
+    monkeypatch.setattr(criteria, "ext", spy)
+    by_duality = 0
+    for session in sessions:
+        for chk in session.checks:
+            calls.clear()
+            run_check(session, chk)
+            by_duality += sum(C is invariants.canonical_module(C.ring)
+                              for _, C, _ in calls)
+            if chk["id"] == "L2.3" and chk["M"] == "k":
+                continue
+            assert not any(mcm_bass_ext(*call) for call in calls), chk
+    assert by_duality == 34
+
+
 def test_undecided_from_tiny_cap():
     """At cap 0 the type of R is still read off its resolution over S, so
-    the hypotheses of C2.7 pass on the node; the Bass number Ext^2(k, R)
-    needs a third map of the resolution of k over R, past the cap."""
+    the hypotheses of C2.7 pass on the node, and the Bass number of the
+    maximal Cohen-Macaulay R is read off Hom(R, omega), which needs no
+    resolution step over R: C2.7 passes.  For k, not maximal
+    Cohen-Macaulay, the Bass number is Ext^2(k, k), which needs a third
+    map of the resolution of k over R, past the cap."""
     text = (resources.files("injcrit") / "corpus"
             / "gorenstein_node.json").read_text()
     session = parse_session(text, {"res_cap": 0})
     rep = check_mcm_inequality(session.resolve("R"))
     assert rep.inputs["type_C"] == 1
     assert [h.status for h in rep.hypotheses] == ["pass"] * 3
-    assert rep.verdict == "undecided"
-    assert rep.undecided == ["resolution needs 3 steps but the cap is 0",
-                             "bass check"]
+    assert rep.verdict == "pass"
+    bass = rep.verification["bass"]
+    assert bass["hypotheses"][2]["values"] == {"bass_length": 0}
+    assert verify_finite_injdim_bass(session.resolve("k")).to_dict() == {
+        "criterion": "Bass", "inputs": {"C": "k", "dim_R": 1},
+        "hypotheses": [hyp("R Cohen-Macaulay", "pass"),
+                       hyp("C maximal Cohen-Macaulay", "fail",
+                           dim=0, depth=0, dim_R=1),
+                       hyp("Ext^{dim R + 1}(k, C) = 0", "undecided",
+                           bass_length=None)],
+        "conclusion": "C has finite injective dimension", "asserted": False,
+        "verification": SKIPPED,
+        "undecided": ["resolution needs 3 steps but the cap is 0"],
+        "verdict": "undecided"}
 
 
 # -- the exits the corpus never reaches, each report pinned whole ----------
@@ -371,19 +420,27 @@ def test_regseq_transfer_capped_verification(monkeypatch, capped):
         "undecided": [str(error)], "verdict": "undecided"}
 
 
-def test_capped_bass_number_leaves_l23_undecided():
-    """Over k[x]/(x^2), M = C = R meets both hypotheses of L2.3; the Bass
-    number Ext^1(k, R) then needs a second resolution step."""
+def test_capped_bass_number_leaves_l23_undecided(monkeypatch):
+    """Over k[x]/(x^2), M = C = R meets both hypotheses of L2.3.  At cap 0
+    the Bass number mu^1(R) is still decided, off Hom(R, omega), which
+    needs no resolution step over R; a cap met by that Hom leaves the
+    report undecided, its verification skipped."""
     R, = fresh(["x"], ["x^2"], "R", flags={"res_cap": 0})
+    inputs = {"M": "R", "C": "R", "r": 0, "type_C": 1, "length_M": 2}
+    hyps = [hyp("r(C) l(M) <= l(Ext^r(M,C))", "pass", lhs=2, rhs=2),
+            hyp("Ext^{r+1}(M,C) = 0", "pass", length=0)]
+    rep = check_finite_length_criterion(R, R).to_dict()
+    assert rep["verification"] == {
+        "status": "pass", "method": "direct Bass-number computation",
+        "bass_length": 0}
+    assert rep["verdict"] == "pass"
+    omega = invariants.canonical_module(R.ring)
+    intercept(monkeypatch, "ext", lambda M, C, i: C is omega,
+              MonomialLimitError())
     assert check_finite_length_criterion(R, R).to_dict() == {
-        "criterion": "L2.3",
-        "inputs": {"M": "R", "C": "R", "r": 0, "type_C": 1, "length_M": 2},
-        "hypotheses": [hyp("r(C) l(M) <= l(Ext^r(M,C))", "pass",
-                           lhs=2, rhs=2),
-                       hyp("Ext^{r+1}(M,C) = 0", "pass", length=0)],
+        "criterion": "L2.3", "inputs": inputs, "hypotheses": hyps,
         "conclusion": "Ext^{r+1}(k, C) = 0", "asserted": False,
-        "verification": SKIPPED,
-        "undecided": ["resolution needs 2 steps but the cap is 0"],
+        "verification": SKIPPED, "undecided": [LIMIT],
         "verdict": "undecided"}
 
 
@@ -454,7 +511,9 @@ def test_moreover_entry_undecided_or_failed(monkeypatch, fault):
     R, _, A = node()
     error = ResolutionCapError(1, 0)
     if fault == "capped":
-        intercept(monkeypatch, "ext", lambda M, *_: M is R, error)
+        # the Ext modules of N = R into C = R; Hom(R, omega), which the
+        # Bass number of C reads, goes through
+        intercept(monkeypatch, "ext", lambda M, C, i: M is C is R, error)
         entry = {"module": "R", "undecided": True}
     else:
         intercept(monkeypatch, "multiplicity", lambda M: M is R, 3)
