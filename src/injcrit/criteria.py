@@ -344,7 +344,8 @@ def check_finite_length_criterion(M: GradedModule,
                                   C: GradedModule) -> CriterionReport:
     """Length inequality plus one Ext vanishing forces the next Bass
     number of C to vanish (criterion id L2.3).  The verification reads
-    mu^{r+1}(C) through bass_number: off Hom(C, omega) when C is maximal
+    mu^{r+1}(C) off the hypothesis's Ext^{r+1}(k, C) when M is k, and
+    otherwise through bass_number: off Hom(C, omega) when C is maximal
     Cohen-Macaulay over a Cohen-Macaulay R and r = dim R, as Ext^{r+1}(k,
     C) otherwise."""
     chk = CriterionReport("L2.3", "Ext^{r+1}(k, C) = 0")
@@ -359,18 +360,21 @@ def check_finite_length_criterion(M: GradedModule,
               "type_C": t, "length_M": lM}
     if r is None or t is None:
         return chk.unresolved(inputs)
-    hyps = [_at_most("r(C) l(M) <= l(Ext^r(M,C))", t * lM,
-                     _length(chk.get(ext, M, C, r))),
-            _vanishing("Ext^{r+1}(M,C) = 0",
-                       _length(chk.get(ext, M, C, r + 1)), "length")]
+    at_r = _length(chk.get(ext, M, C, r))
+    above = _length(chk.get(ext, M, C, r + 1))
+    hyps = [_at_most("r(C) l(M) <= l(Ext^r(M,C))", t * lM, at_r),
+            _vanishing("Ext^{r+1}(M,C) = 0", above, "length")]
     report = chk.report(inputs, hyps)
     if not report.asserted:
         return report
-    bass = chk.get(bass_number, C, r + 1)
+    # for M = k the hypothesis has built Ext^{r+1}(k, C), whose length is
+    # the Bass number itself
+    bass = (above if M is C.ring.residue_field()
+            else chk.get(bass_number, C, r + 1))
     if bass is None:
         return report
-    # bench/golden pins this method string, whichever route bass_number
-    # took, so it stays
+    # bench/golden pins this method string; it names the route taken
+    # when M is k or when bass_number reads Ext^{r+1}(k, C)
     report.verification = {"status": _status(bass == 0),
                            "method": "direct Bass-number computation",
                            "bass_length": bass}

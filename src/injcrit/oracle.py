@@ -19,7 +19,7 @@ import numpy as np
 
 from .linalg import complement, matmul, nullspace, rref
 from .modules import GradedModule, RingPresentation
-from .poly import GREVLEX, Vec, mono_deg, mono_mul, monomials_of_degree
+from .poly import GREVLEX, Vec, mono_deg, mono_mul
 
 DEFAULT_DEGREE_BOUND = 24
 
@@ -39,23 +39,41 @@ def _columns(cols, rows: int) -> np.ndarray:
             else np.zeros((rows, 0), dtype=np.int64))
 
 
+def _split(m) -> tuple:
+    """(j, m / x_j) for x_j the first variable of the monomial m."""
+    j = next(j for j, e in enumerate(m) if e)
+    return j, m[:j] + (m[j] - 1,) + m[j + 1:]
+
+
 class RingTable:
     """Graded pieces of R = S/I as explicit coordinate spaces.
 
     For each degree d, a deterministic list of standard monomials (a
-    basis of R_d) plus a projection matrix expressing every degree-d
-    monomial of S in that basis.  Built lazily, one degree at a time,
-    from row reduction of the coefficient rows of monomial multiples of
-    the ideal generators.
+    basis of R_d), the action of each variable from R_{d-1}, and the
+    coordinates of monomials of S_d in that basis.  Built lazily, one
+    degree at a time, each piece from the piece below: R_d is
+    V (x) R_{d-1}, V the span of the variables, modulo the commutators
+    x_i (x) x_j b - x_j (x) x_i b for b in the basis of R_{d-2} and the
+    degree-d generators, each monomial m lifted to x_j (x) m / x_j, x_j
+    the first variable of m.
+
+    A column x_j (x) b stands for the monomial x_j b, and the pairs with
+    one monomial share its column: the commutators with x_i b and x_j b
+    both standard say exactly that, so only the others are row reduced.
+    With the columns largest first in grevlex, the free columns are the
+    standard monomials in grevlex order, the row of column x_j b is the
+    image of b under x_j, and a monomial outside the columns has
+    coordinates x_j times those of m / x_j, computed when first asked
+    for.  R_0 is the field modulo the constant generators, and a piece
+    above a zero piece is zero, with no row reduction.
     """
 
     def __init__(self, ring: RingPresentation):
         self.ring = ring
         self.p = ring.poly_ring.p
         self.n = ring.poly_ring.n
-        self._mono_index = []   # degree -> {mono of S_d: row of proj}
         self._basis = []        # degree -> standard monomial list
-        self._proj = []         # degree -> (dim S_d, len(basis)) matrix
+        self._coords = []       # degree -> {monomial: coordinates}
         self._act = {}          # (variable, degree) -> action matrix
 
     def _ensure(self, d: int):
@@ -63,25 +81,54 @@ class RingTable:
             self._build(len(self._basis))
 
     def _build(self, d: int):
-        monos = sorted(monomials_of_degree(self.n, d),
-                       key=GREVLEX.key, reverse=True)
-        index = {m: c for c, m in enumerate(monos)}
-        rows = []
-        for g in self.ring.ideal_gens:
-            e = g.degree()
-            if e is None or e > d:
-                continue
-            for u in monomials_of_degree(self.n, d - e):
-                row = np.zeros(len(monos), dtype=np.int64)
-                for m, c in g.terms.items():
-                    row[index[mono_mul(u, m)]] = c
-                rows.append(row)
-        free, proj = complement(
-            np.array(rows, dtype=np.int64).reshape(len(rows), len(monos)),
-            self.p)
-        self._mono_index.append(index)
-        self._basis.append([monos[c] for c in free])
-        self._proj.append(proj)
+        n, p = self.n, self.p
+        gens = [g for g in self.ring.ideal_gens if g.degree() == d]
+        if d == 0:
+            one = (0,) * n
+            free, Q = complement(np.array(
+                [[g.terms[one]] for g in gens],
+                dtype=np.int64).reshape(len(gens), 1), p)
+            self._basis.append([one] if free else [])
+            self._coords.append({one: Q[0]})
+            return
+        below = self._basis[d - 1]
+        if not below:
+            self._basis.append([])
+            self._coords.append({})
+            for j in range(n):
+                self._act[j, d - 1] = np.zeros((0, 0), dtype=np.int64)
+            return
+        units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+        products = [[mono_mul(b, u) for b in below] for u in units]
+        cols = sorted(set().union(*products), key=GREVLEX.key, reverse=True)
+        column = {m: c for c, m in enumerate(cols)}
+        place = [np.array([column[m] for m in row], dtype=np.int64)
+                 for row in products]
+        lifts = np.zeros((len(gens), len(cols)), dtype=np.int64)
+        for row, g in zip(lifts, gens):
+            for m, c in g.terms.items():
+                j, rest = _split(m)
+                row[place[j]] = (row[place[j]]
+                                 + c * self.mono_coords(rest)) % p
+        blocks = [lifts]
+        if d >= 2:
+            std = set(below)
+            standard = [np.array([mono_mul(b, u) in std
+                                  for b in self._basis[d - 2]], dtype=bool)
+                        for u in units]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    sel = np.flatnonzero(~(standard[i] & standard[j]))
+                    block = np.zeros((sel.size, len(cols)), dtype=np.int64)
+                    block[:, place[i]] = self.act(j, d - 2)[:, sel].T
+                    block[:, place[j]] = (block[:, place[j]]
+                                          - self.act(i, d - 2)[:, sel].T) % p
+                    blocks.append(block)
+        free, Q = complement(np.vstack(blocks), p)
+        self._basis.append([cols[c] for c in free])
+        self._coords.append(dict(zip(cols, Q)))
+        for j in range(n):
+            self._act[j, d - 1] = Q[place[j]].T.copy()
 
     def dim(self, d: int) -> int:
         if d < 0:
@@ -96,16 +143,19 @@ class RingTable:
     def mono_coords(self, m) -> np.ndarray:
         d = mono_deg(m)
         self._ensure(d)
-        return self._proj[d][self._mono_index[d][m]]
+        coords = self._coords[d]
+        if m not in coords:
+            j, rest = _split(m)
+            coords[m] = matmul(self.act(j, d - 1), self.mono_coords(rest),
+                               self.p)
+        return coords[m]
 
     def act(self, i: int, e: int) -> np.ndarray:
-        """x_i from R_e to R_{e+1}, one column per basis monomial."""
-        if (i, e) not in self._act:
-            unit = tuple(int(j == i) for j in range(self.n))
-            self._act[i, e] = _columns(
-                [self.mono_coords(mono_mul(b, unit))
-                 for b in (self.basis(e) if e >= 0 else ())],
-                self.dim(e + 1))
+        """x_i from R_e to R_{e+1}, one column per basis monomial, as the
+        build of R_{e+1} leaves it."""
+        if e < 0:
+            return np.zeros((self.dim(e + 1), 0), dtype=np.int64)
+        self._ensure(e + 1)
         return self._act[i, e]
 
     def top_degree(self, bound: int) -> int:
@@ -458,20 +508,85 @@ def oracle_socle_dimension(M: GradedModule,
     return total
 
 
+def _runs(degrees) -> list:
+    """(degree, start, stop) for each run of equal consecutive degrees."""
+    runs = []
+    for g, a in enumerate(degrees):
+        if runs and runs[-1][0] == a:
+            runs[-1][2] = g + 1
+        else:
+            runs.append([a, g, g + 1])
+    return runs
+
+
+def _monomial_actions(ct: ModuleTable, s: int, e: int) -> np.ndarray:
+    """x^b from C_s to C_{s+e}, for b the basis monomials of R_e, one
+    flattened matrix per row: a dim R_e x (dim C_{s+e} dim C_s) matrix."""
+    eye = np.eye(ct.dims(s), dtype=np.int64)
+    return np.stack([ct.apply_mono(eye, b, s).ravel()
+                     for b in ct.rt.basis(e)])
+
+
+def _coboundary(ct: ModuleTable, src: list, dst: list, images: list,
+                t: int, actions: dict) -> np.ndarray:
+    """Hom(F, C)_t -> Hom(G, C)_t, phi -> phi . d, for d : G -> F sending
+    generator l of G to the F-coordinates images[l]; src and dst are
+    the generator degrees of F and G.  Coordinates of Hom(F, C)_t run
+    through the generators of F, a block of C_{a+t} for each, a its
+    degree.
+
+    Generators of one degree are a run.  The block of a run of G in
+    degree a' against a run of F in degree a is one product: the image
+    coefficients on the basis monomials of R_e, e = a' - a, an
+    (n_l n_g) x dim R_e matrix, times the actions of those monomials on
+    C_{a+t}, a dim R_e x (r c) matrix kept in actions under (a + t, e),
+    with r = dim C_{a'+t} and c = dim C_{a+t}.
+    """
+    p = ct.p
+    dims = [ct.dims(a + t) for a in src]
+    rows = sum(ct.dims(a + t) for a in dst)
+    mat = np.zeros((rows, sum(dims)), dtype=np.int64)
+    if not mat.size:
+        return mat
+    F = FreeTable(ct.rt, src)
+    top = 0
+    for a_l, l0, l1 in _runs(dst):
+        r, n_l = ct.dims(a_l + t), l1 - l0
+        offsets = F.layout(a_l)[0]
+        run = np.stack(images[l0:l1]) if r else None
+        left = 0
+        for a_g, g0, g1 in _runs(src):
+            c, n_g, e = dims[g0], g1 - g0, a_l - a_g
+            width = ct.rt.dim(e)
+            if r and c and width:
+                if (a_g + t, e) not in actions:
+                    actions[a_g + t, e] = _monomial_actions(ct, a_g + t, e)
+                coeffs = run[:, offsets[g0]:offsets[g0] + n_g * width]
+                block = matmul(coeffs.reshape(n_l * n_g, width),
+                               actions[a_g + t, e], p)
+                mat[top:top + n_l * r, left:left + n_g * c] = block.reshape(
+                    n_l, n_g, r, c).transpose(0, 2, 1, 3).reshape(
+                        n_l * r, n_g * c)
+            left += n_g * c
+        top += n_l * r
+    return mat
+
+
 def oracle_ext_dims(M: GradedModule, C: GradedModule, i_max: int,
                     bound: int = DEFAULT_DEGREE_BOUND) -> list:
     """[{degree: dim}] for Ext^0..Ext^i_max of finite-length M, C over R.
 
     Hom(F_i, C) pieces are coordinate spaces indexed by (generator of
     F_i, basis of C in the shifted degree); the Ext dimension in each
-    degree is ker minus im of the explicit coboundary matrices.
+    degree is ker minus im of the coboundary matrices _coboundary
+    builds, each rank taken once.
 
     The OracleResolution of M is kept on M._cache under
     ("oracle_res", i_max + 2, bound), as ring_table keeps its table on
     the ring, so Ext(M, k) and Ext(M, R) resolve M once.  A
     TruncationError is raised again on every call; nothing is cached
-    for it.  The block of each monomial acting on a piece of C is built
-    once per call, in a dict freed when the call returns.
+    for it.  The stacked monomial actions on C that the coboundaries
+    share are kept in a dict freed when the call returns.
     """
     if M.ring != C.ring:
         raise ValueError("modules live over different rings")
@@ -480,70 +595,34 @@ def oracle_ext_dims(M: GradedModule, C: GradedModule, i_max: int,
         M._cache[key] = OracleResolution(ModuleTable(M), i_max + 2, bound)
     res = M._cache[key]
     ct = ModuleTable(C)
-    p = ct.p
     ctop = ct.certified_top(bound)
     clo = ct.min_degree
+    actions, ranks = {}, {}
 
-    def gen_degrees(i):
-        return res.degrees[i] if i < len(res.degrees) else []
-
-    def hom_layout(gd, t):
-        offsets, total = [], 0
-        for a in gd:
-            offsets.append(total)
-            total += ct.dims(a + t)
-        return offsets, total
-
-    blocks = {}
-
-    def mono_block(b, d):
-        # x^b from C_d, shared by every i, t and generator of F_{i+1}
-        if (b, d) not in blocks:
-            blocks[b, d] = ct.apply_mono(
-                np.eye(ct.dims(d), dtype=np.int64), b, d)
-        return blocks[b, d]
-
-    def delta_matrix(i, t):
-        # Hom(F_i, C)_t -> Hom(F_{i+1}, C)_t induced by d_{i+1}
-        gd_i, gd_n = gen_degrees(i), gen_degrees(i + 1)
-        off_i, dim_i = hom_layout(gd_i, t)
-        off_n, dim_n = hom_layout(gd_n, t)
-        mat = np.zeros((dim_n, dim_i), dtype=np.int64)
-        if dim_i == 0 or dim_n == 0:
-            return mat
-        # columns of d_{i+1} : F_{i+1} -> F_i, as coordinate vectors
-        img = res.images[i + 1]
-        F_i = FreeTable(ct.rt, gd_i)
-        for l, a_l in enumerate(gd_n):
-            for idx, (g, b) in enumerate(F_i.basis(a_l)):
-                coeff = int(img[l][idx])
-                nc = ct.dims(gd_i[g] + t) if coeff else 0
-                if nc == 0:
-                    continue
-                block = mono_block(b, gd_i[g] + t)
-                rows = slice(off_n[l], off_n[l] + block.shape[0])
-                cols = slice(off_i[g], off_i[g] + nc)
-                mat[rows, cols] = (mat[rows, cols] + coeff * block) % p
-        return mat
-
-    ranks = {}
+    def level(i):
+        # the generator degrees of F_i and the images of its generators
+        if i < len(res.degrees):
+            return res.degrees[i], res.images[i]
+        return [], []
 
     def rank(i, t):
-        # rank of delta_matrix(i, t), which steps i and i + 1 both need
+        # rank of the coboundary Hom(F_i, C)_t -> Hom(F_{i+1}, C)_t,
+        # which steps i and i + 1 both need, taken on the orientation
+        # with fewer rows: rref stops once every row holds a pivot
         if (i, t) not in ranks:
-            mat = delta_matrix(i, t)
-            ranks[i, t] = len(rref(mat, p)[1]) if mat.size else 0
+            mat = _coboundary(ct, level(i)[0], *level(i + 1), t, actions)
+            if mat.shape[0] > mat.shape[1]:
+                mat = mat.T.copy()
+            ranks[i, t] = len(rref(mat, ct.p)[1]) if mat.size else 0
         return ranks[i, t]
 
     out = []
     for i in range(i_max + 1):
-        gd = gen_degrees(i)
+        gd = level(i)[0]
         dims = {}
         if gd:
-            t_lo = clo - max(gd)
-            t_hi = ctop - min(gd)
-            for t in range(t_lo, t_hi + 1):
-                _, dim_i = hom_layout(gd, t)
+            for t in range(clo - max(gd), ctop - min(gd) + 1):
+                dim_i = sum(ct.dims(a + t) for a in gd)
                 if dim_i == 0:
                     continue
                 val = dim_i - rank(i, t) - (rank(i - 1, t) if i else 0)

@@ -24,9 +24,10 @@ from injcrit.oracle import (DualTable, FreeTable, ModuleTable,
                             OracleResolution, TruncationError, matlis_dual,
                             oracle_ext_dims, oracle_hilbert, oracle_length,
                             oracle_socle_dimension, ring_table)
-from injcrit.poly import PolyRing, mono_mul
+from injcrit.poly import GREVLEX, PolyRing, mono_mul, monomials_of_degree
 
 from conftest import named_modules
+from test_acceptance import random_artinian_instance
 
 
 def test_ring_tables_match_hilbert(corpus):
@@ -142,6 +143,108 @@ def test_vanishing_scan_reads_no_ring_piece_above_the_bound():
     with pytest.raises(TruncationError):
         mt.certified_top(10)
     assert len(ring_table(ring)._basis) <= 11
+
+
+def _piece_by_multiples(ring, d):
+    """(monomials, basis, proj) of R_d as RingTable built it before it
+    built each piece from the piece below: the complement of the
+    coefficient rows of every monomial multiple of the generators in
+    S_d, whose monomials, largest first, index the rows of proj."""
+    n, p = ring.poly_ring.n, ring.poly_ring.p
+    monos = sorted(monomials_of_degree(n, d), key=GREVLEX.key, reverse=True)
+    index = {m: c for c, m in enumerate(monos)}
+    rows = []
+    for g in ring.ideal_gens:
+        e = g.degree()
+        if e > d:
+            continue
+        for u in monomials_of_degree(n, d - e):
+            row = np.zeros(len(monos), dtype=np.int64)
+            for m, c in g.terms.items():
+                row[index[mono_mul(u, m)]] = c
+            rows.append(row)
+    free, proj = complement(
+        np.array(rows, dtype=np.int64).reshape(len(rows), len(monos)), p)
+    return monos, [monos[c] for c in free], proj
+
+
+def _random_form(rng, S, e):
+    """A form of degree e with one to three random terms."""
+    monos = list(monomials_of_degree(S.n, e))
+    picked = rng.sample(monos, min(len(monos), rng.randint(1, 3)))
+    return S.poly({m: rng.randrange(1, S.p) for m in picked})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.randoms(use_true_random=False),
+       st.sampled_from([2, 3, 32003, 2 ** 31 - 1]),
+       st.sampled_from(("random", "constant", "linear", "ci")))
+def test_ring_pieces_match_the_multiples_construction(rng, p, kind):
+    """Random homogeneous rings, most of them not artinian, with a
+    constant or a linear generator added, and complete intersections of
+    powers of linear forms in 3-5 variables, up to two degrees above the
+    top one: every basis, the coordinates of every monomial and every
+    variable action."""
+    if kind == "ci":
+        n = rng.randint(3, 5)
+        powers = [rng.choice((1, 2, 2, 3) if n < 5 else (1, 2, 2))
+                  for _ in range(n)]
+        S = PolyRing([f"x{i}" for i in range(n)], p=p)
+        gens = [S.linear_form([rng.randrange(p) for _ in range(n)]) ** e
+                for e in powers]
+        top = sum(powers) - n + 2
+    else:
+        n = rng.randint(1, 4)
+        S = PolyRing([f"x{i}" for i in range(n)], p=p)
+        gens = [_random_form(rng, S, rng.choice((1, 2, 2, 3, 3)))
+                for _ in range(rng.randint(0, 4))]
+        if kind != "random":
+            gens.insert(rng.randint(0, len(gens)),
+                        _random_form(rng, S, 1 if kind == "linear" else 0))
+        top = 6
+    ring = RingPresentation(S, gens)
+    rt = ring_table(ring)
+    below = []
+    for d in range(top + 1):
+        monos, basis, proj = _piece_by_multiples(ring, d)
+        assert rt.basis(d) == basis
+        row = {m: r for r, m in enumerate(monos)}
+        for i in range(n):
+            unit = tuple(int(j == i) for j in range(n))
+            want = oracle._columns(
+                [proj[row[mono_mul(b, unit)]] for b in below], len(basis))
+            assert np.array_equal(rt.act(i, d - 1), want)
+        for m, coords in zip(monos, proj):
+            assert np.array_equal(rt.mono_coords(m), coords)
+        below = basis
+
+
+CI5 = ((2, 2, 2, 2, 2), [[1, 2, 3, 4, 5], [0, 1, 6, 7, 8], [9, 0, 1, 2, 3],
+                         [4, 5, 0, 1, 6], [7, 8, 9, 0, 1]])
+
+
+def test_ring_pieces_row_reduce_no_more_than_the_piece_below():
+    """A work guard on the 5-variable complete intersection of squares,
+    built two degrees above its top degree 5.  R_d is a quotient of
+    V (x) R_{d-1}, so no row reduction is wider than 5 max dim R_{d-1}
+    = 50 columns (all of S_7 would be 330), and the piece above the
+    zero piece R_6 comes out empty without a row reduction."""
+    ring = _ci_ring(*CI5)
+    rt = ring_table(ring)
+    reduced = []
+    real = oracle.complement
+
+    def spy(A, p):
+        reduced.append((len(rt._basis), A.shape[1]))
+        return real(A, p)
+
+    with mock.patch.object(oracle, "complement", spy):
+        top = rt.top_degree(12)
+        rt.dim(top + 2)
+    dims = [rt.dim(d) for d in range(top + 3)]
+    assert dims == [1, 5, 10, 10, 5, 1, 0, 0]
+    assert [d for d, _ in reduced] == list(range(top + 2))
+    assert max(width for _, width in reduced) <= 5 * max(dims) == 50
 
 
 def test_linalg_exact_below_and_refuses_above_the_prime_limit():
@@ -595,6 +698,76 @@ def _count_builds():
     """Patch oracle.OracleResolution with a wrapper that counts builds."""
     return mock.patch.object(oracle, "OracleResolution",
                              wraps=oracle.OracleResolution)
+
+
+def _coboundary_by_entries(ct, src, dst, images, t):
+    """The coboundary as oracle_ext_dims filled it before _coboundary:
+    one coefficient of one image at a time, times the block of its
+    monomial acting on C."""
+    p = ct.p
+
+    def layout(degrees):
+        offsets, total = [], 0
+        for a in degrees:
+            offsets.append(total)
+            total += ct.dims(a + t)
+        return offsets, total
+
+    (off_i, dim_i), (off_n, dim_n) = layout(src), layout(dst)
+    mat = np.zeros((dim_n, dim_i), dtype=np.int64)
+    if dim_i == 0 or dim_n == 0:
+        return mat
+    F = FreeTable(ct.rt, src)
+    for l, a_l in enumerate(dst):
+        for idx, (g, b) in enumerate(F.basis(a_l)):
+            coeff = int(images[l][idx])
+            nc = ct.dims(src[g] + t) if coeff else 0
+            if nc == 0:
+                continue
+            block = ct.apply_mono(np.eye(nc, dtype=np.int64), b, src[g] + t)
+            rows = slice(off_n[l], off_n[l] + block.shape[0])
+            cols = slice(off_i[g], off_i[g] + nc)
+            mat[rows, cols] = (mat[rows, cols] + coeff * block) % p
+    return mat
+
+
+def _at_prime(M, p):
+    """M, its ring rebuilt over GF(p) with the same coefficients."""
+    S = PolyRing(M.ring.poly_ring.variables, p=p)
+    ring = RingPresentation(S, [S.poly(g.terms) for g in M.ring.ideal_gens])
+    F = S.free_module(M.shifts)
+    return GradedModule(ring, M.shifts,
+                        [F.vec(dict(r.terms)) for r in M.relations])
+
+
+def test_coboundaries_match_the_per_entry_loop():
+    """Battery instances whose resolutions of k and M have generators
+    of mixed degrees, with C in {R, k, M}, at p = 32003 and 2^31 - 1;
+    one action dict per C, as oracle_ext_dims keeps it."""
+    mixed = nonzero = 0
+    for seed in (9, 11, 20, 35, 37, 48):
+        for p in (32003, 2 ** 31 - 1):
+            M = _at_prime(random_artinian_instance(seed)[1], p)
+            ring = M.ring
+            cs = [ring.as_module(), ring.residue_field(), M]
+            for X in (ring.residue_field(), M):
+                res = OracleResolution(ModuleTable(X), 4, 12)
+                mixed += any(len(set(d)) > 1 for d in res.degrees)
+                for C in cs:
+                    ct, actions = ModuleTable(C), {}
+                    top = ct.certified_top(12)
+                    for i in range(len(res.degrees) - 1):
+                        src, dst = res.degrees[i], res.degrees[i + 1]
+                        for t in range(ct.min_degree - max(dst) - 1,
+                                       top - min(src) + 2):
+                            got = oracle._coboundary(
+                                ct, src, dst, res.images[i + 1], t, actions)
+                            want = _coboundary_by_entries(
+                                ct, src, dst, res.images[i + 1], t)
+                            assert np.array_equal(got, want)
+                            nonzero += bool(got.any())
+    assert mixed >= 12
+    assert nonzero >= 100
 
 
 def test_ext_dims_resolve_each_module_once():
