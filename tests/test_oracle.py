@@ -2,6 +2,7 @@
 
 import ast
 import gc
+import hashlib
 import os
 import random
 import subprocess
@@ -856,3 +857,32 @@ def test_oracle_shares_only_polynomial_arithmetic_with_the_engine():
                 assert not node.module.startswith("injcrit"), name
     # bench/tracer.py rebinds oracle.rref, so it must stay a name there
     assert ("linalg", "rref") in imported["oracle"]
+
+
+def _oracle_output_digests(modules):
+    """sha256 of the Matlis duals of modules at bound 16 (shifts, and
+    relation terms in their stored order), and of their oracle
+    resolutions with 3 steps at bound 16 (degrees and images)."""
+    dual, res = hashlib.sha256(), hashlib.sha256()
+    for X in modules:
+        D = matlis_dual(X, bound=16)
+        dual.update(repr((D.shifts, [list(r.terms.items())
+                                     for r in D.relations])).encode())
+        orc = OracleResolution(ModuleTable(X), 3, 16)
+        res.update(repr((orc.degrees, [[v.tolist() for v in images]
+                                       for images in orc.images])).encode())
+    return dual.hexdigest(), res.hexdigest()
+
+
+def test_matlis_duals_and_resolutions_are_pinned(type2_ring, dual_numbers):
+    """R, k and M of battery seeds 1-200, then R and k of the fixtures:
+    the bytes of the oracle's presentations, not only their dimensions."""
+    modules = []
+    for seed in range(1, 201):
+        ring, M = random_artinian_instance(seed)
+        modules += [ring.as_module(), ring.residue_field(), M]
+    for ring in (type2_ring, dual_numbers):
+        modules += [ring.as_module(), ring.residue_field()]
+    assert _oracle_output_digests(modules) == (
+        "a884296c5ba7cdd876d7a1f2980110a97b1b4e446c47c1d141419f0b75980735",
+        "325c5bdf77352c54c27f4a06f246b5197638808dcdc2aaf0b27eecf60e22c8d2")
