@@ -180,7 +180,7 @@ def projective_dimension_ambient(M: GradedModule) -> int:
     which ends after at most n steps (Hilbert's syzygy theorem)."""
     if M.is_zero():
         raise ZeroModuleError("pd of the zero module")
-    return resolution(M, "S", steps=M.ring.poly_ring.n + 2).length
+    return resolution(M, "S", steps=M.ring.poly_ring.n + 2).num_diffs
 
 
 def depth(M: GradedModule) -> int:
@@ -195,7 +195,7 @@ def type_of(M: GradedModule) -> int:
     if M.is_zero():
         raise ZeroModuleError("type of the zero module")
     res = resolution(M, "S", steps=M.ring.poly_ring.n + 2)
-    return res.covers[res.length].rank
+    return res.covers[res.num_diffs].rank
 
 
 def canonical_module(ring: RingPresentation) -> GradedModule:
@@ -207,7 +207,7 @@ def canonical_module(ring: RingPresentation) -> GradedModule:
     if "omega" not in ring._cache:
         n = ring.poly_ring.n
         res = resolution(ring.as_module(), "S", steps=n + 2)
-        c = res.length
+        c = res.num_diffs
         shifts = tuple(n - b for b in res.covers[c].shifts)
         cover = ring.poly_ring.free_module(shifts)
         rows = {}

@@ -351,13 +351,6 @@ class FreeResolution:
     def num_diffs(self) -> int:
         return len(self.diffs)
 
-    @property
-    def length(self) -> int:
-        """Projective dimension when complete."""
-        if not self.complete:
-            raise ValueError("resolution is truncated; length unknown")
-        return len(self.diffs)
-
     def extend_to(self, steps: int):
         while not self.complete and len(self.diffs) < steps:
             if self.cap is not None and len(self.diffs) >= self.cap:

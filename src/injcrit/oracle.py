@@ -174,28 +174,18 @@ def ring_table(ring: RingPresentation) -> RingTable:
     return ring._cache["oracle_rt"]
 
 
-class _ActionTable:
-    """A graded coordinate table with variable actions.
-
-    Subclasses define dims(d) and act(i, d), the matrix of x_i from degree
-    d to degree d + 1.  FreeTable and ModuleTable build each action once
-    and keep it in self._act; DualTable transposes its module's on every
-    call.
-    """
-
-    p: int
-    nvars: int
-
-    def apply_mono(self, vec: np.ndarray, m, d: int) -> np.ndarray:
-        cur, deg = vec, d
-        for i, e in enumerate(m):
-            for _ in range(e):
-                cur = matmul(self.act(i, deg), cur, self.p)
-                deg += 1
-        return cur
+def _apply_mono(table, vec: np.ndarray, m, d: int) -> np.ndarray:
+    """The monomial m applied to vec, coordinates of degree d of a table:
+    a FreeTable, ModuleTable or DualTable, whose act(i, d) is the matrix
+    of x_i from degree d to degree d + 1."""
+    for i, e in enumerate(m):
+        for _ in range(e):
+            vec = matmul(table.act(i, d), vec, table.p)
+            d += 1
+    return vec
 
 
-class FreeTable(_ActionTable):
+class FreeTable:
     """A free module over R with prescribed generator degrees.
 
     Its degree-d coordinates run through the generators in order, one
@@ -256,7 +246,7 @@ class FreeTable(_ActionTable):
         return self._act[i, d]
 
 
-class ModuleTable(_ActionTable):
+class ModuleTable:
     """Graded pieces of a cokernel presentation, with variable actions.
 
     The degree-d piece is that of the free cover (a FreeTable with the
@@ -320,22 +310,6 @@ class ModuleTable(_ActionTable):
         raise TruncationError("module piece does not vanish", bound)
 
 
-class OracleMap:
-    """A degreewise matrix F -> T defined by images of the generators."""
-
-    def __init__(self, source: FreeTable, target: _ActionTable, images):
-        self.source = source
-        self.target = target
-        self.images = images  # per generator: target coords at its degree
-
-    def matrix(self, d: int) -> np.ndarray:
-        return _columns(
-            [self.target.apply_mono(self.images[g], b,
-                                    self.source.gen_degrees[g])
-             for g, b in self.source.basis(d)],
-            self.target.dims(d))
-
-
 def _reduce(rows: np.ndarray, E: np.ndarray, pivots: list, p: int):
     """(free, residual): the columns that are not pivots of E, a reduced
     echelon matrix with the given pivots, and rows modulo the row space
@@ -373,8 +347,7 @@ def _fold(E: np.ndarray, pivots: list, rows: np.ndarray, p: int):
     return out, merged
 
 
-def _minimal_generators_degreewise(table: _ActionTable, lo: int, top: int,
-                                   candidates):
+def _minimal_generators_degreewise(table, lo: int, top: int, candidates):
     """(degree, vector) minimal generators, by graded Nakayama.
 
     candidates(d) is a matrix whose rows span the degree-d space of
@@ -411,67 +384,66 @@ def _minimal_generators_degreewise(table: _ActionTable, lo: int, top: int,
     return gens
 
 
-def _piece_generators(table: _ActionTable, lo: int, top: int) -> list:
+def _piece_generators(table, lo: int, top: int) -> list:
     """Minimal generators of a table known to live in degrees lo..top,
     sieved from the unit vectors of each piece."""
     return _minimal_generators_degreewise(
         table, lo, top, lambda d: np.eye(table.dims(d), dtype=np.int64))
 
 
-def _covering_map(rt: RingTable, target: _ActionTable, gens) -> OracleMap:
-    """The map onto target from a free module with one generator per
-    (degree, vector) pair of gens, sent to that vector."""
-    return OracleMap(FreeTable(rt, [d for d, _ in gens]), target,
-                     [v for _, v in gens])
-
-
-def _kernel_generators(phi: OracleMap, ring_top: int) -> list:
-    """Minimal generators of the kernel of phi.  The free source vanishes
-    above its largest generator degree plus ring_top, the top degree of
-    the ring, and so does the kernel.
+def _kernel_generators(target, gens, ring_top: int) -> tuple:
+    """(F, kernel): F the FreeTable with one generator per (degree,
+    vector) pair of gens, mapped onto target by sending it to that
+    vector, and the minimal generators of the kernel of that map.  F
+    vanishes above its largest generator degree plus ring_top, the top
+    degree of the ring, and so does the kernel.
 
     Every kernel is computed before the sieve caches any action matrix,
     so that row-reduction temporaries do not fragment the heap between
     long-lived matrices; computing them lazily raised the peak RSS.
     """
-    F = phi.source
-    if not F.gen_degrees:
-        return []
+    F = FreeTable(target.rt, [d for d, _ in gens])
+    if not gens:
+        return F, []
     lo, top = min(F.gen_degrees), max(F.gen_degrees) + ring_top
-    kernels = {d: nullspace(phi.matrix(d), F.p) for d in range(lo, top + 1)}
-    return _minimal_generators_degreewise(F, lo, top, lambda d: kernels[d].T)
+
+    def matrix(d):
+        # column (g, b): the image of generator g times the monomial b
+        return _columns([_apply_mono(target, gens[g][1], b, gens[g][0])
+                         for g, b in F.basis(d)], target.dims(d))
+
+    kernels = {d: nullspace(matrix(d), F.p) for d in range(lo, top + 1)}
+    return F, _minimal_generators_degreewise(F, lo, top,
+                                             lambda d: kernels[d].T)
 
 
 class OracleResolution:
     """A truncated minimal free resolution computed degree by degree.
 
     F_0 covers the module, F_{-1}, and each F_i for i >= 1 covers the
-    kernel of F_{i-1} -> F_{i-2}.  Only what the Hom complex of
-    oracle_ext_dims reads is kept: degrees[i], the generator degrees of
-    F_i, and images[i], the coordinate vector each generator of F_i maps
-    to in F_{i-1}.  complete means the next kernel was zero.  The tables
-    and matrices the build used are not kept.
+    kernel of F_{i-1} -> F_{i-2}; a zero kernel ends the resolution.
+    Only what the Hom complex of oracle_ext_dims reads is kept:
+    degrees[i], the generator degrees of F_i, and images[i], the
+    coordinate vector each generator of F_i maps to in F_{i-1}.  The
+    tables and matrices the build used are not kept.
     """
 
     def __init__(self, mtable: ModuleTable, steps: int, bound: int):
-        rt = mtable.rt
-        ring_top = rt.top_degree(bound)
-        top = mtable.certified_top(bound)
-        phi = _covering_map(rt, mtable, _piece_generators(
-            mtable, mtable.min_degree, top))
-        self.degrees = [phi.source.gen_degrees]
-        self.images = [phi.images]
-        self.complete = not phi.images
-        while not self.complete and len(self.images) < steps:
-            if max(phi.source.gen_degrees) > bound:
+        ring_top = mtable.rt.top_degree(bound)
+        table, gens = mtable, _piece_generators(
+            mtable, mtable.min_degree, mtable.certified_top(bound))
+        self.degrees, self.images = [], []
+        while True:
+            self.degrees.append([d for d, _ in gens])
+            self.images.append([v for _, v in gens])
+            if not gens or len(self.images) >= steps:
+                return
+            if max(self.degrees[-1]) > bound:
                 raise TruncationError("resolution generators exceed window",
                                       bound)
-            gens = _kernel_generators(phi, ring_top)
-            self.complete = not gens
-            if gens:
-                phi = _covering_map(rt, phi.source, gens)
-                self.degrees.append(phi.source.gen_degrees)
-                self.images.append(phi.images)
+            table, gens = _kernel_generators(table, gens, ring_top)
+            if not gens:
+                return
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +495,7 @@ def _monomial_actions(ct: ModuleTable, s: int, e: int) -> np.ndarray:
     """x^b from C_s to C_{s+e}, for b the basis monomials of R_e, one
     flattened matrix per row: a dim R_e x (dim C_{s+e} dim C_s) matrix."""
     eye = np.eye(ct.dims(s), dtype=np.int64)
-    return np.stack([ct.apply_mono(eye, b, s).ravel()
+    return np.stack([_apply_mono(ct, eye, b, s).ravel()
                      for b in ct.rt.basis(e)])
 
 
@@ -635,11 +607,12 @@ def oracle_ext_dims(M: GradedModule, C: GradedModule, i_max: int,
 # ---------------------------------------------------------------------------
 # Matlis duality
 
-class DualTable(_ActionTable):
+class DualTable:
     """Graded dual of a finite-length module table: transposed actions."""
 
     def __init__(self, mt: ModuleTable, bound: int):
         self.mt = mt
+        self.rt = mt.rt
         self.p = mt.p
         self.nvars = mt.nvars
         self.top = mt.certified_top(bound)
@@ -657,34 +630,22 @@ class DualTable(_ActionTable):
         return self.mt.act(i, -d - 1).T.copy()
 
 
-def present_truncated(table: _ActionTable, rt: RingTable, ring,
-                      lo: int, top: int, bound: int,
-                      name=None) -> GradedModule:
-    """A cokernel presentation of an exactly known finite graded table.
-
-    Finds minimal generators degree by degree, covers by a free module,
-    and reads relations off the kernel of the covering map.
-    """
-    ring_top = rt.top_degree(bound)
-    phi = _covering_map(rt, table, _piece_generators(table, lo, top))
-    F = phi.source
-    cover = ring.poly_ring.free_module(F.gen_degrees)
-    rels = [Vec(cover, {(g, b): int(c)
-                        for (g, b), c in zip(F.basis(d), z) if c})
-            for d, z in _kernel_generators(phi, ring_top)]
-    return GradedModule(ring, cover.shifts, rels, name=name)
-
-
 def matlis_dual(M: GradedModule,
                 bound: int = DEFAULT_DEGREE_BOUND) -> GradedModule:
     """The graded Matlis dual Hom_k(M, k) of a finite-length module.
 
     Presented back as a cokernel over the same ring, so the symbolic
     engine can consume it (degrees are negated; x acts as the transpose
-    of its action on M).
+    of its action on M): minimal generators found degree by degree
+    cover it, and the relations are the kernel of that cover.
     """
-    mt = ModuleTable(M)
-    dual = DualTable(mt, bound)
-    name = f"{M.name}^v" if M.name else None
-    return present_truncated(dual, mt.rt, M.ring, dual.min_degree,
-                             -dual.lo, bound, name=name)
+    dual = DualTable(ModuleTable(M), bound)
+    ring_top = dual.rt.top_degree(bound)
+    F, kernel = _kernel_generators(dual, _piece_generators(
+        dual, dual.min_degree, -dual.lo), ring_top)
+    cover = M.ring.poly_ring.free_module(F.gen_degrees)
+    rels = [Vec(cover, {(g, b): int(c)
+                        for (g, b), c in zip(F.basis(d), z) if c})
+            for d, z in kernel]
+    return GradedModule(M.ring, cover.shifts, rels,
+                        name=f"{M.name}^v" if M.name else None)

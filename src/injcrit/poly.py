@@ -87,6 +87,25 @@ def term_key(t: Term):
     return (-t[0], GREVLEX.key(t[1]))
 
 
+def _add_terms(a: dict, b: dict, p: int) -> dict:
+    """The sum mod p of two term dicts (monomial or term -> coefficient):
+    the terms of a in their order, then those only b has."""
+    out = dict(a)
+    for t, c in b.items():
+        v = (out.get(t, 0) + c) % p
+        if v:
+            out[t] = v
+        else:
+            out.pop(t, None)
+    return out
+
+
+def _scale_terms(terms: dict, c: int, p: int) -> dict:
+    """c times a term dict, mod p."""
+    c %= p
+    return {t: (c * v) % p for t, v in terms.items()} if c else {}
+
+
 # ---------------------------------------------------------------------------
 # polynomial ring
 
@@ -188,15 +207,8 @@ class Poly:
     # -- arithmetic --------------------------------------------------------
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        p = self.ring.p
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            v = (out.get(m, 0) + c) % p
-            if v:
-                out[m] = v
-            else:
-                out.pop(m, None)
-        return Poly(self.ring, out)
+        return Poly(self.ring, _add_terms(self.terms, other.terms,
+                                          self.ring.p))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
@@ -206,11 +218,7 @@ class Poly:
         return Poly(self.ring, {m: p - c for m, c in self.terms.items()})
 
     def scale(self, c: int) -> "Poly":
-        p = self.ring.p
-        c %= p
-        if c == 0:
-            return Poly(self.ring, {})
-        return Poly(self.ring, {m: (c * v) % p for m, v in self.terms.items()})
+        return Poly(self.ring, _scale_terms(self.terms, c, self.ring.p))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -351,26 +359,15 @@ class Vec:
         return len(degs) <= 1
 
     def __add__(self, other: "Vec") -> "Vec":
-        p = self.module.ring.p
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            v = (out.get(t, 0) + c) % p
-            if v:
-                out[t] = v
-            else:
-                out.pop(t, None)
-        return Vec(self.module, out)
+        return Vec(self.module, _add_terms(self.terms, other.terms,
+                                           self.module.ring.p))
 
     def __sub__(self, other: "Vec") -> "Vec":
         return self + other.scale(-1)
 
     def scale(self, c: int) -> "Vec":
-        p = self.module.ring.p
-        c %= p
-        if c == 0:
-            return Vec(self.module, {})
-        return Vec(self.module,
-                   {t: (c * v) % p for t, v in self.terms.items()})
+        return Vec(self.module, _scale_terms(self.terms, c,
+                                             self.module.ring.p))
 
     def mono_mul(self, mono: Mono, coeff: int = 1) -> "Vec":
         p = self.module.ring.p

@@ -23,7 +23,9 @@ from .modules import GradedModule, RingPresentation, ZeroModuleError
 from .parse import ParseError
 from .poly import PolyRing
 
-BUILTIN_MODULES = ("R", "k")
+# each built-in module name and the ring method that builds the module
+BUILTIN_MODULES = {"R": RingPresentation.as_module,
+                   "k": RingPresentation.residue_field}
 TOP_LEVEL_KEYS = ("char", "vars", "ideal", "modules", "flags", "checks")
 
 
@@ -49,13 +51,9 @@ class Session:
         self.checks = checks
 
     def resolve(self, name: str) -> GradedModule:
-        if name == "R":
-            M = self.ring.as_module()
-            M.name = "R"
-            return M
-        if name == "k":
-            M = self.ring.residue_field()
-            M.name = "k"
+        if name in BUILTIN_MODULES:
+            M = BUILTIN_MODULES[name](self.ring)
+            M.name = name
             return M
         if name in self.modules:
             return self.modules[name]

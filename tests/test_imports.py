@@ -1,6 +1,6 @@
-"""No module of the package imports a name it leaves unused, nothing it
-defines goes unreferenced, and no parameter has a default that every call
-leaves in place.
+"""No module of the package imports a name it leaves unused, annotates
+with a name it does not define, leaves anything it defines unreferenced,
+or has a parameter whose default every call leaves in place.
 
 There is no linter in the toolchain, so this walks the syntax trees.  An
 import that is kept on purpose (a re-export) carries `# noqa: F401` and a
@@ -13,6 +13,7 @@ and so are the few defaults that only tests vary.
 """
 
 import ast
+import builtins
 import re
 from collections import Counter, defaultdict
 from pathlib import Path
@@ -72,6 +73,74 @@ def test_unused_import_check_catches_leftovers():
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFS = (*FUNCTIONS, ast.ClassDef)
+
+
+def module_bindings(tree) -> set:
+    """Every name the module binds outside its function and class bodies:
+    definitions, imports and assignment targets."""
+    bound, todo = set(), [tree]
+    while todo:
+        for node in ast.iter_child_nodes(todo.pop()):
+            if isinstance(node, DEFS):
+                bound.add(node.name)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                bound |= {alias.asname or alias.name.split(".")[0]
+                          for alias in node.names}
+            else:
+                if isinstance(node, ast.Name) and isinstance(node.ctx,
+                                                             ast.Store):
+                    bound.add(node.id)
+                todo.append(node)
+    return bound
+
+
+def annotation_names(note):
+    """Every name an annotation reads, also inside a quoted one."""
+    for node in ast.walk(note):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from annotation_names(ast.parse(node.value, mode="eval"))
+
+
+def undefined_annotation_names(source: str) -> list:
+    """(line, name) of every name read in an annotation that the module
+    neither binds nor gets from the builtins.  Under `from __future__
+    import annotations` no annotation is evaluated, so nothing else
+    reports a name that a refactor left behind."""
+    tree = ast.parse(source)
+    known = module_bindings(tree) | set(dir(builtins))
+    notes = [node.annotation for node in ast.walk(tree)
+             if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    notes += [fn.returns for fn in ast.walk(tree)
+              if isinstance(fn, FUNCTIONS) and fn.returns]
+    return sorted((note.lineno, name) for note in notes
+                  for name in annotation_names(note) if name not in known)
+
+
+def test_package_annotations_name_only_what_modules_define():
+    root = Path(injcrit.__file__).parent
+    found = {path.name: undefined_annotation_names(path.read_text())
+             for path in sorted(root.glob("*.py"))}
+    assert {name: hits for name, hits in found.items() if hits} == {}
+
+
+def test_undefined_annotation_check_catches_leftovers():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "from .poly import Vec\n"
+              "Table = dict\n"
+              "class Ring:\n"
+              "    size: int\n"
+              "    def lift(self, v: Vec, t: _ActionTable) -> 'Ring':\n"
+              "        return v\n"
+              "def f(a: np.ndarray, *r: Table, **kw: 'Gone') -> list[Ring]:\n"
+              "    local: Optional[int] = 1\n"
+              "    return a\n")
+    # imports, classes and module-level assignments define a name, and
+    # builtins need no definition; a quoted annotation is read as well
+    assert undefined_annotation_names(source) == [
+        (7, "_ActionTable"), (9, "Gone"), (10, "Optional")]
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 # definitions that only tests read, and why they stay
@@ -174,7 +243,7 @@ def test_unreferenced_definition_check_catches_leftovers():
 # when any attribute of its name is read, so one of these can be dead while
 # its homonym is live: a new name here is traced by hand before it is added
 HOMONYMS = {"_ensure", "act", "basis", "cache_key", "contains", "degree",
-            "dims", "is_homogeneous", "is_zero", "length", "mono_mul",
+            "dims", "is_homogeneous", "is_zero", "mono_mul",
             "multiplicity", "scale", "to_dict", "zero"}
 
 

@@ -596,15 +596,15 @@ def test_sieve_matches_the_greedy_one_on_oracle_tables(type2_ring,
             for table, lo, top in ((mt, mt.min_degree, dual.top),
                                    (dual, dual.min_degree, -dual.lo)):
                 gens = oracle._piece_generators(table, lo, top)
-                phi = oracle._covering_map(mt.rt, table, gens)
-                kernel = oracle._kernel_generators(phi, ring_top)
+                kernel = oracle._kernel_generators(table, gens, ring_top)[1]
                 with mock.patch.object(
                         oracle, "_minimal_generators_degreewise",
                         _greedy_sieve):
                     _assert_same_generators(
                         gens, oracle._piece_generators(table, lo, top))
                     _assert_same_generators(
-                        kernel, oracle._kernel_generators(phi, ring_top))
+                        kernel,
+                        oracle._kernel_generators(table, gens, ring_top)[1])
                 assert gens
                 kernels += kernel
     assert kernels
@@ -725,7 +725,8 @@ def _coboundary_by_entries(ct, src, dst, images, t):
             nc = ct.dims(src[g] + t) if coeff else 0
             if nc == 0:
                 continue
-            block = ct.apply_mono(np.eye(nc, dtype=np.int64), b, src[g] + t)
+            block = oracle._apply_mono(ct, np.eye(nc, dtype=np.int64), b,
+                                       src[g] + t)
             rows = slice(off_n[l], off_n[l] + block.shape[0])
             cols = slice(off_i[g], off_i[g] + nc)
             mat[rows, cols] = (mat[rows, cols] + coeff * block) % p
