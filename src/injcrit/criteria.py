@@ -316,7 +316,7 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
         hilbert_match = (hilbert_series(ER).numerator
                          == {e - delta: c for e, c
                              in hilbert_series(N).numerator.items()})
-        ga = sorted(ER.minimal_model().shifts)
+        ga = sorted(ER.shifts)
         gb = sorted(a - delta for a in N.minimal_model().shifts)
         iso_ok = hilbert_match and ga == gb
         checks["base_change_iso"] = iso_ok

@@ -358,17 +358,14 @@ def find_regular_sop(M: GradedModule, seed: int = 1) -> list:
 # ---------------------------------------------------------------------------
 # report
 
-def invariant_report(name: str, M: GradedModule,
-                     with_rank: bool = False) -> dict:
+def invariant_report(name: str, M: GradedModule) -> dict:
     if M.is_zero():
         return {"module": name, "dim": -1, "depth": 0, "e": None,
                 "type": None, "is_cm": None, "length": 0}
-    rk = None
-    if with_rank:
-        try:
-            rk = rank(M)
-        except UndecidedError:
-            rk = None
+    try:
+        rk = rank(M)
+    except UndecidedError:
+        rk = None
     out = {"module": name, "dim": dimension(M), "depth": depth(M),
            "e": multiplicity(M), "length": length(M),
            "type": type_of(M), "is_cm": is_cohen_macaulay(M)}

@@ -6,12 +6,17 @@ a homogeneous relation matrix).  Every computation over R is realized
 over S by augmenting generator lists with ideal multiples of the ambient
 basis vectors, then projecting back.
 
-Ext modules are built as subquotients ker/im of the dualized resolution:
-each Hom(F_i, C) is itself a cokernel (a direct sum of shifted copies of
-C), kernels of cokernel maps come from syzygies, and the resulting
-presentation is re-minimalized.  GradedModule.is_zero tests every
-generator against the relations.  Each presentation has one Groebner
-basis, its relation tester over S; the ring's is that of R as a module.
+Ext modules are built as subquotients ker/im of the dualized resolution
+(Greuel and Pfister, A Singular Introduction to Commutative Algebra,
+sec. 2.8).  Each Hom(F_i, C), a direct sum of shifted copies of C, enters
+only as plain data: a free cover and C's relations copied into it.
+Kernels of cokernel maps come from syzygies, and minimalize_presentation
+turns the last syzygies into the module returned.  Constructing a
+GradedModule reduces every relation mod I, so one is made only for a
+module read as a module: the one ext returns and the minimal model a
+resolution starts from.  GradedModule.is_zero tests every generator
+against the relations.  Each presentation has one Groebner basis, its
+relation tester over S; the ring's is that of R as a module.
 """
 
 from __future__ import annotations
@@ -199,7 +204,7 @@ class GradedModule:
 
     def contains(self, v: Vec) -> bool:
         """True iff v (in the free cover) maps to zero in the module."""
-        return self.rel_tester.normal_form(v).is_zero()
+        return self.rel_tester.contains(v)
 
     def is_zero(self) -> bool:
         return all(self.contains(self.cover.gen(j))
@@ -208,7 +213,8 @@ class GradedModule:
     # -- derived presentations --------------------------------------------
     def minimal_model(self) -> "GradedModule":
         if "minimal" not in self._cache:
-            self._cache["minimal"] = minimalize_presentation(self)
+            self._cache["minimal"] = minimalize_presentation(
+                self.ring, self.shifts, self.relations, name=self.name)
         return self._cache["minimal"]
 
     def cache_key(self):
@@ -234,7 +240,8 @@ def syzygies_over(ring: RingPresentation, columns, source: FreeModule,
 
     The relations and the ideal columns enter the Groebner run untagged
     (see groebner.syzygies); the result is not reduced mod I, which every
-    caller does (minimal_generators, GradedModule).  A column that
+    caller does through minimal_generators, directly or in
+    minimalize_presentation.  A column that
     vanishes mod I gets its unit syzygy, in its source generator's degree.
     """
     return syzygies(columns, source, target,
@@ -268,41 +275,45 @@ def minimal_generators(ring: RingPresentation, vecs,
     return kept
 
 
-def kernel_of_cokernel_map(phi_columns, source: FreeModule,
-                           target: GradedModule) -> list:
-    """Minimal generators of {e in source : phi(e) in im(target relations)}.
+def kernel_of_cokernel_map(ring: RingPresentation, phi_columns,
+                           source: FreeModule, target: FreeModule,
+                           relations=()) -> list:
+    """Minimal generators of {e in source : phi(e) in <relations>} over R.
 
-    phi_columns[j] is the image in the target free cover of the j-th
+    phi_columns[j] is the image in the free module target of the j-th
     generator of the free module source, in that generator's degree.  The
-    result generates the preimage of zero under source -> coker(target),
-    read off one syzygy run in which only phi's columns are tagged and
-    target's relations enter untagged; that phi is a map of cokernels,
-    when source is a cover, is the caller's to know.
+    result generates the preimage of zero under source -> coker(relations),
+    read off one syzygy run in which only phi's columns are tagged and the
+    relations enter untagged; that phi is a map of cokernels, when source
+    is a cover, is the caller's to know.
     """
-    ring = target.ring
     if len(phi_columns) != source.rank:
         raise ValueError("one column required per source generator")
     if not phi_columns:
         return []
-    syz = syzygies_over(ring, phi_columns, source, target.cover,
-                        target.relations)
+    syz = syzygies_over(ring, phi_columns, source, target, relations)
     return minimal_generators(ring, syz, source)
 
 
-def minimalize_presentation(M: GradedModule) -> GradedModule:
-    """Split off unit entries and prune the relations to a minimal set.
+def minimalize_presentation(ring: RingPresentation, shifts, relations,
+                            name: Optional[str] = None) -> GradedModule:
+    """The module over ring with generators in degrees shifts and the
+    given homogeneous relations, unit entries split off and the relations
+    pruned to a minimal set.
 
-    The result presents the same module with a minimal generating set and
-    minimal relations (all relation entries in the irrelevant ideal).
-    A unit entry is a term at the zero monomial, the pivot the one at the
-    lowest position; the positions are renumbered once, at the end.  One
-    forward pass suffices: by homogeneity, a relation without a unit
-    entry at the pivot's position gets a multiple of positive degree of
-    the pivot relation, so a relation already passed never gains a unit.
+    The result has a minimal generating set and minimal relations (all
+    relation entries in the irrelevant ideal).  The relations need not be
+    reduced mod I: a unit entry of a homogeneous vector is a constant
+    component, which reduction mod a proper I leaves alone, and
+    minimal_generators reduces every relation that reaches it.  A unit
+    entry is a term at the zero monomial, the pivot the one at the lowest
+    position; the positions are renumbered once, at the end.  One forward
+    pass suffices: by homogeneity, a relation without a unit entry at the
+    pivot's position gets a multiple of positive degree of the pivot
+    relation, so a relation already passed never gains a unit.
     """
-    ring = M.ring
     zero, inv = ring.poly_ring._zero_mono, ring.poly_ring.field.inv
-    rels = list(M.relations)
+    rels = list(relations)
     gone = set()
     l = 0
     while l < len(rels):
@@ -317,14 +328,14 @@ def minimalize_presentation(M: GradedModule) -> GradedModule:
             if not entry.is_zero():
                 rels[l2] = ring.nf_vec(r - pivot.poly_mul(entry.scale(uinv)))
         gone.add(j)
-    keep = [j for j in range(len(M.shifts)) if j not in gone]
+    keep = [j for j in range(len(shifts)) if j not in gone]
     new_pos = {j: i for i, j in enumerate(keep)}
-    cover = ring.poly_ring.free_module(M.shifts[j] for j in keep)
+    cover = ring.poly_ring.free_module(shifts[j] for j in keep)
     rels = [Vec(cover, {(new_pos[pos], m): c for (pos, m), c in
                         sorted(r.terms.items(), key=lambda e: e[0][0])})
             for r in rels if not r.is_zero()]
     rels = minimal_generators(ring, rels, cover)
-    return GradedModule(ring, cover.shifts, rels, name=M.name)
+    return GradedModule(ring, cover.shifts, rels, name=name)
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +369,8 @@ class FreeResolution:
             self._step()
 
     def _step(self):
-        syz = syzygies_over(self.ring, self.diffs[-1], self.covers[-1],
-                            self.covers[-2])
-        self._add_map(minimal_generators(self.ring, syz, self.covers[-1]))
+        self._add_map(kernel_of_cokernel_map(
+            self.ring, self.diffs[-1], self.covers[-1], self.covers[-2]))
 
     def _add_map(self, gens: list):
         """The next map, with columns gens; none ends the resolution."""
@@ -384,13 +394,14 @@ def resolution(M: GradedModule, base: str = "R",
         raise ValueError("base must be 'R' or 'S'")
     key = ("res", base)
     if key not in M._cache:
-        work = M
-        if base == "S" and not M.ring.is_ambient:
-            work = GradedModule(  # M over the ambient polynomial ring
+        if base == "R" or M.ring.is_ambient:
+            mm = M.minimal_model()
+        else:  # M over the ambient polynomial ring
+            mm = minimalize_presentation(
                 M.ring.ambient(), M.shifts,
                 list(M.relations) + M.ring.ideal_columns(M.cover))
         M._cache[key] = FreeResolution(
-            work.minimal_model(), M.ring.res_cap if base == "R" else None)
+            mm, M.ring.res_cap if base == "R" else None)
     res = M._cache[key]
     res.extend_to(steps)
     return res
@@ -399,23 +410,24 @@ def resolution(M: GradedModule, base: str = "R",
 # ---------------------------------------------------------------------------
 # Hom and Ext
 
-def hom_cover_into(cover: FreeModule, C: GradedModule) -> GradedModule:
-    """Hom(F, C) for free F, presented as a direct sum of shifted copies of C.
+def hom_cover_into(cover: FreeModule, C: GradedModule) -> tuple:
+    """Hom(F, C) for free F, a direct sum of shifted copies of C, as the
+    pair (free cover, relations): one copy of C's relations per basis
+    vector of F, reduced mod I as C's are.
 
     Generator (j, k) (flattened j * rank_C + k) is the hom sending the
     j-th basis vector of F to the k-th generator of C.
     """
-    ring = C.ring
     gC = C.cover.rank
-    shifts = tuple(C.shifts[k] - cover.shifts[j]
-                   for j in range(cover.rank) for k in range(gC))
-    hom_cover = ring.poly_ring.free_module(shifts)
+    hom_cover = C.ring.poly_ring.free_module(
+        C.shifts[k] - cover.shifts[j]
+        for j in range(cover.rank) for k in range(gC))
     rels = []
     for j in range(cover.rank):
         for w in C.relations:
             terms = {(j * gC + k, m): c for (k, m), c in w.terms.items()}
             rels.append(Vec(hom_cover, terms))
-    return GradedModule(ring, shifts, rels)
+    return hom_cover, rels
 
 
 def induced_hom_map(diff_columns, src_rank: int, hom_dst_cover: FreeModule,
@@ -439,15 +451,17 @@ def induced_hom_map(diff_columns, src_rank: int, hom_dst_cover: FreeModule,
 def ext(M: GradedModule, C: GradedModule, i: int) -> GradedModule:
     """Ext^i(M, C) over the ring R that M and C share.
 
-    Presented as ker/im of the dualized minimal free resolution of M over
-    R, resolved to i + 1 steps under the ring's res_cap and re-minimalized
-    so that the zero module has no generators; cached on M per (C, i).
-    Hom(F_i, C) and Hom(F_{i+1}, C) are each presented once.  The kernel K
-    of Hom(d_i, C) comes from kernel_of_cokernel_map; past the end of the
-    resolution (F_{i+1} = 0) it is all of Hom(F_i, C), generated by its
-    unit vectors.  The relations on K are the preimage of
+    Computed as ker/im of the dualized minimal free resolution of M over
+    R, resolved to i + 1 steps under the ring's res_cap, and returned as a
+    minimal presentation, so that the zero module has no generators;
+    cached on M per (C, i).  Hom(F_i, C) and Hom(F_{i+1}, C) enter only as
+    free covers with relations copied from C (hom_cover_into).  The kernel
+    K of Hom(d_i, C) comes from kernel_of_cokernel_map; past the end of
+    the resolution (F_{i+1} = 0) it is all of Hom(F_i, C), generated by
+    its unit vectors.  The relations on K are the preimage of
     im Hom(d_{i-1}, C) plus the relations of Hom(F_i, C): one syzygy run
-    in which only K's columns are tagged.
+    in which only K's columns are tagged, whose output
+    minimalize_presentation takes as it comes.
     """
     if i < 0:
         raise ValueError("cohomological index must be nonnegative")
@@ -461,26 +475,27 @@ def ext(M: GradedModule, C: GradedModule, i: int) -> GradedModule:
     E = ring.zero_module()
     if i <= res.num_diffs:
         gC = C.cover.rank
-        hom_i = hom_cover_into(res.covers[i], C)
+        hom_i, rels_i = hom_cover_into(res.covers[i], C)
         if i < res.num_diffs:
-            hom_ip1 = hom_cover_into(res.covers[i + 1], C)
+            hom_ip1, rels_ip1 = hom_cover_into(res.covers[i + 1], C)
             delta = induced_hom_map(res.diffs[i], res.covers[i].rank,
-                                    hom_ip1.cover, gC)
-            kernel = kernel_of_cokernel_map(delta, hom_i.cover, hom_ip1)
+                                    hom_ip1, gC)
+            kernel = kernel_of_cokernel_map(ring, delta, hom_i, hom_ip1,
+                                            rels_ip1)
         else:  # F_{i+1} = 0: the unit vectors are minimal generators
-            kernel = [hom_i.cover.gen(j) for j in range(hom_i.cover.rank)]
+            kernel = [hom_i.gen(j) for j in range(hom_i.rank)]
         if kernel:
             # image of delta^{i-1}
             psi = []
             if i >= 1:
                 psi = induced_hom_map(res.diffs[i - 1],
-                                      res.covers[i - 1].rank, hom_i.cover, gC)
+                                      res.covers[i - 1].rank, hom_i, gC)
             # relations on K: coefficients c with K c in <psi> + <P>
             gen_degs = tuple(v.degree() for v in kernel)
             sub_cover = ring.poly_ring.free_module(gen_degs)
-            rel_cols = syzygies_over(ring, kernel, sub_cover, hom_i.cover,
-                                     psi + list(hom_i.relations))
-            E = GradedModule(ring, gen_degs, rel_cols).minimal_model()
+            rel_cols = syzygies_over(ring, kernel, sub_cover, hom_i,
+                                     psi + rels_i)
+            E = minimalize_presentation(ring, gen_degs, rel_cols)
     M._cache[key] = E
     return E
 

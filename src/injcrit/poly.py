@@ -295,17 +295,6 @@ class FreeModule:
         self.shifts = tuple(shifts)
         self.rank = len(self.shifts)
 
-    def vec(self, terms: dict) -> "Vec":
-        p = self.ring.p
-        clean = {}
-        for (pos, m), c in terms.items():
-            if not 0 <= pos < self.rank:
-                raise ValueError(f"position {pos} out of range")
-            c %= p
-            if c:
-                clean[(pos, tuple(m))] = c
-        return Vec(self, clean)
-
     def zero(self) -> "Vec":
         return Vec(self, {})
 
@@ -369,37 +358,30 @@ class Vec:
         return Vec(self.module, _scale_terms(self.terms, c,
                                              self.module.ring.p))
 
-    def mono_mul(self, mono: Mono, coeff: int = 1) -> "Vec":
-        p = self.module.ring.p
-        coeff %= p
-        if coeff == 0:
-            return Vec(self.module, {})
-        return Vec(self.module,
-                   {(pos, mono_mul(m, mono)): (c * coeff) % p
-                    for (pos, m), c in self.terms.items()})
-
     def poly_mul(self, f: Poly) -> "Vec":
-        out = self.module.zero()
-        for m, c in f.terms.items():
-            out = out + self.mono_mul(m, c)
-        return out
+        p = self.module.ring.p
+        out = {}
+        for m2, c2 in f.terms.items():
+            for (pos, m1), c1 in self.terms.items():
+                t = (pos, mono_mul(m1, m2))
+                v = (out.get(t, 0) + c1 * c2) % p
+                if v:
+                    out[t] = v
+                else:
+                    out.pop(t, None)
+        return Vec(self.module, out)
 
     def component(self, j: int) -> Poly:
         return Poly(self.module.ring,
                     {m: c for (pos, m), c in self.terms.items() if pos == j})
-
-    def to_polys(self) -> list:
-        entries = [{} for _ in range(self.module.rank)]
-        for (pos, m), c in self.terms.items():
-            entries[pos][m] = c
-        return [Poly(self.module.ring, e) for e in entries]
 
     def __eq__(self, other):
         return (isinstance(other, Vec) and self.module == other.module
                 and self.terms == other.terms)
 
     def __str__(self):
-        return "(" + ", ".join(str(f) for f in self.to_polys()) + ")"
+        return "(" + ", ".join(str(self.component(j))
+                               for j in range(self.module.rank)) + ")"
 
     def __repr__(self):
         return f"Vec{self}"

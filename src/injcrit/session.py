@@ -330,8 +330,7 @@ def run_session(session: Session, with_oracle: bool = False) -> dict:
     for name in names:
         M = session.resolve(name)
         try:
-            rep = invariant_report(name, M,
-                                   with_rank=session.ring.domain_flag)
+            rep = invariant_report(name, M)
         except criteria.CAPPED as e:
             rep = {"module": name, "undecided": str(e)}
         invariants.append(rep)

@@ -1,5 +1,6 @@
 """Shared fixtures and helpers: the shipped corpus sessions, common rings,
-the image of a vector under a map given by its columns, normal forms
+the entries of a vector, a vector times a term, the image of a vector
+under a map given by its columns, normal forms
 against a given basis, direct sums of modules, Hom built from a raw
 presentation, type read off Ext over the ring, random presentations,
 and the stress sessions."""
@@ -15,7 +16,8 @@ from injcrit.invariants import depth, dimension, is_cohen_macaulay, length
 from injcrit.poly import PolyRing, Vec
 from injcrit.modules import (GradedModule, RingPresentation, ext,
                              hom_cover_into, induced_hom_map,
-                             kernel_of_cokernel_map, syzygies_over)
+                             kernel_of_cokernel_map, minimalize_presentation,
+                             syzygies_over)
 from injcrit.session import parse_session
 
 # (name, path) of the stress sessions, whose golden bytes tests/golden holds
@@ -64,13 +66,23 @@ def dual_numbers():
     return RingPresentation(S, [x * x])
 
 
+def entries(v: Vec) -> list:
+    """The polynomial entries of v, one per position of its module."""
+    return [v.component(j) for j in range(v.module.rank)]
+
+
+def term_times(v: Vec, m, c: int = 1) -> Vec:
+    """c * m * v for a monomial m."""
+    return v.poly_mul(v.module.ring.poly({m: c}))
+
+
 def apply_columns(columns, v: Vec) -> Vec:
     """Image of v under the map whose j-th generator goes to columns[j]."""
     if not columns:
         raise ValueError("empty column list has no target")
     out = columns[0].module.zero()
     for (pos, m), c in v.terms.items():
-        out = out + columns[pos].mono_mul(m, c)
+        out = out + term_times(columns[pos], m, c)
     return out
 
 
@@ -104,22 +116,20 @@ def hom_module(M: GradedModule, C: GradedModule) -> GradedModule:
     relations.
     """
     ring = M.ring
-    hom0 = hom_cover_into(M.cover, C)
+    hom0, rels0 = hom_cover_into(M.cover, C)
     if not M.relations:
-        return hom0.minimal_model()
+        return minimalize_presentation(ring, hom0.shifts, rels0)
     rel_cover = ring.poly_ring.free_module(
         tuple(r.degree() for r in M.relations))
-    hom1 = hom_cover_into(rel_cover, C)
-    delta = induced_hom_map(M.relations, M.cover.rank, hom1.cover,
-                            C.cover.rank)
-    kernel = kernel_of_cokernel_map(delta, hom0.cover, hom1)
+    hom1, rels1 = hom_cover_into(rel_cover, C)
+    delta = induced_hom_map(M.relations, M.cover.rank, hom1, C.cover.rank)
+    kernel = kernel_of_cokernel_map(ring, delta, hom0, hom1, rels1)
     if not kernel:
         return ring.zero_module()
     gen_degs = tuple(v.degree() for v in kernel)
     sub_cover = ring.poly_ring.free_module(gen_degs)
-    rel_cols = syzygies_over(ring, kernel, sub_cover, hom0.cover,
-                             hom0.relations)
-    return GradedModule(ring, gen_degs, rel_cols).minimal_model()
+    rel_cols = syzygies_over(ring, kernel, sub_cover, hom0, rels0)
+    return minimalize_presentation(ring, gen_degs, rel_cols)
 
 
 def mcm_over_cm(C: GradedModule) -> bool:
@@ -167,5 +177,5 @@ def draw_presentation(data, ring, max_rank=3):
                                             min_size=d - a, max_size=d - a)):
                     exps[v] += 1
                 terms[(pos, tuple(exps))] = data.draw(st.integers(1, 6))
-        rels.append(F.vec(terms))
+        rels.append(Vec(F, terms))
     return GradedModule(ring, shifts, rels)

@@ -26,7 +26,8 @@ from injcrit.oracle import (oracle_ext_dims, oracle_hilbert, oracle_length,
                             oracle_socle_dimension)
 from injcrit.poly import PolyRing
 
-from conftest import apply_columns, ext_route_type, named_modules, normal_form
+from conftest import (apply_columns, entries, ext_route_type, named_modules,
+                      normal_form)
 
 
 @contextmanager
@@ -273,7 +274,7 @@ def test_acceptance_7_structural_invariants(corpus):
                             apply_columns(res.diffs[i], col)).is_zero()
                 for cols in res.diffs:
                     for col in cols:
-                        for entry in col.to_polys():
+                        for entry in entries(col):
                             assert entry.terms.get(
                                 entry.ring._zero_mono, 0) == 0
             # normal-form idempotence and two-way membership for the

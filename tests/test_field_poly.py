@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from injcrit.field import DEFAULT_PRIME, PrimeField
-from injcrit.poly import (GREVLEX, PolyRing, mono_deg, mono_div,
+from injcrit.poly import (GREVLEX, PolyRing, Vec, mono_deg, mono_div,
                           mono_divides, mono_lcm, mono_mul,
                           monomials_of_degree)
 
@@ -126,3 +126,22 @@ def test_free_module_degrees():
     assert v.is_homogeneous() and v.degree() == 2
     w = F.from_polys([x, y])
     assert not w.is_homogeneous()
+
+
+@given(st.data())
+def test_vec_poly_mul_matches_a_sum_of_term_products(data):
+    """v * f is the sum over the terms c m of f of v with every term
+    multiplied by c m, added one term of f at a time: the same terms in
+    the same order.  Over GF(7) terms cancel often."""
+    ring = PolyRing(["x", "y"], p=7)
+    F = ring.free_module((0, 1, 1))
+    mono = st.tuples(st.integers(0, 2), st.integers(0, 2))
+    coeff = st.integers(1, 6)
+    v = Vec(F, data.draw(st.dictionaries(
+        st.tuples(st.integers(0, 2), mono), coeff, max_size=6)))
+    f = ring.poly(data.draw(st.dictionaries(mono, coeff, max_size=4)))
+    want = F.zero()
+    for mf, cf in f.terms.items():
+        want = want + Vec(F, {(pos, mono_mul(m, mf)): c * cf % 7
+                              for (pos, m), c in v.terms.items()})
+    assert list(v.poly_mul(f).terms.items()) == list(want.terms.items())

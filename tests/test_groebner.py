@@ -14,7 +14,7 @@ from injcrit.poly import (FreeModule, PolyRing, Vec, mono_div, mono_divides,
                           mono_lcm, mono_mul, term_key)
 from injcrit.session import parse_session, run_session
 
-from conftest import apply_columns, normal_form
+from conftest import apply_columns, entries, normal_form, term_times
 
 
 def ring2():
@@ -139,7 +139,7 @@ def test_zero_column_yields_its_unit_syzygy():
     # modulo the relation y, x * a_0 lies in (y) iff y divides a_0
     syz = syzygies([F.from_polys([x]), F.zero()], source, F,
                    [F.from_polys([y])])
-    assert syz == [source.vec({(0, (0, 1)): 1}), source.gen(1)]
+    assert syz == [Vec(source, {(0, (0, 1)): 1}), source.gen(1)]
     # a column outside the degree of its source generator is refused
     with pytest.raises(InhomogeneousInputError):
         syzygies([F.from_polys([x * y]), F.zero()], source, F)
@@ -237,7 +237,7 @@ def draw_homogeneous(data, F, d=None):
                                     max_size=d - F.shifts[pos])):
             exps[v] += 1
         terms[(pos, tuple(exps))] = data.draw(st.integers(1, 6))
-    return F.vec(terms)
+    return Vec(F, terms)
 
 
 @settings(max_examples=60, deadline=None)
@@ -285,7 +285,7 @@ def reference_normal_form(v, basis):
         (pos, m), c = reference_lead(v)
         for (gpos, glm), g in basis:
             if gpos == pos and mono_divides(glm, m):
-                v = v - g.mono_mul(mono_div(m, glm), c)
+                v = v - term_times(g, mono_div(m, glm), c)
                 break
         else:
             lt = Vec(v.module, {(pos, m): c})
@@ -316,7 +316,8 @@ def reference_buchberger(gens, F):
         _, i, j = pairs.pop(0)
         ((_, li), gi), ((_, lj), gj) = basis[i], basis[j]
         lcm = mono_lcm(li, lj)
-        s = gi.mono_mul(mono_div(lcm, li)) - gj.mono_mul(mono_div(lcm, lj))
+        s = (term_times(gi, mono_div(lcm, li))
+             - term_times(gj, mono_div(lcm, lj)))
         h = reference_normal_form(s, basis)
         if not h.is_zero():
             add(h)
@@ -424,7 +425,7 @@ def per_component_nf_vec(ring, v):
     mt = ring._ideal_tester()
     return v.module.from_polys([
         mt.normal_form(mt.module.from_polys([f])).component(0)
-        for f in v.to_polys()])
+        for f in entries(v)])
 
 
 @settings(max_examples=80, deadline=None)
@@ -709,7 +710,7 @@ def test_packing_refuses_a_degree_past_the_limit():
         pk.code[(0, (LIMIT, 1))]
     F = PolyRing(["x"]).free_module((0,))
     with pytest.raises(MonomialLimitError):
-        MembershipTester([F.vec({(0, (LIMIT + 1,)): 1})], F)
+        MembershipTester([Vec(F, {(0, (LIMIT + 1,)): 1})], F)
 
 
 def test_reduction_past_the_limit_raises():
@@ -718,8 +719,8 @@ def test_reduction_past_the_limit_raises():
     of degree LIMIT + 10 into the work, which must raise, not wrap."""
     ring = ring2()
     F = ring.free_module((0, -10))
-    tester = MembershipTester([F.vec({(0, (0, 0)): 1, (1, (0, 10)): 1})], F)
+    tester = MembershipTester([Vec(F, {(0, (0, 0)): 1, (1, (0, 10)): 1})], F)
     with pytest.raises(MonomialLimitError):
-        tester.normal_form(F.vec({(0, (LIMIT, 0)): 1}))
-    below = tester.normal_form(F.vec({(0, (LIMIT - 10, 0)): 1}))
-    assert below == F.vec({(1, (LIMIT - 10, 10)): ring.p - 1})
+        tester.normal_form(Vec(F, {(0, (LIMIT, 0)): 1}))
+    below = tester.normal_form(Vec(F, {(0, (LIMIT - 10, 0)): 1}))
+    assert below == Vec(F, {(1, (LIMIT - 10, 10)): ring.p - 1})

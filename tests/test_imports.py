@@ -144,10 +144,7 @@ def test_undefined_annotation_check_catches_leftovers():
 DOTTED = re.compile(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)*")
 
 # definitions that only tests read, and why they stay
-TEST_REFERENCES = {
-    "vec": "a free-module element from a dict of terms, checked and "
-           "reduced mod p, the way tests write their inputs",
-}
+TEST_REFERENCES = {}
 
 
 def references(tree) -> tuple:
@@ -243,8 +240,8 @@ def test_unreferenced_definition_check_catches_leftovers():
 # when any attribute of its name is read, so one of these can be dead while
 # its homonym is live: a new name here is traced by hand before it is added
 HOMONYMS = {"_ensure", "act", "basis", "cache_key", "contains", "degree",
-            "dims", "is_homogeneous", "is_zero", "mono_mul",
-            "multiplicity", "scale", "to_dict", "zero"}
+            "dims", "is_homogeneous", "is_zero", "multiplicity",
+            "scale", "to_dict", "zero"}
 
 
 def method_homonyms(defining: dict) -> set:

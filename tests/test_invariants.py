@@ -205,7 +205,8 @@ def kernel_route_socle_dimension(M):
                                                    for v in range(n))): 1
                                 for i in range(n)})
             for j in range(g)]
-    K = kernel_of_cokernel_map(cols, shifted, stacked)
+    K = kernel_of_cokernel_map(ring, cols, shifted, stacked.cover,
+                               stacked.relations)
     images = [Vec(M.cover, dict(k.terms)) for k in K]
     return lM - length(GradedModule(ring, M.shifts,
                                     list(M.relations) + images))
@@ -219,7 +220,8 @@ def kernel_route_is_regular(M, x):
     shifted = GradedModule(
         ring, tuple(a + (x.degree() or 0) for a in M.shifts), M.relations)
     cols = [M.cover.gen(j).poly_mul(x) for j in range(M.cover.rank)]
-    K = kernel_of_cokernel_map(cols, shifted.cover, M)
+    K = kernel_of_cokernel_map(ring, cols, shifted.cover, M.cover,
+                               M.relations)
     return all(shifted.contains(k) for k in K)
 
 

@@ -25,9 +25,10 @@ from injcrit.oracle import (DualTable, FreeTable, ModuleTable,
                             OracleResolution, TruncationError, matlis_dual,
                             oracle_ext_dims, oracle_hilbert, oracle_length,
                             oracle_socle_dimension, ring_table)
-from injcrit.poly import GREVLEX, PolyRing, mono_mul, monomials_of_degree
+from injcrit.poly import (GREVLEX, PolyRing, Vec, mono_mul,
+                          monomials_of_degree)
 
-from conftest import named_modules
+from conftest import entries, named_modules
 from test_acceptance import random_artinian_instance
 
 
@@ -434,7 +435,7 @@ def _random_artinian_module(rng):
             for _ in range(deg - a):
                 m[rng.randrange(n)] += 1
             terms[pos, tuple(m)] = rng.randrange(1, S.p)
-        rels.append(F.vec(terms))
+        rels.append(Vec(F, terms))
     return GradedModule(ring, shifts, rels)
 
 
@@ -739,7 +740,8 @@ def _at_prime(M, p):
     ring = RingPresentation(S, [S.poly(g.terms) for g in M.ring.ideal_gens])
     F = S.free_module(M.shifts)
     return GradedModule(ring, M.shifts,
-                        [F.vec(dict(r.terms)) for r in M.relations])
+                        [F.from_polys([S.poly(f.terms) for f in entries(r)])
+                         for r in M.relations])
 
 
 def test_coboundaries_match_the_per_entry_loop():
