@@ -8,7 +8,10 @@ unchanged.  The same sessions run with a small resolution cap exercise
 the ``undecided`` paths that the uncapped output never reaches; those
 outputs are pinned by their sha256, and so is the ``--json oracle``
 output of the corpus sessions, whose dense cross-check values reach the
-engine only through the Matlis dual's presentation.  Files under
+engine only through the Matlis dual's presentation.  So are the human
+``check`` report and both forms of ``invariants`` on the same twelve
+sessions, which read the hypotheses and invariants a different way from
+``--json check``.  Files under
 ``bench`` are only read here.  The four stress sessions in
 ``tests/sessions``, whose Bass numbers and resolutions take far more
 work, are pinned byte for byte in ``tests/golden``, with their exit
@@ -176,6 +179,84 @@ ORACLE = {
         "e9432991fdb35feaf84f21a6c73ddd8c0fc9749e6ae6736e13c659bc0e91eb09"),
 }
 
+# (verb, session): (exit code, sha256 of the output) of the human
+# ``check`` report, which emit_human builds from the hypotheses, and
+# of both forms of ``invariants``, on the corpus and bench sessions
+HUMAN = {
+    ("check", "gorenstein_node"): (0,
+        "29e137c07792b1674c5b1b0336dabfd2227bd504a761a0db2efe6583ee28fb28"),
+    ("check", "hypersurface_cubic"): (0,
+        "9e1458aacf5cdecb02b2d78b1ab518a03dc57bed05030e893d0be4b5307955db"),
+    ("check", "hypersurface_dim0"): (0,
+        "21545a79f73e08594d57dfdcd9a3f48e41badd6ea6deb74705be998dde2f5dd3"),
+    ("check", "hypersurface_domain"): (0,
+        "b307a42addf6e71e5f2d304524309b33cb65bfff85c81e0b40a277f1c20b7783"),
+    ("check", "noncm_plane"): (0,
+        "740fc91a63863e75a92fecbfa7b8fdccc8df88302e164fc7047e4a4f6b214847"),
+    ("check", "quadric_cone"): (0,
+        "74973a787aea55a7e7ddec05365a9892467b39e3cf62750726a982ac02882cdc"),
+    ("check", "regular_line"): (0,
+        "9935e1ace2718b5f278bd72b710d11236e8dac2ab827000f489da4878d9f423a"),
+    ("check", "regular_plane"): (0,
+        "acaa37b700adfa12608ca31af87129a57c7a102138e879e8b378e96bf38cba81"),
+    ("check", "three_lines"): (0,
+        "3ad1c6f7865547561ab76f55ffb19e76f47a35809cf4d8c88f20a8b0dfe4f393"),
+    ("check", "type2_artinian"): (0,
+        "f97164f66c403b1ab10bfeee1a341ca3eb2d50fd2181706a6cf4ceb5d2ec79b5"),
+    ("check", "ci_two_quadrics"): (0,
+        "4f5f62ff3608bfc703a95ad3423b6826dee7ff63b39ba764d5b5d502e45c5fe7"),
+    ("check", "segre_quadric_modules"): (0,
+        "0a88fc6b425bdc4d04c59ce622b7a0b30be4b56cafb249642f3c92c895662281"),
+    ("invariants", "gorenstein_node"): (0,
+        "83128a0d4b8abae36d7c11fca4ee609dc4fb6381b179e7ba69fa61b4c4ad4de3"),
+    ("invariants", "hypersurface_cubic"): (0,
+        "57d40b8a919e5f7be64c3fabd5e4d23210557d07edcffc7ba55dfbccb34fbe36"),
+    ("invariants", "hypersurface_dim0"): (0,
+        "61fcc2ce6adbef63f74bef4c6fb31625487f484c7d2db1d4daca2687aca60f87"),
+    ("invariants", "hypersurface_domain"): (0,
+        "9d432c6466dd8e2e4be17bf78cd5433f689daa7dc0e2e0cb443cd18c5458e3ab"),
+    ("invariants", "noncm_plane"): (0,
+        "1a26a42013571068b4aaace2a5833c7aad81472f02adc5683f51dcd0f63feae1"),
+    ("invariants", "quadric_cone"): (0,
+        "830a142b0cf650641933071aa4d611a2d88295a7d11114debb591710abc37263"),
+    ("invariants", "regular_line"): (0,
+        "89f73481a6e352b9e5e77fc54d17e65fabe558b8b99a82feb0f8f3e00b862489"),
+    ("invariants", "regular_plane"): (0,
+        "1c6844a65479a81ee0c733a1d878e0b563b283e1a21f5c6890f183db3d955eaf"),
+    ("invariants", "three_lines"): (0,
+        "305e635270af325c43cbb7104ec9b99330c7c3fed317b847190fdad12d300cea"),
+    ("invariants", "type2_artinian"): (0,
+        "296c6842824d68ace4a216628127412922efad2cd4a4ec78a2afab1f23711f81"),
+    ("invariants", "ci_two_quadrics"): (0,
+        "9662e7c237868375c8fa8c840d3deced2bd0f246fa03b07b4d3115851d88934a"),
+    ("invariants", "segre_quadric_modules"): (0,
+        "6233a24e1937121971e7aff619a0e60deaa27debde6eeebeccdd7ba742e4d6fa"),
+    ("--json invariants", "gorenstein_node"): (0,
+        "af2a6c6ba525df92a93509c0308829ed0061b654874a2379d4a8283c6045dc47"),
+    ("--json invariants", "hypersurface_cubic"): (0,
+        "5f96b54bebddd21bd07a458738adf0654e1fbbb3924f0c0d2f0361c9a2c758ca"),
+    ("--json invariants", "hypersurface_dim0"): (0,
+        "ee228040e4a144c757b8b02d62bbe589cc25a1d8a48e165ddf64d6505cdcb737"),
+    ("--json invariants", "hypersurface_domain"): (0,
+        "b966810686408368543744da03670c204b890183917cd684b8206818119d5d1c"),
+    ("--json invariants", "noncm_plane"): (0,
+        "7b2997dc050a99df3a6cbc91e22a1e8e8bb9ac07b5afa66739e2104c5707ca96"),
+    ("--json invariants", "quadric_cone"): (0,
+        "2f2a5ea0496214fa6fba919dc4299f99dcc53487dcb2e9a059551c8149baa9a3"),
+    ("--json invariants", "regular_line"): (0,
+        "8ff8b6d3a318fc858cdd9c000f652c08e5344bf0f78c0cbc9742a72258141799"),
+    ("--json invariants", "regular_plane"): (0,
+        "931822a2e6bfa79546e37ddc1d728950d2005c45ea30ca7989a8cf62a936f9af"),
+    ("--json invariants", "three_lines"): (0,
+        "7e1a306f2285e14b3c4d5548bc608d97fedee51feaa0777729ecfaa6a3e8b665"),
+    ("--json invariants", "type2_artinian"): (0,
+        "47c0f82d3ab50f9a60cde394aa20f73e3476f1b37569868d81cce0951f28ce07"),
+    ("--json invariants", "ci_two_quadrics"): (0,
+        "4023d48802e161e4e8c052fc5272eaaee25e547227c41484dd35cf449a58df7f"),
+    ("--json invariants", "segre_quadric_modules"): (0,
+        "5f79b3c3a03e221f7a4e9a7fa0b378a06dc77a158191768c0d75508c7ead50e5"),
+}
+
 
 def _check_json(path, *flags):
     return main(["--json", *flags, "check", str(path)])
@@ -285,3 +366,12 @@ def test_oracle_json_matches_digest(name, capsys):
     code = main(["--json", "oracle", str(SESSIONS[name])])
     out = capsys.readouterr().out.encode("utf-8")
     assert (code, hashlib.sha256(out).hexdigest()) == ORACLE[name]
+
+
+@pytest.mark.parametrize("verb,name", sorted(HUMAN),
+                         ids=[f"{v.replace(' ', '')}-{n}"
+                              for v, n in sorted(HUMAN)])
+def test_human_and_invariants_output_matches_digest(verb, name, capsys):
+    code = main([*verb.split(), str(SESSIONS[name])])
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (code, hashlib.sha256(out).hexdigest()) == HUMAN[verb, name]
