@@ -39,15 +39,10 @@ _MCM_FINITE_INJDIM = ("R is Cohen-Macaulay and C is maximal Cohen-Macaulay "
                       "with finite injective dimension")
 
 
-class Hypothesis:
-    def __init__(self, name: str, status: str, values: Optional[dict] = None):
-        self.name = name
-        self.status = status            # "pass" | "fail" | "undecided"
-        self.values = {} if values is None else values
-
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status,
-                "values": self.values}
+def _hypothesis(name: str, status: str, values: dict) -> dict:
+    """One hypothesis of a report, as it is printed: its name, its status
+    ("pass", "fail" or "undecided") and the values it was decided on."""
+    return {"name": name, "status": status, "values": values}
 
 
 class CriterionReport:
@@ -56,8 +51,9 @@ class CriterionReport:
     A checker makes it first, from the id and the conclusion, and runs
     each capped computation through get, which keeps the reason in
     undecided; report, failed or unresolved then set the inputs and the
-    hypotheses.  Later steps, the verification included, extend that one
-    list, so a cap met late leaves the report undecided.
+    hypotheses, each the dict _hypothesis builds and to_dict lists as it
+    is.  Later steps, the verification included, extend that one list of
+    reasons, so a cap met late leaves the report undecided.
     """
 
     def __init__(self, criterion: str, conclusion: str):
@@ -88,7 +84,7 @@ class CriterionReport:
         self.undecided.clear()
         if conclusion:
             self.conclusion = conclusion
-        return self.report(inputs, [Hypothesis(name, "fail", values)])
+        return self.report(inputs, [_hypothesis(name, "fail", values)])
 
     def unresolved(self, inputs: dict, *reasons) -> CriterionReport:
         """The report of a checker stopped by a capped input computation,
@@ -100,14 +96,14 @@ class CriterionReport:
     @property
     def asserted(self) -> bool:
         return (not self.undecided
-                and all(h.status == "pass" for h in self.hypotheses))
+                and all(h["status"] == "pass" for h in self.hypotheses))
 
     @property
     def verdict(self) -> str:
-        if self.undecided or any(h.status == "undecided"
+        if self.undecided or any(h["status"] == "undecided"
                                  for h in self.hypotheses):
             return "undecided"
-        if not all(h.status == "pass" for h in self.hypotheses):
+        if not all(h["status"] == "pass" for h in self.hypotheses):
             return "not_applicable"
         if self.verification["status"] == "fail":
             return "engine_bug"
@@ -116,7 +112,7 @@ class CriterionReport:
     def to_dict(self) -> dict:
         return {"criterion": self.criterion,
                 "inputs": self.inputs,
-                "hypotheses": [h.to_dict() for h in self.hypotheses],
+                "hypotheses": list(self.hypotheses),
                 "conclusion": self.conclusion,
                 "asserted": self.asserted,
                 "verification": self.verification,
@@ -155,20 +151,20 @@ def _mult_or_zero(E: Optional[GradedModule]) -> Optional[int]:
     return 0 if E.is_zero() else multiplicity(E)
 
 
-def _at_most(name: str, lhs: Optional[int], rhs: Optional[int]) -> Hypothesis:
+def _at_most(name: str, lhs: Optional[int], rhs: Optional[int]) -> dict:
     """lhs <= rhs, undecided while either side is unknown."""
-    return Hypothesis(name, _status(None if None in (lhs, rhs)
-                                    else lhs <= rhs),
-                      {"lhs": lhs, "rhs": rhs})
+    return _hypothesis(name, _status(None if None in (lhs, rhs)
+                                     else lhs <= rhs),
+                       {"lhs": lhs, "rhs": rhs})
 
 
 def _length(E: Optional[GradedModule]) -> Optional[int]:
     return None if E is None else length(E)
 
 
-def _vanishing(name: str, l: Optional[int], key: str) -> Hypothesis:
+def _vanishing(name: str, l: Optional[int], key: str) -> dict:
     """A module of length l is zero, recording l under key."""
-    return Hypothesis(name, _status(None if l is None else l == 0), {key: l})
+    return _hypothesis(name, _status(None if l is None else l == 0), {key: l})
 
 
 # the name of T2.4's vanishing window, which L2.2 also requires
@@ -176,17 +172,17 @@ _WINDOW = "Ext^i(M,C) = 0 for r-s+1 <= i <= r+1"
 
 
 def _vanishing_window(chk: CriterionReport, M: GradedModule, C: GradedModule,
-                      lo: int, hi: int, name: str = _WINDOW) -> Hypothesis:
+                      lo: int, hi: int, name: str = _WINDOW) -> dict:
     """Ext^i(M,C) = 0 for lo <= i <= hi, recording the window {i: length
     or dimension marker}; undecided if any computation was capped."""
     window = {}
     for i in range(lo, hi + 1):
         E = chk.get(ext, M, C, i)
         if E is None:
-            return Hypothesis(name, "undecided", {})
+            return _hypothesis(name, "undecided", {})
         window[i] = 0 if E.is_zero() else (length(E) or -1)
-    return Hypothesis(name, _status(all(v == 0 for v in window.values())),
-                      {"window": window})
+    return _hypothesis(name, _status(all(v == 0 for v in window.values())),
+                       {"window": window})
 
 
 def _main_conditions(chk: CriterionReport, M: GradedModule, C: GradedModule,
@@ -204,9 +200,9 @@ def _main_conditions(chk: CriterionReport, M: GradedModule, C: GradedModule,
 
 
 def _cohen_macaulay(chk: CriterionReport, X: GradedModule,
-                    label: str) -> Hypothesis:
-    return Hypothesis(f"{label} Cohen-Macaulay",
-                      _status(chk.get(is_cohen_macaulay, X)), {})
+                    label: str) -> dict:
+    return _hypothesis(f"{label} Cohen-Macaulay",
+                       _status(chk.get(is_cohen_macaulay, X)), {})
 
 
 def _mcm_preamble(chk: CriterionReport, R: GradedModule, d: Optional[int],
@@ -217,8 +213,8 @@ def _mcm_preamble(chk: CriterionReport, R: GradedModule, d: Optional[int],
     dX = chk.get(dimension, X)
     depX = chk.get(depth, X)
     mcm = None if None in (dX, depX, d) else dX == depX == d
-    hyps.append(Hypothesis(f"{label} maximal Cohen-Macaulay", _status(mcm),
-                           {"dim": dX, "depth": depX, **extra}))
+    hyps.append(_hypothesis(f"{label} maximal Cohen-Macaulay", _status(mcm),
+                            {"dim": dX, "depth": depX, **extra}))
     return hyps
 
 
@@ -247,8 +243,8 @@ def check_lemma_mult_length(M: GradedModule, xs: list,
     """e(M) equals the length of M cut by the linear parameter system
     xs, as find_regular_sop(M, seed) verifies it (criterion id L2.1)."""
     chk = CriterionReport("L2.1", "e(M) = l(M / xM)")
-    hyps = [Hypothesis("certificate verified", "pass",
-                       {"elements": [str(x) for x in xs], "seed": seed}),
+    hyps = [_hypothesis("certificate verified", "pass",
+                        {"elements": [str(x) for x in xs], "seed": seed}),
             _cohen_macaulay(chk, M, "M")]
     e = chk.get(multiplicity, M)
     l = chk.get(length, quotient_by_sequence(M, xs))
@@ -283,8 +279,8 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
                           "transfer of the sequence to the Ext module",
                           r=r, s=s)
     hyps = [_cohen_macaulay(chk, M, "M"),
-            Hypothesis("sequence length = dim M",
-                       _status(len(xs) == s), {"length": len(xs), "s": s}),
+            _hypothesis("sequence length = dim M",
+                        _status(len(xs) == s), {"length": len(xs), "s": s}),
             _vanishing_window(chk, M, C, r - s + 1, r + 1)]
     report = chk.report(inputs, hyps)
     if not report.asserted:
@@ -317,7 +313,9 @@ def check_regseq_transfer(M: GradedModule, C: GradedModule,
                          == {e - delta: c for e, c
                              in hilbert_series(N).numerator.items()})
         ga = sorted(ER.shifts)
-        gb = sorted(a - delta for a in N.minimal_model().shifts)
+        # N = E/(xs)E: E is minimal and the xs are linear forms, so no
+        # relation of N has a unit entry and its generators are minimal
+        gb = sorted(a - delta for a in N.shifts)
         iso_ok = hilbert_match and ga == gb
         checks["base_change_iso"] = iso_ok
         checks["iso_report"] = {"hilbert_match": hilbert_match,
@@ -466,8 +464,8 @@ def check_moreover_clause(C: GradedModule, M_verified: GradedModule,
               "r": r, "s": s, "modules": [N.name or f"N{i}"
                                           for i, N in enumerate(others)]}
     report = chk.report(inputs, [
-        Hypothesis("main criterion verified for M", _verdict_status(base),
-                   {"verdict": base.verdict})])
+        _hypothesis("main criterion verified for M", _verdict_status(base),
+                    {"verdict": base.verdict})])
     if not report.asserted or r is None or s is None or t is None:
         return report
     per_module = []
@@ -479,12 +477,12 @@ def check_moreover_clause(C: GradedModule, M_verified: GradedModule,
             entry["skipped"] = f"not CM of dimension {s}"
             continue
         bound, window = _main_conditions(chk, N, C, t, r - s, r + 1)
-        if "undecided" in (bound.status, window.status):
+        if "undecided" in (bound["status"], window["status"]):
             entry["undecided"] = True
             continue
-        entry.update(bound.values)
+        entry.update(bound["values"])
         entry["equality"] = entry["lhs"] == entry["rhs"]
-        entry["window_zero"] = window.status == "pass"
+        entry["window_zero"] = window["status"] == "pass"
     # a decided module that breaks a condition fails the clause; short of
     # that, an undecided module leaves it undecided
     ok = all(e["equality"] and e["window_zero"]
@@ -510,8 +508,8 @@ def check_claim_multiplicity(C: GradedModule,
               "type_C": t}
     hyps = _mcm_preamble(chk, R, d, M, "M")
     bass = verify_finite_injdim_bass(C)
-    hyps.append(Hypothesis("C maximal Cohen-Macaulay with finite "
-                           "injective dimension", _verdict_status(bass), {}))
+    hyps.append(_hypothesis("C maximal Cohen-Macaulay with finite "
+                            "injective dimension", _verdict_status(bass), {}))
     report = chk.report(inputs, hyps)
     if not report.asserted or t is None:
         return report
@@ -540,9 +538,9 @@ def check_gorenstein_criterion(M: GradedModule) -> CriterionReport:
         return chk.unresolved(inputs)
     hyps = [_cohen_macaulay(chk, M, "M")]
     s = chk.get(dimension, M)
-    hyps.append(Hypothesis("dim M = depth R",
-                           _status(None if s is None else s == r),
-                           {"dim_M": s, "depth_R": r}))
+    hyps.append(_hypothesis("dim M = depth R",
+                            _status(None if s is None else s == r),
+                            {"dim_M": s, "depth_R": r}))
     hyps += _main_conditions(chk, M, R, tR, 0, r + 1,
                              "r(R) e(M) <= e(Hom(M,R))",
                              "Ext^i(M,R) = 0 for 1 <= i <= depth R + 1")
@@ -588,14 +586,14 @@ def check_rank_criterion(C: GradedModule) -> CriterionReport:
     hyps = _mcm_preamble(chk, R, d, C, "C")
     rk = chk.get(rank, C)
     # a missing rank is undecided only once some computation was capped
-    hyps.append(Hypothesis("C has a rank (flagged domain)",
-                           _status(None if rk is None and chk.undecided
-                                   else rk is not None),
-                           {"rank": rk}))
-    hyps.append(Hypothesis("r(C) <= rank(C)",
-                           _status(None if None in (t, rk) and chk.undecided
-                                   else None not in (t, rk) and t <= rk),
-                           {"type": t, "rank": rk}))
+    hyps.append(_hypothesis("C has a rank (flagged domain)",
+                            _status(None if rk is None and chk.undecided
+                                    else rk is not None),
+                            {"rank": rk}))
+    hyps.append(_hypothesis("r(C) <= rank(C)",
+                            _status(None if None in (t, rk) and chk.undecided
+                                    else None not in (t, rk) and t <= rk),
+                            {"type": t, "rank": rk}))
     report = chk.report(inputs, hyps)
     if not report.asserted:
         return report

@@ -21,8 +21,8 @@ from typing import Optional
 # buchberger is re-exported: bench/tracer.py wraps it under this name too.
 from .groebner import buchberger  # noqa: F401
 from .modules import (GradedModule, RingPresentation, ZeroModuleError,
-                      quotient_by_sequence, resolution)
-from .poly import (Poly, Vec, mono_deg, mono_div, mono_divides, mono_lcm,
+                      induced_hom_map, quotient_by_sequence, resolution)
+from .poly import (Poly, mono_deg, mono_div, mono_divides, mono_lcm,
                    monomials_of_degree)
 
 
@@ -201,21 +201,20 @@ def type_of(M: GradedModule) -> int:
 def canonical_module(ring: RingPresentation) -> GradedModule:
     """omega_R = Ext^c_S(R, S)(-n) at c = pd_S R, the canonical module of
     a Cohen-Macaulay R (Bruns-Herzog, Sections 3.3 and 3.6): the cokernel
-    of the transposed last map of the uncapped minimal S-resolution of R
-    that depth builds, its generators, dual to the last module's
-    S(-b_j), in degrees n - b_j (for R = S, S(-n)); cached on the ring."""
+    of Hom(d_c, S), the dual of the last map of the uncapped minimal
+    S-resolution of R that depth builds, whose columns induced_hom_map
+    gives as it does for every Ext; its generators, dual to the last
+    module's S(-b_j), lie in degrees n - b_j (for R = S, S(-n)).  Cached
+    on the ring."""
     if "omega" not in ring._cache:
         n = ring.poly_ring.n
         res = resolution(ring.as_module(), "S", steps=n + 2)
         c = res.num_diffs
         shifts = tuple(n - b for b in res.covers[c].shifts)
         cover = ring.poly_ring.free_module(shifts)
-        rows = {}
-        for j, col in enumerate(res.diffs[c - 1] if c else ()):
-            for (i, m), coef in col.terms.items():
-                rows.setdefault(i, {})[j, m] = coef
-        ring._cache["omega"] = GradedModule(
-            ring, shifts, [Vec(cover, rows[i]) for i in sorted(rows)])
+        rels = (induced_hom_map(res.diffs[c - 1], res.covers[c - 1].rank,
+                                cover, 1) if c else [])
+        ring._cache["omega"] = GradedModule(ring, shifts, rels)
     return ring._cache["omega"]
 
 

@@ -202,12 +202,8 @@ class GradedModule:
                 self.cover)
         return self._cache["rel_mt"]
 
-    def contains(self, v: Vec) -> bool:
-        """True iff v (in the free cover) maps to zero in the module."""
-        return self.rel_tester.contains(v)
-
     def is_zero(self) -> bool:
-        return all(self.contains(self.cover.gen(j))
+        return all(self.rel_tester.contains(self.cover.gen(j))
                    for j in range(self.cover.rank))
 
     # -- derived presentations --------------------------------------------
@@ -218,11 +214,8 @@ class GradedModule:
         return self._cache["minimal"]
 
     def cache_key(self):
-        rel_keys = sorted(
-            tuple(sorted((pos,) + tuple(m) + (c,)
-                         for (pos, m), c in col.terms.items()))
-            for col in self.relations)
-        return (self.ring.cache_key(), self.shifts, tuple(rel_keys))
+        return (self.ring.cache_key(), self.shifts,
+                tuple(sorted(map(_vec_sort_key, self.relations))))
 
     def __repr__(self):
         label = self.name or "module"
@@ -472,7 +465,7 @@ def ext(M: GradedModule, C: GradedModule, i: int) -> GradedModule:
     if key in M._cache:
         return M._cache[key]
     res = resolution(M, "R", steps=i + 1)
-    E = ring.zero_module()
+    kernel = []
     if i <= res.num_diffs:
         gC = C.cover.rank
         hom_i, rels_i = hom_cover_into(res.covers[i], C)
@@ -484,18 +477,20 @@ def ext(M: GradedModule, C: GradedModule, i: int) -> GradedModule:
                                             rels_ip1)
         else:  # F_{i+1} = 0: the unit vectors are minimal generators
             kernel = [hom_i.gen(j) for j in range(hom_i.rank)]
-        if kernel:
-            # image of delta^{i-1}
-            psi = []
-            if i >= 1:
-                psi = induced_hom_map(res.diffs[i - 1],
-                                      res.covers[i - 1].rank, hom_i, gC)
-            # relations on K: coefficients c with K c in <psi> + <P>
-            gen_degs = tuple(v.degree() for v in kernel)
-            sub_cover = ring.poly_ring.free_module(gen_degs)
-            rel_cols = syzygies_over(ring, kernel, sub_cover, hom_i,
-                                     psi + rels_i)
-            E = minimalize_presentation(ring, gen_degs, rel_cols)
+    if kernel:
+        # image of delta^{i-1}
+        psi = []
+        if i >= 1:
+            psi = induced_hom_map(res.diffs[i - 1], res.covers[i - 1].rank,
+                                  hom_i, gC)
+        # relations on K: coefficients c with K c in <psi> + <P>
+        gen_degs = tuple(v.degree() for v in kernel)
+        sub_cover = ring.poly_ring.free_module(gen_degs)
+        rel_cols = syzygies_over(ring, kernel, sub_cover, hom_i,
+                                 psi + rels_i)
+        E = minimalize_presentation(ring, gen_degs, rel_cols)
+    else:
+        E = ring.zero_module()
     M._cache[key] = E
     return E
 

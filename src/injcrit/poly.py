@@ -249,10 +249,6 @@ class Poly:
         return max(self.terms, key=GREVLEX.key)
 
     # -- misc --------------------------------------------------------------
-    def sorted_terms(self):
-        return sorted(self.terms.items(),
-                      key=lambda t: GREVLEX.key(t[0]), reverse=True)
-
     def _check(self, other: "Poly"):
         if self.ring != other.ring:
             raise ValueError("polynomials from different rings")
@@ -265,7 +261,8 @@ class Poly:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in self.sorted_terms():
+        for m, c in sorted(self.terms.items(),
+                           key=lambda t: GREVLEX.key(t[0]), reverse=True):
             ms = self.ring.mono_str(m)
             if ms == "1":
                 parts.append(str(c))
@@ -294,9 +291,6 @@ class FreeModule:
         self.ring = ring
         self.shifts = tuple(shifts)
         self.rank = len(self.shifts)
-
-    def zero(self) -> "Vec":
-        return Vec(self, {})
 
     def gen(self, j: int) -> "Vec":
         if not 0 <= j < self.rank:

@@ -80,7 +80,7 @@ def apply_columns(columns, v: Vec) -> Vec:
     """Image of v under the map whose j-th generator goes to columns[j]."""
     if not columns:
         raise ValueError("empty column list has no target")
-    out = columns[0].module.zero()
+    out = Vec(columns[0].module, {})
     for (pos, m), c in v.terms.items():
         out = out + term_times(columns[pos], m, c)
     return out

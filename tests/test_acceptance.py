@@ -156,7 +156,7 @@ def test_acceptance_3_finite_length_criterion(corpus):
         rep = check_finite_length_criterion(session.resolve("k"),
                                             session.resolve("R"))
         assert rep.verdict == "not_applicable"
-        failed = [h.name for h in rep.hypotheses if h.status == "fail"]
+        failed = [h["name"] for h in rep.hypotheses if h["status"] == "fail"]
         assert any("e(" in n or "Ext" in n for n in failed)
 
 

@@ -130,7 +130,7 @@ def test_main_theorem_rejects_large_test_module(corpus):
     noncm = corpus["noncm_plane"]
     rep = check_main_theorem(noncm.resolve("R"), noncm.resolve("R"))
     assert rep.verdict == "not_applicable"
-    assert [h.to_dict() for h in rep.hypotheses] == [
+    assert rep.hypotheses == [
         {"name": "dim M <= depth C", "status": "fail",
          "values": {"r": 0, "s": 1}}]
 
@@ -143,11 +143,11 @@ def test_preconditions_are_not_applicable(node_ring):
     for rep in (check_main_theorem(zero, R),
                 check_moreover_clause(zero, R, [R])):
         assert rep.verdict == "not_applicable"
-    assert check_main_theorem(zero, R).hypotheses[0].name == "C nonzero"
+    assert check_main_theorem(zero, R).hypotheses[0]["name"] == "C nonzero"
     for M, lM in ((R, None), (zero, 0)):
         rep = check_finite_length_criterion(M, R)
         assert rep.verdict == "not_applicable"
-        assert [h.to_dict() for h in rep.hypotheses] == [
+        assert rep.hypotheses == [
             {"name": "0 < l(M) < infinity", "status": "fail",
              "values": {"length_M": lM}}]
 
@@ -280,7 +280,7 @@ def test_undecided_from_tiny_cap():
     session = parse_session(text, {"res_cap": 0})
     rep = check_mcm_inequality(session.resolve("R"))
     assert rep.inputs["type_C"] == 1
-    assert [h.status for h in rep.hypotheses] == ["pass"] * 3
+    assert [h["status"] for h in rep.hypotheses] == ["pass"] * 3
     assert rep.verdict == "pass"
     bass = rep.verification["bass"]
     assert bass["hypotheses"][2]["values"] == {"bass_length": 0}

@@ -114,7 +114,7 @@ def test_zero_columns_get_unit_syzygies():
     x, y = S.gens()
     F = S.free_module((0,))
     source = S.free_module((1, 3, 2))
-    cols = [F.from_polys([x]), F.zero(), F.from_polys([x * x])]
+    cols = [F.from_polys([x]), Vec(F, {}), F.from_polys([x * x])]
     syz = syzygies_over(RingPresentation(S), cols, source, F)
     assert source.gen(1) in syz
     for s in syz:
@@ -133,16 +133,16 @@ def test_zero_column_yields_its_unit_syzygy():
     x, y = ring.gens()
     F = ring.free_module((0,))
     source = ring.free_module((1, 4))
-    syz = syzygies([F.from_polys([x]), F.zero()], source, F)
+    syz = syzygies([F.from_polys([x]), Vec(F, {})], source, F)
     assert syz == [source.gen(1)]
     assert syz[0].degree() == 4
     # modulo the relation y, x * a_0 lies in (y) iff y divides a_0
-    syz = syzygies([F.from_polys([x]), F.zero()], source, F,
+    syz = syzygies([F.from_polys([x]), Vec(F, {})], source, F,
                    [F.from_polys([y])])
     assert syz == [Vec(source, {(0, (0, 1)): 1}), source.gen(1)]
     # a column outside the degree of its source generator is refused
     with pytest.raises(InhomogeneousInputError):
-        syzygies([F.from_polys([x * y]), F.zero()], source, F)
+        syzygies([F.from_polys([x * y]), Vec(F, {})], source, F)
 
 
 def test_inhomogeneous_generators_are_refused():
@@ -151,7 +151,7 @@ def test_inhomogeneous_generators_are_refused():
     ring = ring2()
     x, y = ring.gens()
     F = ring.free_module((0,))
-    gens = [F.zero(), F.from_polys([x * x - y])]
+    gens = [Vec(F, {}), F.from_polys([x * x - y])]
     with pytest.raises(InhomogeneousInputError):
         buchberger(gens, F)
     with pytest.raises(InhomogeneousInputError):
@@ -280,7 +280,7 @@ def reference_lead(v):
 def reference_normal_form(v, basis):
     """Division by monic elements, given as (lead, element), the largest
     term taken by term_key."""
-    rem = v.module.zero()
+    rem = Vec(v.module, {})
     while not v.is_zero():
         (pos, m), c = reference_lead(v)
         for (gpos, glm), g in basis:
@@ -379,7 +379,7 @@ def test_truncated_completion_decides_low_degrees(data):
     for _ in range(4):
         # an element of the submodule of degree e <= d, plus maybe noise
         e = data.draw(st.integers(min(shifts), d))
-        v = F.zero()
+        v = Vec(F, {})
         for g in gens:
             if g.degree() <= e:
                 mult = draw_homogeneous_poly(data, ring, e - g.degree())
@@ -475,7 +475,7 @@ def draw_map(data, F):
     module with one generator in each column's degree (any degree for a
     zero column)."""
     cols = [draw_homogeneous(data, F) if data.draw(st.integers(0, 4))
-            else F.zero()
+            else Vec(F, {})
             for _ in range(data.draw(st.integers(1, 4)))]
     source = F.ring.free_module(tuple(
         c.degree() if not c.is_zero() else data.draw(st.integers(0, 3))

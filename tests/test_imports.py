@@ -9,16 +9,24 @@ of the package must be read by name somewhere in the package or in
 bench/; a method counts as read only as an attribute or in a dotted
 string, since a local variable of its name reads something else.  The
 few definitions that only tests read are listed, each with its reason,
-and so are the few defaults that only tests vary.
+and so are the few defaults that only tests vary.  A method whose name
+another definition shares, where reads by name cannot tell which is
+read, must instead be entered by a real run.
 """
 
 import ast
 import builtins
+import contextlib
+import io
 import re
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
 import injcrit
+from injcrit.cli import main
+from injcrit.oracle import matlis_dual, oracle_ext_dims
+from injcrit.session import parse_session
 
 NOQA = "# noqa: F401"
 
@@ -238,10 +246,10 @@ def test_unreferenced_definition_check_catches_leftovers():
 # method names that another class of the package, or a module-level
 # function, also defines.  unreferenced_definitions counts a method as read
 # when any attribute of its name is read, so one of these can be dead while
-# its homonym is live: a new name here is traced by hand before it is added
-HOMONYMS = {"_ensure", "act", "basis", "cache_key", "contains", "degree",
-            "dims", "is_homogeneous", "is_zero", "multiplicity",
-            "scale", "to_dict", "zero"}
+# its homonym is live, which test_every_homonym_method_runs rules out by
+# requiring a real run to enter each of them
+HOMONYMS = {"_ensure", "act", "basis", "cache_key", "degree", "dims",
+            "is_homogeneous", "is_zero", "multiplicity", "scale"}
 
 
 def method_homonyms(defining: dict) -> set:
@@ -268,6 +276,60 @@ def test_package_method_homonyms_are_pinned():
     assert method_homonyms(
         {path.name: path.read_text()
          for path in sorted(root.glob("*.py"))}) == HOMONYMS
+
+
+def homonym_methods(defining: dict) -> dict:
+    """(file, first line) -> "Class.method" for every method of `defining`
+    (path -> source) whose name HOMONYMS lists.  The first line is the
+    one a call's code object starts at: the first decorator's, if any,
+    as for a property."""
+    out = {}
+    for path, text in defining.items():
+        for cls in ast.walk(ast.parse(text)):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, FUNCTIONS) and node.name in HOMONYMS:
+                    first = min([node.lineno] + [deco.lineno for deco
+                                                 in node.decorator_list])
+                    out[path, first] = f"{cls.name}.{node.name}"
+    return out
+
+
+def test_every_homonym_method_runs():
+    """unreferenced_definitions cannot tell a dead method from a live
+    homonym, so each method named in HOMONYMS must be entered by a real
+    run: the oracle verb, which runs the checks too, over the corpus
+    sessions, then the dense Ext dimensions and the Matlis dual of an
+    artinian ring, all under a profile hook that records the code
+    objects it sees start."""
+    root = Path(injcrit.__file__).parent
+    wanted = homonym_methods({path.resolve(): path.read_text()
+                              for path in sorted(root.glob("*.py"))})
+    corpus = sorted(root.glob("corpus/*.json"))
+    artinian = parse_session((root / "corpus" / "type2_artinian.json")
+                             .read_text())
+    k, R = artinian.resolve("k"), artinian.resolve("R")
+    started = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            started.add((frame.f_code.co_filename,
+                         frame.f_code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for path in corpus:
+                main(["--json", "oracle", str(path)])
+        oracle_ext_dims(k, R, 2)
+        matlis_dual(R)
+    finally:
+        sys.setprofile(None)
+    entered = {(Path(name).resolve(), line) for name, line in started}
+    assert len(corpus) == 10
+    assert {name.split(".")[1] for name in wanted.values()} == HOMONYMS
+    assert sorted(wanted[key] for key in set(wanted) - entered) == []
 
 
 def test_method_homonym_check_catches_shared_names():

@@ -6,18 +6,21 @@ from hypothesis import given, settings, strategies as st
 from injcrit import groebner, modules
 from injcrit.groebner import buchberger
 from injcrit.invariants import (UndecidedError, _ip_add, _ip_shift,
-                                _mono_ideal_numerator, depth, dimension,
-                                find_regular_sop, hilbert_series,
-                                is_cohen_macaulay, length, multiplicity,
-                                projective_dimension_ambient, rank,
-                                regular_cut, socle_dimension, type_of)
+                                _mono_ideal_numerator, canonical_module,
+                                depth, dimension, find_regular_sop,
+                                hilbert_series, is_cohen_macaulay, length,
+                                multiplicity, projective_dimension_ambient,
+                                rank, regular_cut, socle_dimension, type_of)
 from injcrit.modules import (GradedModule, RingPresentation, ZeroModuleError,
-                             kernel_of_cokernel_map, quotient_by_sequence)
+                             ext, kernel_of_cokernel_map,
+                             quotient_by_sequence, resolution)
 from injcrit.oracle import oracle_socle_dimension
 from injcrit.poly import PolyRing, Vec, term_key
+from injcrit.session import parse_session
 
-from conftest import (direct_sum, draw_presentation, draw_xyz_ring,
+from conftest import (STRESS, direct_sum, draw_presentation, draw_xyz_ring,
                       ext_route_type, named_modules)
+from test_acceptance import random_artinian_instance
 
 
 def quotient_ring(varnames, rel_strings, domain=False):
@@ -222,7 +225,7 @@ def kernel_route_is_regular(M, x):
     cols = [M.cover.gen(j).poly_mul(x) for j in range(M.cover.rank)]
     K = kernel_of_cokernel_map(ring, cols, shifted.cover, M.cover,
                                M.relations)
-    return all(shifted.contains(k) for k in K)
+    return all(shifted.rel_tester.contains(k) for k in K)
 
 
 @settings(max_examples=60, deadline=None)
@@ -326,3 +329,52 @@ def test_hilbert_series_reuses_the_relation_tester(monkeypatch, type2_ring):
     assert built[0] == 0
     for R in (ring, type2_ring, quotient_ring("xy", [])):
         assert R._ideal_tester() is R.as_module().rel_tester
+
+
+def transposed_canonical_module(ring):
+    """omega_R as canonical_module built it before it read Hom(d_c, S) off
+    induced_hom_map: row i of the last map d_c of the minimal S-resolution
+    of R, transposed by hand, is the i-th relation."""
+    n = ring.poly_ring.n
+    res = resolution(ring.as_module(), "S", steps=n + 2)
+    c = res.num_diffs
+    shifts = tuple(n - b for b in res.covers[c].shifts)
+    cover = ring.poly_ring.free_module(shifts)
+    rows = {}
+    for j, col in enumerate(res.diffs[c - 1] if c else ()):
+        for (i, m), coef in col.terms.items():
+            rows.setdefault(i, {})[j, m] = coef
+    return GradedModule(ring, shifts,
+                        [Vec(cover, rows[i]) for i in sorted(rows)])
+
+
+def test_canonical_module_matches_the_transposed_last_map(corpus):
+    """omega's presentation, term for term and in order, equals the hand
+    transposition of d_c on the corpus and stress rings and the 200
+    seeded artinian rings of the acceptance battery."""
+    rings = [session.ring for session in corpus.values()]
+    rings += [parse_session(path.read_text()).ring for _, path in STRESS]
+    rings += [random_artinian_instance(seed)[0] for seed in range(1, 201)]
+    for ring in rings:
+        omega, ref = canonical_module(ring), transposed_canonical_module(ring)
+        assert omega.shifts == ref.shifts
+        assert [list(r.terms.items()) for r in omega.relations] == \
+            [list(r.terms.items()) for r in ref.relations]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_a_linear_cut_of_an_ext_module_keeps_its_generators(data):
+    """For E = Ext^i(M, C), which ext returns minimal, and a nonzero
+    linear form x, no relation of E/xE has a unit entry, so its minimal
+    model keeps every generator: L2.2 reads the shifts of E/(xs)E as
+    they are."""
+    ring = draw_xyz_ring(data)
+    M = draw_presentation(data, ring, max_rank=2)
+    C = draw_presentation(data, ring, max_rank=2)
+    S = ring.poly_ring
+    x = S.linear_form(data.draw(st.lists(st.integers(0, S.p - 1),
+                                         min_size=S.n, max_size=S.n
+                                         ).filter(any)))
+    N = quotient_by_sequence(ext(M, C, data.draw(st.integers(0, 2))), [x])
+    assert N.minimal_model().shifts == N.shifts

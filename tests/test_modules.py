@@ -188,7 +188,7 @@ def test_kernel_of_identity_is_relations(node_ring):
     cols = [R.cover.gen(0)]
     K = kernel_of_cokernel_map(node_ring, cols, R.cover, R.cover,
                                R.relations)
-    assert all(R.contains(k) for k in K)
+    assert all(R.rel_tester.contains(k) for k in K)
 
 
 def test_ext_zero_matches_hom(node_ring):
@@ -256,9 +256,12 @@ def test_module_and_reduction_count_over_the_corpus(monkeypatch):
     from 535 to 323: Hom(F, C) is a free cover with relations copied from
     C, the syzygies on Ext's kernel and the lift of a module over S go
     straight to minimalize_presentation, and L2.2 reads the shifts of
-    Ext^r(M/xM, C), already minimal, as they are.  A higher count means
-    a throwaway module came back; a lower one should come with a reason,
-    and a new pin.
+    Ext^r(M/xM, C), already minimal, as they are.  Dropping two
+    throwaways brought them to 137 and 317: ext no longer builds a zero
+    module before it knows Ext^i is zero, and L2.2 reads the shifts of
+    E/(xs)E, whose generators are minimal, without minimalizing it.  A
+    higher count means a throwaway module came back; a lower one should
+    come with a reason, and a new pin.
     """
     count = {"modules": 0, "nf_vec": 0}
     init, nf_vec = GradedModule.__init__, RingPresentation.nf_vec
@@ -277,4 +280,4 @@ def test_module_and_reduction_count_over_the_corpus(monkeypatch):
     for entry in sorted(root.iterdir(), key=lambda e: e.name):
         if entry.name.endswith(".json"):
             run_session(parse_session(entry.read_text()))
-    assert count == {"modules": 173, "nf_vec": 323}
+    assert count == {"modules": 137, "nf_vec": 317}
