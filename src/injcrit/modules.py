@@ -6,17 +6,20 @@ a homogeneous relation matrix).  Every computation over R is realized
 over S by augmenting generator lists with ideal multiples of the ambient
 basis vectors, then projecting back.
 
-Ext modules are built as subquotients ker/im of the dualized resolution
-(Greuel and Pfister, A Singular Introduction to Commutative Algebra,
-sec. 2.8).  Each Hom(F_i, C), a direct sum of shifted copies of C, enters
-only as plain data: a free cover and C's relations copied into it.
-Kernels of cokernel maps come from syzygies, and minimalize_presentation
-turns the last syzygies into the module returned.  Constructing a
-GradedModule reduces every relation mod I, so one is made only for a
-module read as a module: the one ext returns and the minimal model a
-resolution starts from.  GradedModule.is_zero tests every generator
-against the relations.  Each presentation has one Groebner basis, its
-relation tester over S; the ring's is that of R as a module.
+One routine, minimalize_presentation, presents every subquotient: the
+submodule that given vectors generate in the cokernel of given relations,
+minimally (the "modulo" construction of Greuel and Pfister, A Singular
+Introduction to Commutative Algebra, sec. 2.8).  It gives a module's
+minimal model, the module over S that a resolution over S starts from,
+and each Ext module, ker/im of the dualized resolution.  Each
+Hom(F_i, C), a direct sum of shifted copies of C, enters only as plain
+data: a free cover and C's relations copied into it.  Kernels of maps
+come from syzygies.  Constructing a GradedModule reduces every relation
+mod I, so one is made only for a module read as a module: the one ext
+returns and the minimal model a resolution starts from.
+GradedModule.is_zero tests every generator against the relations.  Each
+presentation has one Groebner basis, its relation tester over S; the
+ring's is that of R as a module.
 """
 
 from __future__ import annotations
@@ -210,7 +213,7 @@ class GradedModule:
     def minimal_model(self) -> "GradedModule":
         if "minimal" not in self._cache:
             self._cache["minimal"] = minimalize_presentation(
-                self.ring, self.shifts, self.relations, name=self.name)
+                self.ring, None, self.cover, self.relations)
         return self._cache["minimal"]
 
     def cache_key(self):
@@ -241,26 +244,36 @@ def syzygies_over(ring: RingPresentation, columns, source: FreeModule,
                     list(relations) + ring.ideal_columns(target))
 
 
-def minimal_generators(ring: RingPresentation, vecs,
-                       module: FreeModule) -> list:
-    """A minimal homogeneous generating set of the submodule <vecs> + I*F.
+def minimal_generators(ring: RingPresentation, vecs, module: FreeModule,
+                       base=()) -> list:
+    """The vecs, reduced mod I, that minimally generate the image of <vecs>
+    in F/(<base> + I*F), F the free module `module`.
 
-    By graded Nakayama, greedily keeping generators that are not in the
-    span of lower-or-equal-degree kept ones yields a minimal set.  Deciding
-    that for a candidate of degree d needs the tester's basis only up to
-    degree d, so the tester is completed no further.  The tester starts
-    from ideal_gb * e_j, which under pot is already a Groebner basis of
-    I*F; membership does not depend on the basis, so neither does the
-    result.
+    By graded Nakayama, greedily keeping, lowest degree first, the vectors
+    not in the span of base, I*F and the ones kept before yields a minimal
+    set.  Deciding that for a candidate of degree d needs the tester's
+    basis only up to degree d, so the base elements of degree <= d are
+    installed only when the sieve reaches d, and the tester is completed
+    no further.  The tester starts from ideal_gb * e_j, which under pot is
+    already a Groebner basis of I*F; membership does not depend on the
+    basis, so neither does the result.
     """
     basis = [module.gen(j).poly_mul(g)
              for j in range(module.rank) for g in ring.ideal_gb]
     mt = MembershipTester((), module, basis=basis)
+    pending = sorted((b for b in base if not b.is_zero()), key=_vec_sort_key)
+    installed = 0
     kept = []
     for v in sorted((ring.nf_vec(v) for v in vecs), key=_vec_sort_key):
         if v.is_zero():
             continue
-        mt.complete(v.degree())
+        d = v.degree()
+        while installed < len(pending) and pending[installed].degree() <= d:
+            nf = mt.normal_form(pending[installed])
+            installed += 1
+            if not nf.is_zero():
+                mt.install(nf)
+        mt.complete(d)
         nf = mt.normal_form(v)
         if not nf.is_zero():
             kept.append(v)
@@ -269,66 +282,49 @@ def minimal_generators(ring: RingPresentation, vecs,
 
 
 def kernel_of_cokernel_map(ring: RingPresentation, phi_columns,
-                           source: FreeModule, target: FreeModule,
-                           relations=()) -> list:
-    """Minimal generators of {e in source : phi(e) in <relations>} over R.
+                           source: FreeModule, target: FreeModule) -> list:
+    """Minimal generators of the kernel of phi: source -> target over R.
 
     phi_columns[j] is the image in the free module target of the j-th
     generator of the free module source, in that generator's degree.  The
-    result generates the preimage of zero under source -> coker(relations),
-    read off one syzygy run in which only phi's columns are tagged and the
-    relations enter untagged; that phi is a map of cokernels, when source
-    is a cover, is the caller's to know.
+    result is one syzygy run (syzygies_over) sieved by minimal_generators:
+    the next map of a free resolution.
     """
     if len(phi_columns) != source.rank:
         raise ValueError("one column required per source generator")
     if not phi_columns:
         return []
-    syz = syzygies_over(ring, phi_columns, source, target, relations)
+    syz = syzygies_over(ring, phi_columns, source, target)
     return minimal_generators(ring, syz, source)
 
 
-def minimalize_presentation(ring: RingPresentation, shifts, relations,
-                            name: Optional[str] = None) -> GradedModule:
-    """The module over ring with generators in degrees shifts and the
-    given homogeneous relations, unit entries split off and the relations
-    pruned to a minimal set.
+def minimalize_presentation(ring: RingPresentation, gens,
+                            cover: FreeModule, base) -> GradedModule:
+    """The submodule <gens> of coker(base) over ring, minimally presented;
+    gens None stands for the unit vectors of the free module cover, and so
+    for coker(base) itself.
 
-    The result has a minimal generating set and minimal relations (all
-    relation entries in the irrelevant ideal).  The relations need not be
-    reduced mod I: a unit entry of a homogeneous vector is a constant
-    component, which reduction mod a proper I leaves alone, and
-    minimal_generators reduces every relation that reaches it.  A unit
-    entry is a term at the zero monomial, the pivot the one at the lowest
-    position; the positions are renumbered once, at the end.  One forward
-    pass suffices: by homogeneity, a relation without a unit entry at the
-    pivot's position gets a multiple of positive degree of the pivot
-    relation, so a relation already passed never gains a unit.
+    One routine in three steps, the "modulo" construction (Greuel and
+    Pfister, sec. 2.8): minimal_generators sieves gens against base and
+    I*F, one syzygy run on the kept generators modulo base gives the
+    relations, and minimal_generators prunes those.  The kept generators
+    are minimal, so no relation has a unit entry.  Neither gens nor base
+    need be reduced mod I.  When gens is None and no base element has a
+    constant term, every unit vector is kept and the relations are base
+    itself, so they are pruned without the syzygy run.
     """
-    zero, inv = ring.poly_ring._zero_mono, ring.poly_ring.field.inv
-    rels = list(relations)
-    gone = set()
-    l = 0
-    while l < len(rels):
-        j = min((pos for pos, m in rels[l].terms if m == zero), default=None)
-        if j is None:
-            l += 1
-            continue
-        pivot = rels.pop(l)
-        uinv = inv(pivot.terms[j, zero])
-        for l2, r in enumerate(rels):
-            entry = r.component(j)
-            if not entry.is_zero():
-                rels[l2] = ring.nf_vec(r - pivot.poly_mul(entry.scale(uinv)))
-        gone.add(j)
-    keep = [j for j in range(len(shifts)) if j not in gone]
-    new_pos = {j: i for i, j in enumerate(keep)}
-    cover = ring.poly_ring.free_module(shifts[j] for j in keep)
-    rels = [Vec(cover, {(new_pos[pos], m): c for (pos, m), c in
-                        sorted(r.terms.items(), key=lambda e: e[0][0])})
-            for r in rels if not r.is_zero()]
-    rels = minimal_generators(ring, rels, cover)
-    return GradedModule(ring, cover.shifts, rels, name=name)
+    if gens is None:
+        zero = ring.poly_ring._zero_mono
+        if all(m != zero for b in base for _, m in b.terms):
+            return GradedModule(ring, cover.shifts,
+                                minimal_generators(ring, base, cover))
+        gens = [cover.gen(j) for j in range(cover.rank)]
+    kept = minimal_generators(ring, gens, cover, base)
+    if not kept:
+        return ring.zero_module()
+    sub = ring.poly_ring.free_module(tuple(v.degree() for v in kept))
+    syz = syzygies_over(ring, kept, sub, cover, base)
+    return GradedModule(ring, sub.shifts, minimal_generators(ring, syz, sub))
 
 
 # ---------------------------------------------------------------------------
@@ -391,7 +387,7 @@ def resolution(M: GradedModule, base: str = "R",
             mm = M.minimal_model()
         else:  # M over the ambient polynomial ring
             mm = minimalize_presentation(
-                M.ring.ambient(), M.shifts,
+                M.ring.ambient(), None, M.cover,
                 list(M.relations) + M.ring.ideal_columns(M.cover))
         M._cache[key] = FreeResolution(
             mm, M.ring.res_cap if base == "R" else None)
@@ -448,13 +444,12 @@ def ext(M: GradedModule, C: GradedModule, i: int) -> GradedModule:
     R, resolved to i + 1 steps under the ring's res_cap, and returned as a
     minimal presentation, so that the zero module has no generators;
     cached on M per (C, i).  Hom(F_i, C) and Hom(F_{i+1}, C) enter only as
-    free covers with relations copied from C (hom_cover_into).  The kernel
-    K of Hom(d_i, C) comes from kernel_of_cokernel_map; past the end of
-    the resolution (F_{i+1} = 0) it is all of Hom(F_i, C), generated by
-    its unit vectors.  The relations on K are the preimage of
-    im Hom(d_{i-1}, C) plus the relations of Hom(F_i, C): one syzygy run
-    in which only K's columns are tagged, whose output
-    minimalize_presentation takes as it comes.
+    free covers with relations copied from C (hom_cover_into).  The cycles
+    are one syzygy run of Hom(d_i, C), taken as it comes; past the end of
+    the resolution (F_{i+1} = 0) they are all of Hom(F_i, C).
+    minimalize_presentation sieves them against the boundaries,
+    im Hom(d_{i-1}, C), plus the relations of Hom(F_i, C), so that no
+    cycle that is a boundary is tagged in the relation run on the rest.
     """
     if i < 0:
         raise ValueError("cohomological index must be nonnegative")
@@ -465,32 +460,23 @@ def ext(M: GradedModule, C: GradedModule, i: int) -> GradedModule:
     if key in M._cache:
         return M._cache[key]
     res = resolution(M, "R", steps=i + 1)
-    kernel = []
-    if i <= res.num_diffs:
+    if i > res.num_diffs:  # F_i = 0
+        E = ring.zero_module()
+    else:
         gC = C.cover.rank
         hom_i, rels_i = hom_cover_into(res.covers[i], C)
+        cycles = None  # F_{i+1} = 0: all of Hom(F_i, C)
         if i < res.num_diffs:
             hom_ip1, rels_ip1 = hom_cover_into(res.covers[i + 1], C)
             delta = induced_hom_map(res.diffs[i], res.covers[i].rank,
                                     hom_ip1, gC)
-            kernel = kernel_of_cokernel_map(ring, delta, hom_i, hom_ip1,
-                                            rels_ip1)
-        else:  # F_{i+1} = 0: the unit vectors are minimal generators
-            kernel = [hom_i.gen(j) for j in range(hom_i.rank)]
-    if kernel:
-        # image of delta^{i-1}
-        psi = []
+            cycles = syzygies_over(ring, delta, hom_i, hom_ip1, rels_ip1)
+        boundaries = []
         if i >= 1:
-            psi = induced_hom_map(res.diffs[i - 1], res.covers[i - 1].rank,
-                                  hom_i, gC)
-        # relations on K: coefficients c with K c in <psi> + <P>
-        gen_degs = tuple(v.degree() for v in kernel)
-        sub_cover = ring.poly_ring.free_module(gen_degs)
-        rel_cols = syzygies_over(ring, kernel, sub_cover, hom_i,
-                                 psi + rels_i)
-        E = minimalize_presentation(ring, gen_degs, rel_cols)
-    else:
-        E = ring.zero_module()
+            boundaries = induced_hom_map(res.diffs[i - 1],
+                                         res.covers[i - 1].rank, hom_i, gC)
+        E = minimalize_presentation(ring, cycles, hom_i,
+                                    boundaries + rels_i)
     M._cache[key] = E
     return E
 
@@ -506,4 +492,4 @@ def quotient_by_sequence(M: GradedModule, xs) -> GradedModule:
             raise ValueError(f"inhomogeneous element {x}")
         for j in range(M.cover.rank):
             rels.append(M.cover.gen(j).poly_mul(x))
-    return GradedModule(M.ring, M.shifts, rels, name=M.name)
+    return GradedModule(M.ring, M.shifts, rels)

@@ -100,12 +100,6 @@ def _add_terms(a: dict, b: dict, p: int) -> dict:
     return out
 
 
-def _scale_terms(terms: dict, c: int, p: int) -> dict:
-    """c times a term dict, mod p."""
-    c %= p
-    return {t: (c * v) % p for t, v in terms.items()} if c else {}
-
-
 # ---------------------------------------------------------------------------
 # polynomial ring
 
@@ -216,9 +210,6 @@ class Poly:
     def __neg__(self) -> "Poly":
         p = self.ring.p
         return Poly(self.ring, {m: p - c for m, c in self.terms.items()})
-
-    def scale(self, c: int) -> "Poly":
-        return Poly(self.ring, _scale_terms(self.terms, c, self.ring.p))
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check(other)
@@ -344,13 +335,6 @@ class Vec:
     def __add__(self, other: "Vec") -> "Vec":
         return Vec(self.module, _add_terms(self.terms, other.terms,
                                            self.module.ring.p))
-
-    def __sub__(self, other: "Vec") -> "Vec":
-        return self + other.scale(-1)
-
-    def scale(self, c: int) -> "Vec":
-        return Vec(self.module, _scale_terms(self.terms, c,
-                                             self.module.ring.p))
 
     def poly_mul(self, f: Poly) -> "Vec":
         p = self.module.ring.p

@@ -1,6 +1,6 @@
 """Shared fixtures and helpers: the shipped corpus sessions, common rings,
-the entries of a vector, a vector times a term, the image of a vector
-under a map given by its columns, normal forms
+the entries of a vector, a vector times a term or a scalar, the image of
+a vector under a map given by its columns, normal forms
 against a given basis, direct sums of modules, Hom built from a raw
 presentation, type read off Ext over the ring, random presentations,
 and the stress sessions."""
@@ -16,8 +16,7 @@ from injcrit.invariants import depth, dimension, is_cohen_macaulay, length
 from injcrit.poly import PolyRing, Vec
 from injcrit.modules import (GradedModule, RingPresentation, ext,
                              hom_cover_into, induced_hom_map,
-                             kernel_of_cokernel_map, minimalize_presentation,
-                             syzygies_over)
+                             minimalize_presentation, syzygies_over)
 from injcrit.session import parse_session
 
 # (name, path) of the stress sessions, whose golden bytes tests/golden holds
@@ -76,6 +75,13 @@ def term_times(v: Vec, m, c: int = 1) -> Vec:
     return v.poly_mul(v.module.ring.poly({m: c}))
 
 
+def scaled(f, c: int):
+    """c * f for a polynomial or a vector f."""
+    if isinstance(f, Vec):
+        return term_times(f, f.module.ring._zero_mono, c)
+    return f * f.ring.constant(c)
+
+
 def apply_columns(columns, v: Vec) -> Vec:
     """Image of v under the map whose j-th generator goes to columns[j]."""
     if not columns:
@@ -117,19 +123,15 @@ def hom_module(M: GradedModule, C: GradedModule) -> GradedModule:
     """
     ring = M.ring
     hom0, rels0 = hom_cover_into(M.cover, C)
-    if not M.relations:
-        return minimalize_presentation(ring, hom0.shifts, rels0)
-    rel_cover = ring.poly_ring.free_module(
-        tuple(r.degree() for r in M.relations))
-    hom1, rels1 = hom_cover_into(rel_cover, C)
-    delta = induced_hom_map(M.relations, M.cover.rank, hom1, C.cover.rank)
-    kernel = kernel_of_cokernel_map(ring, delta, hom0, hom1, rels1)
-    if not kernel:
-        return ring.zero_module()
-    gen_degs = tuple(v.degree() for v in kernel)
-    sub_cover = ring.poly_ring.free_module(gen_degs)
-    rel_cols = syzygies_over(ring, kernel, sub_cover, hom0, rels0)
-    return minimalize_presentation(ring, gen_degs, rel_cols)
+    homs = None  # no relations: every assignment
+    if M.relations:
+        rel_cover = ring.poly_ring.free_module(
+            tuple(r.degree() for r in M.relations))
+        hom1, rels1 = hom_cover_into(rel_cover, C)
+        delta = induced_hom_map(M.relations, M.cover.rank, hom1,
+                                C.cover.rank)
+        homs = syzygies_over(ring, delta, hom0, hom1, rels1)
+    return minimalize_presentation(ring, homs, hom0, rels0)
 
 
 def mcm_over_cm(C: GradedModule) -> bool:

@@ -10,6 +10,8 @@ from injcrit.poly import (GREVLEX, PolyRing, Vec, mono_deg, mono_div,
                           mono_divides, mono_lcm, mono_mul,
                           monomials_of_degree)
 
+from conftest import scaled
+
 F = PrimeField(DEFAULT_PRIME)
 elements = st.integers(min_value=0, max_value=DEFAULT_PRIME - 1)
 
@@ -114,7 +116,7 @@ def test_degree_and_homogeneity():
 def test_string_form_is_deterministic():
     ring = ring2()
     x, y = ring.gens()
-    f = (x ** 2 * y).scale(3) - y ** 3
+    f = scaled(x ** 2 * y, 3) - y ** 3
     assert str(f) == str(ring.from_string("3*x^2*y - y^3"))
 
 

@@ -249,7 +249,7 @@ def test_unreferenced_definition_check_catches_leftovers():
 # its homonym is live, which test_every_homonym_method_runs rules out by
 # requiring a real run to enter each of them
 HOMONYMS = {"_ensure", "act", "basis", "cache_key", "degree", "dims",
-            "is_homogeneous", "is_zero", "multiplicity", "scale"}
+            "is_homogeneous", "is_zero", "multiplicity"}
 
 
 def method_homonyms(defining: dict) -> set:

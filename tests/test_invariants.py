@@ -12,8 +12,8 @@ from injcrit.invariants import (UndecidedError, _ip_add, _ip_shift,
                                 multiplicity, projective_dimension_ambient,
                                 rank, regular_cut, socle_dimension, type_of)
 from injcrit.modules import (GradedModule, RingPresentation, ZeroModuleError,
-                             ext, kernel_of_cokernel_map,
-                             quotient_by_sequence, resolution)
+                             ext, quotient_by_sequence, resolution,
+                             syzygies_over)
 from injcrit.oracle import oracle_socle_dimension
 from injcrit.poly import PolyRing, Vec, term_key
 from injcrit.session import parse_session
@@ -208,8 +208,7 @@ def kernel_route_socle_dimension(M):
                                                    for v in range(n))): 1
                                 for i in range(n)})
             for j in range(g)]
-    K = kernel_of_cokernel_map(ring, cols, shifted, stacked.cover,
-                               stacked.relations)
+    K = syzygies_over(ring, cols, shifted, stacked.cover, stacked.relations)
     images = [Vec(M.cover, dict(k.terms)) for k in K]
     return lM - length(GradedModule(ring, M.shifts,
                                     list(M.relations) + images))
@@ -223,8 +222,7 @@ def kernel_route_is_regular(M, x):
     shifted = GradedModule(
         ring, tuple(a + (x.degree() or 0) for a in M.shifts), M.relations)
     cols = [M.cover.gen(j).poly_mul(x) for j in range(M.cover.rank)]
-    K = kernel_of_cokernel_map(ring, cols, shifted.cover, M.cover,
-                               M.relations)
+    K = syzygies_over(ring, cols, shifted.cover, M.cover, M.relations)
     return all(shifted.rel_tester.contains(k) for k in K)
 
 

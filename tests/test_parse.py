@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 from injcrit.parse import ParseError, parse_polynomial
 from injcrit.poly import PolyRing
 
+from conftest import scaled
+
 
 @pytest.fixture
 def ring():
@@ -15,7 +17,7 @@ def ring():
 def test_basic_terms(ring):
     x, y = ring.gens()
     assert parse_polynomial(ring, "3*x^2*y - y^3") == \
-        (x ** 2 * y).scale(3) - y ** 3
+        scaled(x ** 2 * y, 3) - y ** 3
     assert parse_polynomial(ring, "x") == x
     assert parse_polynomial(ring, "0").is_zero()
     assert parse_polynomial(ring, "7") == ring.constant(7)
